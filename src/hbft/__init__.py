@@ -56,7 +56,6 @@ from .integrate import (
     StopCondition,
     Trajectory,
     integrate,
-    step_rk4,
 )
 from .potentials import (
     Potential,
@@ -113,7 +112,6 @@ __all__ = [
     "model_discrepancy",
     "reaction_force",
     "sqrt_friction_speed",
-    "step_rk4",
     "tail_asymptotics",
     "validate_gradient",
     "value",

@@ -24,20 +24,24 @@ import concurrent.futures
 import copy
 import csv
 import dataclasses
+import functools
+import inspect
 import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 import yaml
 
 from .diagnostics import (
+    TAIL_FRACTION,
     CertificationReport,
     CheckRecord,
+    _tail_slice,
     barbalat_check,
     check_acceleration_bound,
     check_energy_monotone,
@@ -152,13 +156,16 @@ class _Node:
             self.fail(f"expected a mapping, got {type(val).__name__}", key)
         return _Node(val, self.source, self._loc(key))
 
+    def _get(self, key: str, default, what: str):
+        """The value at ``key``; None when it is absent or null and ``default`` applies."""
+        val = self.data.get(key)
+        if val is None and default is _MISSING:
+            self.fail(f"required {what} is missing", key)
+        return val
+
     def number(self, key: str, default=_MISSING) -> float:
-        val = self.data.get(key, _MISSING)
-        if val is _MISSING or val is None:
-            if default is _MISSING:
-                self.fail("required number is missing", key)
-            return default
-        return self._coerce_number(val, key)
+        val = self._get(key, default, "number")
+        return default if val is None else self._coerce_number(val, key)
 
     def _coerce_number(self, val, key) -> float:
         if isinstance(val, bool):
@@ -173,40 +180,32 @@ class _Node:
         self.fail(f"expected a number, got {val!r}", key)
 
     def integer(self, key: str, default=_MISSING) -> int:
-        val = self.data.get(key, _MISSING)
-        if val is _MISSING or val is None:
-            if default is _MISSING:
-                self.fail("required integer is missing", key)
+        val = self._get(key, default, "integer")
+        if val is None:
             return default
         if isinstance(val, bool) or not isinstance(val, int):
             self.fail(f"expected an integer, got {val!r}", key)
         return int(val)
 
     def boolean(self, key: str, default=_MISSING) -> bool:
-        val = self.data.get(key, _MISSING)
-        if val is _MISSING or val is None:
-            if default is _MISSING:
-                self.fail("required boolean is missing", key)
+        val = self._get(key, default, "boolean")
+        if val is None:
             return default
         if not isinstance(val, bool):
             self.fail(f"expected a boolean, got {val!r}", key)
         return val
 
     def string(self, key: str, default=_MISSING) -> str:
-        val = self.data.get(key, _MISSING)
-        if val is _MISSING or val is None:
-            if default is _MISSING:
-                self.fail("required string is missing", key)
+        val = self._get(key, default, "string")
+        if val is None:
             return default
         if not isinstance(val, str):
             self.fail(f"expected a string, got {val!r}", key)
         return val
 
     def number_list(self, key: str, default=_MISSING) -> list[float]:
-        val = self.data.get(key, _MISSING)
-        if val is _MISSING or val is None:
-            if default is _MISSING:
-                self.fail("required list of numbers is missing", key)
+        val = self._get(key, default, "list of numbers")
+        if val is None:
             return default
         if not isinstance(val, list) or not val:
             self.fail(f"expected a nonempty list of numbers, got {val!r}", key)
@@ -219,19 +218,35 @@ class _Node:
 
 # --- check registry ----------------------------------------------------------
 
-# check name -> (required params, optional params)
-_CHECK_PARAMS: dict[str, tuple[set, set]] = {
-    "energy_monotone": (set(), {"tol"}),
-    "energy_balance": (set(), {"threshold"}),
-    "velocity_bound": (set(), {"tol"}),
-    "tail_asymptotics": (set(), {"tail_fraction", "threshold"}),
-    "barbalat_sqrt_friction_speed": (
-        {"l2_budget", "linf_budget", "dot_budget"},
-        {"tail_fraction", "tail_threshold"},
-    ),
-    "acceleration_bound": (set(), {"bound"}),
-    "friction_bounded": (set(), {"bound_guess", "t1_guess", "horizon", "grid_points"}),
+# check name -> (diagnostic, the run inputs it takes first). The diagnostic's
+# remaining parameters are the check's YAML keys: required where it has no
+# default, optional where it has one, and then its own default applies. The
+# diagnostic is called through its module-level name at run time, so a
+# wrapper installed on that name is the one called.
+_CHECK_CALLS = {
+    "energy_monotone": ("check_energy_monotone", ("traj",)),
+    "energy_balance": ("energy_balance_residual", ("traj", "s")),
+    "velocity_bound": ("check_velocity_bound", ("traj", "p")),
+    "tail_asymptotics": ("tail_asymptotics", ("traj", "s", "p")),
+    "barbalat_sqrt_friction_speed": ("barbalat_check", ("f",)),
+    "acceleration_bound": ("check_acceleration_bound", ("traj", "p", "s")),
+    "friction_bounded": ("verify_friction_hypotheses", ("s",)),
 }
+
+
+def _check_keys(fn, n_inputs: int) -> tuple[set, set]:
+    params = list(inspect.signature(fn).parameters.values())[n_inputs:]
+    required = {p.name for p in params if p.default is p.empty}
+    return required, {p.name for p in params} - required
+
+
+# check name -> (required keys, optional keys)
+_CHECK_KEYS = {
+    name: _check_keys(globals()[fn], len(inputs)) for name, (fn, inputs) in _CHECK_CALLS.items()
+}
+# _friction_bounded defaults horizon to integrator.t_max.
+_CHECK_KEYS["friction_bounded"][0].remove("horizon")
+_CHECK_KEYS["friction_bounded"][1].add("horizon")
 
 
 @dataclasses.dataclass
@@ -241,57 +256,38 @@ class _RunContext:
     s: FrictionSchedule
     cfg: "ScenarioConfig"
 
+    @property
+    def f(self):
+        return sqrt_friction_speed(self.traj)
 
-def _run_check(name: str, params: dict, ctx: _RunContext) -> CheckRecord:
-    if name == "energy_monotone":
-        return check_energy_monotone(ctx.traj, tol=params.get("tol", 1e-8))
-    if name == "energy_balance":
-        return energy_balance_residual(ctx.traj, ctx.s, threshold=params.get("threshold", 1e-5))
-    if name == "velocity_bound":
-        return check_velocity_bound(ctx.traj, ctx.p, tol=params.get("tol", 1e-8))
-    if name == "tail_asymptotics":
-        return tail_asymptotics(
-            ctx.traj,
-            ctx.s,
-            ctx.p,
-            tail_fraction=params.get("tail_fraction", 0.2),
-            threshold=params.get("threshold", 1e-5),
-        )
-    if name == "barbalat_sqrt_friction_speed":
-        f = sqrt_friction_speed(ctx.traj)
-        return barbalat_check(
-            f,
-            l2_budget=params["l2_budget"],
-            linf_budget=params["linf_budget"],
-            dot_budget=params["dot_budget"],
-            tail_fraction=params.get("tail_fraction", 0.2),
-            tail_threshold=params.get("tail_threshold", 1e-5),
-        )
-    if name == "acceleration_bound":
-        return check_acceleration_bound(ctx.traj, ctx.p, ctx.s, bound=params.get("bound", math.inf))
-    if name == "friction_bounded":
-        rep = verify_friction_hypotheses(
-            ctx.s,
-            horizon=params.get("horizon", ctx.cfg.integrator.t_max),
-            grid_points=int(params.get("grid_points", 1000)),
-            bound_guess=params.get("bound_guess", 10.0),
-            t1_guess=params.get("t1_guess", 0.0),
-        )
-        return CheckRecord(
-            check_name="friction_bounded",
-            passed=bool(rep.max_after_t1 <= rep.bound_guess),
-            residual=rep.max_after_t1,
-            threshold=rep.bound_guess,
-            details={
-                "t1_guess": rep.t1_guess,
-                "continuity_ok": rep.continuity_ok,
-                "min_value": rep.min_value,
-                "has_zeros": rep.has_zeros,
-                "derivative_available": rep.derivative_available,
-                "max_abs_derivative": rep.max_abs_derivative,
-            },
-        )
-    raise ConfigError(f"unknown check '{name}'")
+
+def _friction_bounded(s: FrictionSchedule, t_max: float, **params) -> CheckRecord:
+    params.setdefault("horizon", t_max)
+    if "grid_points" in params:
+        params["grid_points"] = int(params["grid_points"])
+    rep = verify_friction_hypotheses(s, **params)
+    return CheckRecord(
+        check_name="friction_bounded",
+        passed=bool(rep.max_after_t1 <= rep.bound_guess),
+        residual=rep.max_after_t1,
+        threshold=rep.bound_guess,
+        details={
+            "t1_guess": rep.t1_guess,
+            "continuity_ok": rep.continuity_ok,
+            "min_value": rep.min_value,
+            "has_zeros": rep.has_zeros,
+            "derivative_available": rep.derivative_available,
+            "max_abs_derivative": rep.max_abs_derivative,
+        },
+    )
+
+
+def _run_check(check: dict, ctx: _RunContext) -> CheckRecord:
+    params = {k: v for k, v in check.items() if k != "name"}
+    if check["name"] == "friction_bounded":
+        return _friction_bounded(ctx.s, ctx.cfg.integrator.t_max, **params)
+    fn, inputs = _CHECK_CALLS[check["name"]]
+    return globals()[fn](*(getattr(ctx, name) for name in inputs), **params)
 
 
 # --- scenario configuration --------------------------------------------------
@@ -362,16 +358,7 @@ class ScenarioConfig:
             )
 
         mech_node = root.child("mechanical", required=False)
-        mechanical = None
-        if mech_node is not None:
-            mech_node.require_known({"mass", "gravity"})
-            try:
-                mechanical = MechanicalParams(
-                    mass=mech_node.number("mass", 1.0),
-                    gravity=mech_node.number("gravity", 9.81),
-                )
-            except ValueError as exc:
-                mech_node.fail(str(exc))
+        mechanical = None if mech_node is None else _build(mech_node, MechanicalParams)
         if model == "full_surface":
             if mechanical is None:
                 root.fail("full_surface model requires a 'mechanical' section (mass, gravity)", "mechanical")
@@ -415,51 +402,50 @@ class ScenarioConfig:
         )
 
 
-def _parse_integrator(node: _Node, model: str) -> IntegratorConfig:
-    node.require_known(
-        {"method", "step", "abs_tol", "rel_tol", "h_min", "h_max", "t_max",
-         "sample_stride", "sample_dt", "max_steps", "stop"}
-    )
-    stop_node = node.child("stop", required=False)
-    stop_kwargs = {}
-    if stop_node is not None:
-        stop_node.require_known(
-            {"stationarity_tol", "dwell", "divergence_radius", "halt_on_contact_loss"}
-        )
-        defaults = StopCondition()
-        stop_kwargs = {
-            "stationarity_tol": stop_node.number("stationarity_tol", defaults.stationarity_tol),
-            "dwell": stop_node.number("dwell", defaults.dwell),
-            "divergence_radius": stop_node.number("divergence_radius", defaults.divergence_radius),
-            "halt_on_contact_loss": stop_node.boolean("halt_on_contact_loss", False),
-        }
+_GETTERS = {
+    str: _Node.string,
+    float: _Node.number,
+    Optional[float]: _Node.number,
+    int: _Node.integer,
+    bool: _Node.boolean,
+}
+
+
+@functools.cache
+def _field_getters(cls) -> dict:
+    """Field name of dataclass ``cls`` -> the getter for its type (None if not a scalar)."""
+    hints = get_type_hints(cls)
+    return {f.name: _GETTERS.get(hints[f.name]) for f in dataclasses.fields(cls)}
+
+
+def _build(node: _Node, cls, **given):
+    """``cls`` built from ``node``, which may hold one key per dataclass field.
+
+    Each key is read with the getter for its field's type; an absent or null
+    key leaves the field's default. Fields in ``given`` are passed as given.
+    """
+    getters = _field_getters(cls)
+    node.require_known(getters)
+    kwargs = dict(given)
+    for name, getter in getters.items():
+        if name not in given and node.data.get(name) is not None:
+            kwargs[name] = getter(node, name)
     try:
-        stop = StopCondition(**stop_kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        (stop_node or node).fail(str(exc))
+        node.fail(str(exc))
+
+
+def _parse_integrator(node: _Node, model: str) -> IntegratorConfig:
+    # Unknown keys here are reported before any fault in the stop section.
+    node.require_known(_field_getters(IntegratorConfig))
+    stop_node = node.child("stop", required=False)
+    stop = StopCondition() if stop_node is None else _build(stop_node, StopCondition)
     if stop.halt_on_contact_loss and model != "full_surface":
         (stop_node or node).fail(
             "halt_on_contact_loss needs the full_surface model (the reduced model has no reaction force)"
         )
-
-    defaults = IntegratorConfig(method="rk4", step=1.0)  # only for default values below
-    kwargs = {
-        "method": node.string("method", "dopri45"),
-        "step": node.number("step", None) if "step" in node.keys() else None,
-        "abs_tol": node.number("abs_tol", defaults.abs_tol),
-        "rel_tol": node.number("rel_tol", defaults.rel_tol),
-        "h_min": node.number("h_min", defaults.h_min),
-        "h_max": node.number("h_max", defaults.h_max),
-        "t_max": node.number("t_max", defaults.t_max),
-        "sample_stride": node.integer("sample_stride", 1),
-        "sample_dt": node.number("sample_dt", None) if "sample_dt" in node.keys() else None,
-        "max_steps": node.integer("max_steps", defaults.max_steps),
-        "stop": stop,
-    }
-    try:
-        return IntegratorConfig(**kwargs)
-    except ValueError as exc:
-        node.fail(str(exc))
+    return _build(node, IntegratorConfig, stop=stop)
 
 
 def _parse_checks(root: _Node, potential: Potential) -> list[dict]:
@@ -474,9 +460,9 @@ def _parse_checks(root: _Node, potential: Potential) -> list[dict]:
             root.fail(f"entry {idx} must be a mapping with a 'name'", "checks")
         node = _Node(entry, root.source, f"checks[{idx}]")
         cname = node.string("name")
-        if cname not in _CHECK_PARAMS:
-            node.fail(f"unknown check '{cname}'; known checks: {sorted(_CHECK_PARAMS)}", "name")
-        required, optional = _CHECK_PARAMS[cname]
+        if cname not in _CHECK_KEYS:
+            node.fail(f"unknown check '{cname}'; known checks: {sorted(_CHECK_KEYS)}", "name")
+        required, optional = _CHECK_KEYS[cname]
         node.require_known({"name"} | required | optional)
         params = {}
         for key in sorted(required):
@@ -531,8 +517,8 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 
 def _trajectory_meta(cfg: ScenarioConfig, traj: Trajectory) -> dict:
-    tail = max(1, int(math.ceil(0.2 * traj.n_samples)))
-    f = np.sqrt(np.maximum(traj.lam[-tail:], 0.0)) * np.linalg.norm(traj.v[-tail:], axis=1)
+    tail = _tail_slice(traj.n_samples, TAIL_FRACTION)
+    f = np.sqrt(np.maximum(traj.lam[tail], 0.0)) * np.linalg.norm(traj.v[tail], axis=1)
     return {
         "scenario": cfg.name,
         "model": cfg.model,
@@ -545,7 +531,7 @@ def _trajectory_meta(cfg: ScenarioConfig, traj: Trajectory) -> dict:
         "final_x": [float(v) for v in traj.x[-1]],
         "final_speed": float(np.linalg.norm(traj.v[-1])),
         "tail_sqrt_friction_speed_sup": float(np.max(f)),
-        "tail_grad_norm_sup": float(np.max(traj.grad_norm[-tail:])),
+        "tail_grad_norm_sup": float(np.max(traj.grad_norm[tail])),
         "accepted_steps": traj.step_stats.accepted,
         "rejected_steps": traj.step_stats.rejected,
         "smallest_step": traj.step_stats.smallest_step,
@@ -553,9 +539,9 @@ def _trajectory_meta(cfg: ScenarioConfig, traj: Trajectory) -> dict:
     }
 
 
-def render_summary(cfg: ScenarioConfig, traj: Trajectory, report: Optional[CertificationReport],
+def render_summary(meta: dict, report: Optional[CertificationReport],
                    error: Optional[str] = None) -> str:
-    meta = _trajectory_meta(cfg, traj)
+    """The summary text of a run, from its ``_trajectory_meta``."""
     lines = [
         f"scenario: {meta['scenario']}",
         f"model: {meta['model']}",
@@ -598,6 +584,7 @@ class ScenarioResult:
     report: Optional[CertificationReport]
     paths: dict
     error: Optional[str] = None
+    meta: Optional[dict] = None  # _trajectory_meta, when a trajectory exists
 
 
 def _bind_field(cfg: ScenarioConfig):
@@ -634,15 +621,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
     except IntegrationError as exc:
         traj = exc.partial
         message = str(exc)
-        summary = None
+        meta = summary = None
         if traj is not None:
+            meta = _trajectory_meta(cfg, traj)
             if "csv" in cfg.formats:
                 write_trajectory_csv(traj, paths["csv"])
-            summary = render_summary(cfg, traj, None, error=message)
+            summary = render_summary(meta, None, error=message)
         if "report" in cfg.formats:
             payload = {"scenario": cfg.name, "error": message, "all_passed": False}
-            if traj is not None:
-                payload["trajectory"] = CertificationReport([], _trajectory_meta(cfg, traj)).to_dict()["trajectory"]
+            if meta is not None:
+                payload["trajectory"] = CertificationReport([], meta).to_dict()["trajectory"]
             _write_report_json(paths["report"], payload)
         if summary is not None and "summary" in cfg.formats:
             paths["summary"].write_text(summary)
@@ -650,14 +638,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
             print(summary, end="")
         # errors are not informational output: always reach stderr
         print(f"integration error: {message}", file=sys.stderr)
-        return ScenarioResult(3, traj, None, paths, error=message)
+        return ScenarioResult(3, traj, None, paths, error=message, meta=meta)
 
     ctx = _RunContext(traj=traj, p=cfg.potential, s=cfg.schedule, cfg=cfg)
     records = []
     for check in cfg.checks:
-        params = {k: v for k, v in check.items() if k != "name"}
         try:
-            records.append(_run_check(check["name"], params, ctx))
+            records.append(_run_check(check, ctx))
         except (ValueError, RuntimeError) as exc:
             records.append(
                 CheckRecord(
@@ -668,18 +655,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
                     details={"error": str(exc)},
                 )
             )
-    report = CertificationReport(checks=records, trajectory_meta=_trajectory_meta(cfg, traj))
+    meta = _trajectory_meta(cfg, traj)
+    report = CertificationReport(checks=records, trajectory_meta=meta)
 
     if "csv" in cfg.formats:
         write_trajectory_csv(traj, paths["csv"])
     if "report" in cfg.formats:
         _write_report_json(paths["report"], report.to_dict())
-    summary = render_summary(cfg, traj, report)
+    summary = render_summary(meta, report)
     if "summary" in cfg.formats:
         paths["summary"].write_text(summary)
     if not quiet:
         print(summary, end="")
-    return ScenarioResult(0 if report.all_passed else 1, traj, report, paths)
+    return ScenarioResult(0 if report.all_passed else 1, traj, report, paths, meta=meta)
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -747,10 +735,9 @@ def _sweep_worker(payload: dict) -> dict:
             payload["raw"], source=payload["source"], default_name=payload["point"]
         )
         result = run_scenario(cfg, payload["out_dir"], quiet=True)
-        traj, report = result.trajectory, result.report
+        meta, report = result.meta, result.report
         row["exit_code"] = result.exit_code
-        if traj is not None:
-            meta = _trajectory_meta(cfg, traj)
+        if meta is not None:
             row["termination"] = meta["termination_reason"]
             row["final_energy"] = meta["final_energy"]
             row["tail_sqrt_friction_speed_sup"] = meta["tail_sqrt_friction_speed_sup"]
@@ -839,14 +826,7 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
     if not quiet:
         print("\n".join(text_lines))
 
-    codes = [row["exit_code"] for row in rows]
-    if any(c == 3 for c in codes):
-        return 3
-    if any(c == 2 for c in codes):
-        return 2
-    if any(c == 1 for c in codes):
-        return 1
-    return 0
+    return max((row["exit_code"] for row in rows), default=0)
 
 
 # --- command line ------------------------------------------------------------
@@ -873,8 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", help=f"output directory (default: config, then ${OUT_DIR_ENV}, then ./hbft_out)")
     common.add_argument("--quiet", action="store_true", help="suppress stdout summary")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; the dynamics are deterministic and ignore it")
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run one scenario config")
     p_sim.add_argument("config", help="scenario YAML file")

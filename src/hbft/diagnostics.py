@@ -38,6 +38,10 @@ from .potentials import Potential, gradient
 
 from .errors import CapabilityError
 
+# Share of the last samples that makes up a run's tail, unless a check is
+# given its own.
+TAIL_FRACTION = 0.2
+
 
 @dataclasses.dataclass(frozen=True)
 class CheckRecord:
@@ -177,11 +181,17 @@ def check_energy_monotone(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
     """Largest energy increase between consecutive samples, vs tol.
 
     The energy law Ė = −λ|v|² makes E nonincreasing whenever λ ≥ 0; any
-    rise beyond integrator noise is a violation.
+    rise beyond integrator noise is a violation. A non-finite energy sample
+    certifies nothing: the residual is then NaN (so the check fails), and
+    ``worst_increase_at_t`` is the time of the first such sample.
     """
     if traj.n_samples == 0:
         raise ValueError("trajectory has no samples")
-    if traj.n_samples == 1:
+    nonfinite = ~np.isfinite(traj.energy)
+    if nonfinite.any():
+        residual = math.nan
+        worst_t = float(traj.t[int(np.argmax(nonfinite))])
+    elif traj.n_samples == 1:
         residual = 0.0
         worst_t = float(traj.t[0])
     else:
@@ -230,7 +240,9 @@ def energy_balance_residual(
 def check_velocity_bound(traj: Trajectory, p: Potential, tol: float = 1e-8) -> CheckRecord:
     """Samplewise kinetic-energy bound ½|v|² ≤ ½|v₀|² + Φ(x₀) − inf Φ.
 
-    Needs a potential with a known lower bound (it plays inf Φ).
+    Needs a potential with a known lower bound (it plays inf Φ). A run with
+    a non-finite energy sample gets a NaN residual, so the check fails
+    instead of passing against an infinite bound.
 
     Raises:
         CapabilityError: if the potential declares no lower bound.
@@ -245,6 +257,8 @@ def check_velocity_bound(traj: Trajectory, p: Potential, tol: float = 1e-8) -> C
     rhs = float(traj.energy[0]) - p.lower_bound
     k = int(np.argmax(kinetic))
     residual = max(0.0, float(kinetic[k]) - rhs)
+    if not np.isfinite(traj.energy).all():
+        residual = math.nan
     return _record(
         "velocity_bound",
         residual,
@@ -276,7 +290,7 @@ def tail_asymptotics(
     traj: Trajectory,
     s: FrictionSchedule,
     p: Potential,
-    tail_fraction: float = 0.2,
+    tail_fraction: float = TAIL_FRACTION,
     threshold: float = 1e-5,
 ) -> CheckRecord:
     """Tail smallness of √λ(t)|v(t)| plus the boundedness evidence around it.
@@ -327,7 +341,7 @@ def barbalat_check(
     l2_budget: float,
     linf_budget: float,
     dot_budget: float,
-    tail_fraction: float = 0.2,
+    tail_fraction: float = TAIL_FRACTION,
     tail_threshold: float = 1e-5,
 ) -> CheckRecord:
     """Premises and conclusion of the vanishing-function certificate.

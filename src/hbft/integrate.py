@@ -40,10 +40,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import PhaseState, energy as _energy, dissipation_rate as _dissipation
+from .dynamics import PhaseState
 from .errors import DivergenceError, IntegrationError
 from .friction import FrictionSchedule, lambda_at
-from .potentials import Potential, Vector, gradient
+from .potentials import Potential, Vector, gradient, value
 
 FieldFn = Callable[[PhaseState], tuple[Vector, Vector]]
 
@@ -204,21 +204,6 @@ def _rk4_core(f: FieldFn, t: float, x: Vector, v: Vector, h: float) -> tuple[Vec
     return x1, v1
 
 
-def step_rk4(field: FieldFn, state: PhaseState, h: float) -> PhaseState:
-    """One classical RK4 step of size h > 0.
-
-    Raises:
-        DivergenceError: if the step produces non-finite components.
-    """
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"step size must be positive and finite, got {h}")
-    x1, v1 = _rk4_core(field, state.t, state.x, state.v, h)
-    out = PhaseState(state.t + h, x1, v1)
-    if not out.is_finite():
-        raise DivergenceError(f"rk4 step from t={state.t} produced non-finite components")
-    return out
-
-
 # Dormand-Prince 5(4) tableau. _DP_E is the difference between the 5th- and
 # 4th-order weights; its dot with the stages estimates the local error.
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -317,10 +302,14 @@ class _Recorder:
         # writes into them.
         self.rows_x.append(state.x)
         self.rows_v.append(state.v)
-        self.rows_e.append(_energy(self.p, state))
-        self.rows_lam.append(lambda_at(self.s, state.t))
+        # The arithmetic of dynamics.energy and dynamics.dissipation_rate,
+        # with λ(t) and |v|² evaluated once.
+        lam = lambda_at(self.s, state.t)
+        vv = float(state.v @ state.v)
+        self.rows_e.append(0.5 * vv + value(self.p, state.x))
+        self.rows_lam.append(lam)
         self.rows_gn.append(grad_norm)
-        self.rows_dis.append(_dissipation(self.s, state))
+        self.rows_dis.append(-lam * vv + 0.0)
 
     def build(self, reason: str, stats: StepStats) -> Trajectory:
         return Trajectory(
@@ -336,6 +325,7 @@ class _Recorder:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     field: FieldFn,
     p: Potential,
@@ -361,6 +351,9 @@ def integrate(
     Returns:
         The sampled trajectory. The initial and final states are always
         among the samples.
+
+    Floating-point overflow and invalid operations raise no numpy warnings
+    here: a run that overflows ends ``diverged``, which reports it.
 
     Raises:
         IntegrationError: when the adaptive stepper underflows ``h_min`` or

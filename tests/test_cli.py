@@ -112,6 +112,60 @@ def test_full_surface_requires_mechanical_section(tmp_path, scenario_raw, capsys
     assert "mechanical" in capsys.readouterr().err
 
 
+def test_mechanical_type_error_anchored_once(tmp_path, scenario_raw, capsys):
+    scenario_raw["mechanical"] = {"gravity": True}
+    path = write_yaml(tmp_path / "mech.yaml", scenario_raw)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("mech.yaml:") == 1
+    assert "mechanical.gravity: expected a number, got a boolean" in err
+
+
+# check -> (required keys, optional keys): the checks grammar of the README
+CHECK_GRAMMAR = {
+    "energy_monotone": ([], ["tol"]),
+    "energy_balance": ([], ["threshold"]),
+    "velocity_bound": ([], ["tol"]),
+    "tail_asymptotics": ([], ["tail_fraction", "threshold"]),
+    "barbalat_sqrt_friction_speed": (
+        ["dot_budget", "l2_budget", "linf_budget"], ["tail_fraction", "tail_threshold"]
+    ),
+    "acceleration_bound": ([], ["bound"]),
+    "friction_bounded": ([], ["bound_guess", "grid_points", "horizon", "t1_guess"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_GRAMMAR))
+def test_check_grammar(tmp_path, scenario_raw, capsys, name):
+    required, optional = CHECK_GRAMMAR[name]
+    minimal = {"name": name, **{key: 0.5 for key in required}}
+    variants = {
+        "minimal": ([minimal], 0),
+        "full": ([{**minimal, **{key: 0.5 for key in optional}}], 0),
+        "unknown": ([{**minimal, "no_such_key": 1.0}], 2),
+    }
+    for key in required:
+        variants[f"no_{key}"] = ([{k: v for k, v in minimal.items() if k != key}], 2)
+    errors = {}
+    for label, (checks, code) in variants.items():
+        scenario_raw["checks"] = checks
+        path = write_yaml(tmp_path / f"{label}.yaml", scenario_raw)
+        assert main(["validate", str(path)]) == code, label
+        errors[label] = capsys.readouterr().err
+    allowed = sorted(["name", *required, *optional])
+    assert f"checks[0]: unknown keys ['no_such_key']; allowed keys: {allowed}\n" in errors["unknown"]
+    for key in required:
+        assert f"checks[0].{key}: required number is missing\n" in errors[f"no_{key}"]
+
+
+def test_readme_scenario_block_is_valid():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("```yaml\n", readme.index("## Scenario files")) + len("```yaml\n")
+    block = readme[start:readme.index("```\n", start)]
+    cfg = ScenarioConfig.from_raw(yaml.safe_load(block), source="README.md")
+    assert [c["name"] for c in cfg.checks] == list(CHECK_GRAMMAR)
+
+
 # --------------------------------------------------------------- simulate
 
 
@@ -190,8 +244,9 @@ def test_overflowing_run_ends_diverged_without_traceback(tmp_path, scenario_raw)
         [sys.executable, "-m", "hbft", "simulate", str(path), "--out-dir", str(out), "--quiet"],
         capture_output=True, text=True, timeout=60,
     )
-    assert "Traceback" not in proc.stderr
-    assert proc.returncode in (0, 1)
+    assert proc.stderr == ""
+    # the energy is infinite from the first sample: nothing is certified
+    assert proc.returncode == 1
     report = json.loads((out / "overflow.report.json").read_text())
     assert report["trajectory"]["termination_reason"] == "diverged"
 
@@ -346,6 +401,12 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "double_well" in proc.stdout
+
+
+def test_seed_flag_is_a_usage_error(scenario_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(scenario_file), "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_missing_file_is_config_error(capsys):

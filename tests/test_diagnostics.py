@@ -136,6 +136,22 @@ def test_velocity_bound_needs_declared_floor(damped_run: Trajectory):
         check_velocity_bound(damped_run, tilted_plane(slope=(1.0,)))
 
 
+def test_energy_checks_fail_on_nonfinite_energy(damped_run: Trajectory):
+    # A run whose energy overflows on its first sample, and one whose last
+    # energy is NaN: neither may be certified.
+    huge = quadratic(dim=1, scale=1.0e300)
+    overflowed = _run(huge, constant(1.0), [1.0e10], [0.0], method="rk4", step=1.0, t_max=10.0)
+    assert overflowed.termination_reason == "diverged"
+    assert overflowed.energy.tolist() == [math.inf]
+    energy = damped_run.energy.copy()
+    energy[-1] = math.nan
+    late_nan = dataclasses.replace(damped_run, energy=energy)
+    for traj, p in ((overflowed, huge), (late_nan, quadratic(dim=1))):
+        for rec in (check_energy_monotone(traj), check_velocity_bound(traj, p)):
+            assert not rec.passed
+            assert math.isnan(rec.residual)
+
+
 # ------------------------------------------------------------------- tail
 
 

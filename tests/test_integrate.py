@@ -20,7 +20,6 @@ from hbft import (
     full_surface_field,
     hbft_field,
     integrate,
-    step_rk4,
 )
 from hbft.friction import constant
 from hbft.potentials import Potential, double_well, flat, quadratic
@@ -45,17 +44,19 @@ def test_single_step_matches_cosine():
     # undamped unit bowl: x(h) = cos h
     p, s = quadratic(dim=1), constant(0.0)
     h = 0.01
-    nxt = step_rk4(_field(p, s), _init([1.0], [0.0]), h)
-    assert abs(nxt.x[0] - math.cos(h)) <= 1e-10
-    assert abs(nxt.v[0] + math.sin(h)) <= 1e-10
+    traj = _run(p, s, [1.0], [0.0], method="rk4", step=h, t_max=h)
+    assert traj.step_stats.accepted == 1
+    assert abs(traj.x[-1, 0] - math.cos(h)) <= 1e-10
+    assert abs(traj.v[-1, 0] + math.sin(h)) <= 1e-10
 
 
 def test_single_step_matches_exponential_decay():
     # flat landscape, unit damping: v(h) = exp(-h)
     p, s = flat(dim=1), constant(1.0)
     h = 0.01
-    nxt = step_rk4(_field(p, s), _init([0.0], [1.0]), h)
-    assert abs(nxt.v[0] - math.exp(-h)) <= 1e-10
+    traj = _run(p, s, [0.0], [1.0], method="rk4", step=h, t_max=h)
+    assert traj.step_stats.accepted == 1
+    assert abs(traj.v[-1, 0] - math.exp(-h)) <= 1e-10
 
 
 def test_damped_harmonic_against_closed_form():
