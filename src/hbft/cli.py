@@ -69,6 +69,8 @@ from .potentials import Potential, builtin_potentials, make_potential
 
 OUT_DIR_ENV = "HBFT_OUT_DIR"
 _FORMATS = ("csv", "report", "summary")
+# Rows per write of the trajectory CSV: bounds the memory of a long run's text.
+_CSV_BLOCK_ROWS = 1024
 
 
 # --- config loading with line anchors ---------------------------------------
@@ -216,6 +218,16 @@ class _Node:
         return strip_line_markers(val) if isinstance(val, (dict, list)) else val
 
 
+# The getter for each field or parameter type a config key may have.
+_GETTERS = {
+    str: _Node.string,
+    float: _Node.number,
+    Optional[float]: _Node.number,
+    int: _Node.integer,
+    bool: _Node.boolean,
+}
+
+
 # --- check registry ----------------------------------------------------------
 
 # check name -> (diagnostic, the run inputs it takes first). The diagnostic's
@@ -234,19 +246,32 @@ _CHECK_CALLS = {
 }
 
 
-def _check_keys(fn, n_inputs: int) -> tuple[set, set]:
+def _check_keys(fn, n_inputs: int) -> dict:
+    """YAML key -> (getter for its annotated type, whether it is required)."""
+    hints = get_type_hints(fn)
     params = list(inspect.signature(fn).parameters.values())[n_inputs:]
-    required = {p.name for p in params if p.default is p.empty}
-    return required, {p.name for p in params} - required
+    return {p.name: (_GETTERS[hints[p.name]], p.default is p.empty) for p in params}
 
 
-# check name -> (required keys, optional keys)
+# check name -> its keys, as _check_keys gives them
 _CHECK_KEYS = {
     name: _check_keys(globals()[fn], len(inputs)) for name, (fn, inputs) in _CHECK_CALLS.items()
 }
 # _friction_bounded defaults horizon to integrator.t_max.
-_CHECK_KEYS["friction_bounded"][0].remove("horizon")
-_CHECK_KEYS["friction_bounded"][1].add("horizon")
+_CHECK_KEYS["friction_bounded"]["horizon"] = (_Node.number, False)
+
+# The allowed range of every check key, tested at parse time: (test, rule).
+_AT_LEAST_ZERO = (lambda v: v >= 0, ">= 0")
+_ABOVE_ZERO = (lambda v: v > 0, "> 0")
+_CHECK_RANGES = {
+    **dict.fromkeys(
+        ("tol", "threshold", "bound", "tail_threshold", "bound_guess", "t1_guess"), _AT_LEAST_ZERO
+    ),
+    **dict.fromkeys(("l2_budget", "linf_budget", "dot_budget"), _ABOVE_ZERO),
+    "horizon": (lambda v: 0 < v < math.inf, "> 0 and finite"),
+    "tail_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "grid_points": (lambda v: v >= 2, ">= 2"),
+}
 
 
 @dataclasses.dataclass
@@ -263,8 +288,6 @@ class _RunContext:
 
 def _friction_bounded(s: FrictionSchedule, t_max: float, **params) -> CheckRecord:
     params.setdefault("horizon", t_max)
-    if "grid_points" in params:
-        params["grid_points"] = int(params["grid_points"])
     rep = verify_friction_hypotheses(s, **params)
     return CheckRecord(
         check_name="friction_bounded",
@@ -402,15 +425,6 @@ class ScenarioConfig:
         )
 
 
-_GETTERS = {
-    str: _Node.string,
-    float: _Node.number,
-    Optional[float]: _Node.number,
-    int: _Node.integer,
-    bool: _Node.boolean,
-}
-
-
 @functools.cache
 def _field_getters(cls) -> dict:
     """Field name of dataclass ``cls`` -> the getter for its type (None if not a scalar)."""
@@ -462,14 +476,18 @@ def _parse_checks(root: _Node, potential: Potential) -> list[dict]:
         cname = node.string("name")
         if cname not in _CHECK_KEYS:
             node.fail(f"unknown check '{cname}'; known checks: {sorted(_CHECK_KEYS)}", "name")
-        required, optional = _CHECK_KEYS[cname]
-        node.require_known({"name"} | required | optional)
+        keys = _CHECK_KEYS[cname]
+        node.require_known({"name", *keys})
         params = {}
-        for key in sorted(required):
-            params[key] = node.number(key)
-        for key in sorted(optional):
-            if key in node.keys():
-                params[key] = node.number(key)
+        # required keys first, each group in sorted order
+        for key in sorted(keys, key=lambda k: (not keys[k][1], k)):
+            getter, required = keys[key]
+            if required or key in node.data:
+                value = getter(node, key)
+                test, rule = _CHECK_RANGES[key]
+                if not test(value):
+                    node.fail(f"must be {rule}, got {value!r}", key)
+                params[key] = value
         checks.append({"name": cname, **params})
     if checks and potential.unbounded_below:
         root.fail(
@@ -499,21 +517,18 @@ def csv_header(dim: int) -> list[str]:
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    """Write the fixed-column trajectory CSV (repr floats, LF line ends)."""
+    """Write the fixed-column trajectory CSV (repr floats, LF line ends).
+
+    Rows go out a block at a time. ``tolist()`` yields the Python floats
+    ``float()`` of each cell would, and ``csv.writer`` never quotes a float's
+    ``repr``, so the bytes are those of one ``csv.writer`` row per sample.
+    """
+    columns = (traj.t, traj.x, traj.v, traj.energy, traj.lam, traj.grad_norm, traj.dissipation)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(csv_header(traj.dim))
-        for k in range(traj.n_samples):
-            row = [repr(float(traj.t[k]))]
-            row += [repr(float(val)) for val in traj.x[k]]
-            row += [repr(float(val)) for val in traj.v[k]]
-            row += [
-                repr(float(traj.energy[k])),
-                repr(float(traj.lam[k])),
-                repr(float(traj.grad_norm[k])),
-                repr(float(traj.dissipation[k])),
-            ]
-            writer.writerow(row)
+        fh.write(",".join(csv_header(traj.dim)) + "\n")
+        for start in range(0, traj.n_samples, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
 def _trajectory_meta(cfg: ScenarioConfig, traj: Trajectory) -> dict:

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .friction import FrictionSchedule, lambda_at
+from .friction import FrictionSchedule, lambda_values
 from .integrate import Trajectory
 from .potentials import Potential, gradient
 
@@ -222,7 +222,7 @@ def energy_balance_residual(
     """
     if traj.n_samples < 2:
         raise ValueError("energy balance needs at least 2 samples")
-    lam = np.array([lambda_at(s, float(t)) for t in traj.t])
+    lam = lambda_values(s, traj.t)
     integrand = lam * traj.speeds() ** 2
     q = float(np.trapezoid(integrand, traj.t))
     drop = float(traj.energy[0] - traj.energy[-1])
@@ -319,7 +319,7 @@ def tail_asymptotics(
     tail = _tail_slice(traj.n_samples, tail_fraction)
     f = np.sqrt(np.maximum(traj.lam, 0.0)) * traj.speeds()
     residual = float(np.max(f[tail]))
-    lam = np.array([lambda_at(s, float(t)) for t in traj.t])
+    lam = lambda_values(s, traj.t)
     partial_l2 = float(np.trapezoid(lam * traj.speeds() ** 2, traj.t))
     details = {
         "tail_start_t": float(traj.t[tail][0]),
@@ -426,28 +426,40 @@ def check_acceleration_bound(
 ) -> CheckRecord:
     """Sup of |ẍ| reconstructed samplewise as −λ(t)v − ∇Φ(x).
 
-    Passes iff the sup is finite and at most ``bound``; a non-finite sup is
-    reported as NaN so it fails every threshold.
+    Passes iff the sup is finite and at most ``bound``. A non-finite
+    acceleration sample certifies nothing: the residual is then NaN (so the
+    check fails), and ``attained_at_t`` is the time of the first such sample.
     """
     if traj.n_samples == 0:
         raise ValueError("trajectory has no samples")
-    sup_acc = 0.0
-    worst_t = float(traj.t[0])
-    for k in range(traj.n_samples):
-        lam = lambda_at(s, float(traj.t[k]))
-        acc = -lam * traj.v[k] - gradient(p, traj.x[k])
-        norm = float(np.linalg.norm(acc))
-        if norm > sup_acc:
-            sup_acc, worst_t = norm, float(traj.t[k])
-    lam_all = np.array([lambda_at(s, float(t)) for t in traj.t])
-    triangle = float(np.max(lam_all) * np.max(traj.speeds()) + np.max(traj.grad_norm))
+    lam = lambda_values(s, traj.t)
+    grad = np.fromiter((gradient(p, x) for x in traj.x), (float, (traj.dim,)), traj.n_samples)
+    acc = -lam[:, None] * traj.v - grad
+    norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
+    nonfinite = ~np.isfinite(norms)
+    if nonfinite.any():
+        k = int(np.argmax(nonfinite))
+        sup_acc = float(norms[k])
+    else:
+        # For dim > 1 the row reduction above and the 1-d dot of
+        # np.linalg.norm can differ in the last bits (summation order, fused
+        # multiply-add), by less than (dim + 2) eps relative. The sup and the
+        # first sample attaining it therefore come from np.linalg.norm on the
+        # rows within a wider margin of the array max.
+        cut = float(np.max(norms)) * (1.0 - 8.0 * traj.dim * np.finfo(float).eps)
+        k, sup_acc = 0, 0.0
+        for j in np.flatnonzero(norms >= cut).tolist():
+            norm = float(np.linalg.norm(acc[j]))
+            if norm > sup_acc:
+                k, sup_acc = j, norm
+    triangle = float(np.max(lam) * np.max(traj.speeds()) + np.max(traj.grad_norm))
     residual = sup_acc if math.isfinite(sup_acc) else math.nan
     return _record(
         "acceleration_bound",
         residual,
         bound,
         sup_acceleration=sup_acc,
-        attained_at_t=worst_t,
+        attained_at_t=float(traj.t[k]),
         triangle_bound=triangle,
     )
 

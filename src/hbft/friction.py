@@ -68,6 +68,38 @@ def lambda_at(s: FrictionSchedule, t: float) -> float:
     return val
 
 
+def lambda_values(s: FrictionSchedule, t) -> np.ndarray:
+    """λ at every time of the 1-d array ``t``, as :func:`lambda_at` gives it.
+
+    ``s.lam`` is called once per sample and :func:`lambda_at`'s checks run
+    once over the whole array, so the floats are the same. So are the
+    errors: the one :func:`lambda_at` raises at the first sample, in order,
+    where it would raise.
+    """
+    ts = np.asarray(t, dtype=float)
+    negative = np.flatnonzero(ts < 0)
+    times = ts[: negative[0] if negative.size else ts.size].tolist()
+    lam, vals = s.lam, []
+    try:
+        for tk in times:
+            vals.append(float(lam(tk)))
+    finally:
+        # Checked even when s.lam raised: an inconsistent value before that
+        # sample is what lambda_at would have reported.
+        arr = np.array(vals, dtype=float)
+        if s.claims_nonnegative:
+            bad = np.flatnonzero(~((arr >= 0) & np.isfinite(arr)))
+            if bad.size:
+                k = int(bad[0])
+                raise ScheduleConsistencyError(
+                    f"schedule '{s.name}' claims nonnegativity but produced {vals[k]} "
+                    f"at t={times[k]}"
+                )
+    if negative.size:
+        raise ValueError(f"schedule '{s.name}' evaluated at t={float(ts[negative[0]])} < 0")
+    return arr
+
+
 def lambda_dot_at(s: FrictionSchedule, t: float) -> float:
     """Evaluate dλ/dt at t ≥ 0.
 
@@ -139,7 +171,7 @@ def verify_friction_hypotheses(
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     ts = np.linspace(0.0, horizon, grid_points)
-    vals = np.array([lambda_at(s, float(t)) for t in ts])
+    vals = lambda_values(s, ts)
     spacing = float(ts[1] - ts[0])
 
     inc = np.abs(np.diff(vals))
@@ -156,7 +188,8 @@ def verify_friction_hypotheses(
     deriv_max: Optional[float] = None
     deriv_bounded: Optional[bool] = None
     if s.lam_dot is not None:
-        deriv_max = max(abs(lambda_dot_at(s, float(t))) for t in ts)
+        # the grid starts at t = 0, so lambda_dot_at's checks cannot fail here
+        deriv_max = max(abs(float(s.lam_dot(t))) for t in ts.tolist())
         deriv_bounded = math.isfinite(deriv_max)
 
     min_value = float(np.min(vals))

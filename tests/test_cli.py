@@ -6,26 +6,44 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hbft
+from hbft import StepStats, Trajectory
 from hbft.cli import (
+    _CSV_BLOCK_ROWS,
     OUT_DIR_ENV,
     ScenarioConfig,
+    csv_header,
     load_config_file,
     load_sweep_grid,
     main,
     run_scenario,
     run_sweep,
     sweep_points,
+    write_trajectory_csv,
 )
 from hbft.errors import ConfigError
 
 from conftest import SCENARIO_DIR, SWEEP_DIR, bundled_scenario_paths
+
+
+def run_hbft(*args: str) -> subprocess.CompletedProcess:
+    """``python -m hbft <args>`` in a child that imports the hbft under test."""
+    paths = [str(Path(hbft.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, "-m", "hbft", *args],
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 def write_yaml(path: Path, payload: dict) -> Path:
@@ -138,10 +156,11 @@ CHECK_GRAMMAR = {
 @pytest.mark.parametrize("name", sorted(CHECK_GRAMMAR))
 def test_check_grammar(tmp_path, scenario_raw, capsys, name):
     required, optional = CHECK_GRAMMAR[name]
-    minimal = {"name": name, **{key: 0.5 for key in required}}
+    valid = {key: 3 if key == "grid_points" else 0.5 for key in [*required, *optional]}
+    minimal = {"name": name, **{key: valid[key] for key in required}}
     variants = {
         "minimal": ([minimal], 0),
-        "full": ([{**minimal, **{key: 0.5 for key in optional}}], 0),
+        "full": ([{**minimal, **valid}], 0),
         "unknown": ([{**minimal, "no_such_key": 1.0}], 2),
     }
     for key in required:
@@ -156,6 +175,64 @@ def test_check_grammar(tmp_path, scenario_raw, capsys, name):
     assert f"checks[0]: unknown keys ['no_such_key']; allowed keys: {allowed}\n" in errors["unknown"]
     for key in required:
         assert f"checks[0].{key}: required number is missing\n" in errors[f"no_{key}"]
+
+
+def test_fractional_grid_points_is_config_error(tmp_path, scenario_raw, capsys):
+    scenario_raw["checks"] = [{"name": "friction_bounded", "grid_points": 2.9}]
+    path = write_yaml(tmp_path / "grid.yaml", scenario_raw)
+    out = tmp_path / "out"
+    for argv in (["validate", str(path)], ["simulate", str(path), "--out-dir", str(out)]):
+        assert main(argv) == 2
+        assert "checks[0].grid_points: expected an integer, got 2.9\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (check, key, out-of-range value, the rule the message states)
+OUT_OF_RANGE = [
+    ("energy_monotone", "tol", -1.0, ">= 0"),
+    ("energy_monotone", "tol", float("nan"), ">= 0"),
+    ("energy_balance", "threshold", -1e-9, ">= 0"),
+    ("velocity_bound", "tol", -1e-8, ">= 0"),
+    ("tail_asymptotics", "threshold", -1.0, ">= 0"),
+    ("tail_asymptotics", "tail_fraction", 0.0, "in (0, 1)"),
+    ("tail_asymptotics", "tail_fraction", 1.0, "in (0, 1)"),
+    ("barbalat_sqrt_friction_speed", "l2_budget", 0.0, "> 0"),
+    ("barbalat_sqrt_friction_speed", "linf_budget", -1.5, "> 0"),
+    ("barbalat_sqrt_friction_speed", "dot_budget", 0.0, "> 0"),
+    ("barbalat_sqrt_friction_speed", "tail_threshold", -1e-5, ">= 0"),
+    ("barbalat_sqrt_friction_speed", "tail_fraction", 1.5, "in (0, 1)"),
+    ("acceleration_bound", "bound", -10.0, ">= 0"),
+    ("friction_bounded", "bound_guess", -1.0, ">= 0"),
+    ("friction_bounded", "t1_guess", -0.5, ">= 0"),
+    ("friction_bounded", "horizon", 0.0, "> 0 and finite"),
+    ("friction_bounded", "horizon", math.inf, "> 0 and finite"),
+    ("friction_bounded", "grid_points", 1, ">= 2"),
+]
+
+
+@pytest.mark.parametrize("check, key, value, rule", OUT_OF_RANGE)
+def test_check_value_out_of_range_is_config_error(tmp_path, scenario_raw, capsys,
+                                                  check, key, value, rule):
+    budgets = {"l2_budget": 10.0, "linf_budget": 1.5, "dot_budget": 1.5}
+    entry = {"name": check, **(budgets if check.startswith("barbalat") else {}), key: value}
+    scenario_raw["checks"] = [{"name": "energy_monotone"}, entry]
+    path = write_yaml(tmp_path / "range.yaml", scenario_raw)
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    # the message is anchored at the line of the second checks entry
+    line = [n for n, text in enumerate(path.read_text().splitlines(), 1) if "- name: " in text][1]
+    assert capsys.readouterr().err == (
+        f"config error: {path}:{line}: checks[1].{key}: must be {rule}, got {value!r}\n"
+    )
+
+
+def test_check_values_at_range_edges_are_accepted(tmp_path, scenario_raw):
+    scenario_raw["checks"] = [
+        {"name": "energy_monotone", "tol": 0.0},
+        {"name": "acceleration_bound", "bound": 0},
+        {"name": "friction_bounded", "t1_guess": 0.0, "bound_guess": 0.0, "grid_points": 2},
+    ]
+    path = write_yaml(tmp_path / "edges.yaml", scenario_raw)
+    assert main(["validate", str(path)]) == 0
 
 
 def test_readme_scenario_block_is_valid():
@@ -202,6 +279,45 @@ def test_csv_column_contract(tmp_path, scenario_raw):
     assert all(len(r) == 9 for r in rows[1:])
 
 
+def _reference_csv(traj: Trajectory, path: Path) -> None:
+    """The trajectory CSV written one csv.writer row per sample."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(csv_header(traj.dim))
+        for k in range(traj.n_samples):
+            row = [repr(float(traj.t[k]))]
+            row += [repr(float(val)) for val in traj.x[k]]
+            row += [repr(float(val)) for val in traj.v[k]]
+            row += [repr(float(col[k])) for col in
+                    (traj.energy, traj.lam, traj.grad_norm, traj.dissipation)]
+            writer.writerow(row)
+
+
+_AWKWARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, 0.1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    rows=st.sampled_from([0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]),
+    pool=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_matches_per_row_csv_writer(tmp_path_factory, dim, rows, pool, seed):
+    # every cell drawn from hypothesis floats plus the awkward ones
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: rng.choice(np.array(pool + _AWKWARD_FLOATS), size=shape)  # noqa: E731
+    traj = Trajectory(
+        t=draw(rows), x=draw(rows, dim), v=draw(rows, dim), energy=draw(rows), lam=draw(rows),
+        grad_norm=draw(rows), dissipation=draw(rows), termination_reason="t_max",
+        step_stats=StepStats(accepted=rows, rejected=0, smallest_step=0.1, largest_step=0.1),
+    )
+    out = tmp_path_factory.mktemp("csv")
+    write_trajectory_csv(traj, out / "fast.csv")
+    _reference_csv(traj, out / "reference.csv")
+    assert (out / "fast.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
 def test_check_failure_exits_one(tmp_path, scenario_raw, capsys):
     # unbounded friction growth against a finite cap must fail the run
     scenario_raw["name"] = "growth"
@@ -240,10 +356,7 @@ def test_overflowing_run_ends_diverged_without_traceback(tmp_path, scenario_raw)
     scenario_raw["integrator"].update(step=1.0, t_max=10.0)
     path = write_yaml(tmp_path / "overflow.yaml", scenario_raw)
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "hbft", "simulate", str(path), "--out-dir", str(out), "--quiet"],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_hbft("simulate", str(path), "--out-dir", str(out), "--quiet")
     assert proc.stderr == ""
     # the energy is infinite from the first sample: nothing is certified
     assert proc.returncode == 1
@@ -395,10 +508,7 @@ def test_list_subcommands(capsys):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hbft", "list-potentials"],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_hbft("list-potentials")
     assert proc.returncode == 0
     assert "double_well" in proc.stdout
 

@@ -17,6 +17,7 @@ from hbft import (
     IntegratorConfig,
     PhaseState,
     SampledFunction,
+    StepStats,
     StopCondition,
     Trajectory,
     barbalat_check,
@@ -30,8 +31,10 @@ from hbft import (
     sqrt_friction_speed,
     tail_asymptotics,
 )
-from hbft.friction import constant, step
-from hbft.potentials import double_well, flat, quadratic, tilted_plane
+from hbft.friction import constant, lambda_at, power_decay, step
+from hbft.potentials import (
+    double_well, eggcrate, flat, gradient, quadratic, rosenbrock, tilted_plane,
+)
 
 BUDGETS = dict(l2_budget=10.0, linf_budget=1.5, dot_budget=1.5)
 
@@ -304,6 +307,73 @@ def test_acceleration_sup_matches_initial_pull(damped_run: Trajectory):
 def test_acceleration_bound_enforced(damped_run: Trajectory):
     rec = check_acceleration_bound(damped_run, quadratic(dim=1), constant(1.0), bound=0.5)
     assert not rec.passed
+
+
+def test_acceleration_bound_fails_on_nonfinite_samples(damped_run: Trajectory):
+    # NaN compares false against every sup, so a per-sample max skips it:
+    # an all-NaN position column must still fail, at the first such sample.
+    p, s = quadratic(dim=1), constant(1.0)
+    all_nan = dataclasses.replace(damped_run, x=np.full_like(damped_run.x, math.nan))
+    x = damped_run.x.copy()
+    x[7] = math.nan
+    x[9] = math.inf
+    one_bad = dataclasses.replace(damped_run, x=x)
+    for traj, first_bad in ((all_nan, 0), (one_bad, 7)):
+        rec = check_acceleration_bound(traj, p, s)
+        assert not rec.passed
+        assert math.isnan(rec.residual)
+        assert rec.details["attained_at_t"] == float(traj.t[first_bad])
+
+
+def _reference_acceleration(traj: Trajectory, p, s) -> tuple[float, float, float]:
+    """(sup, attained_at_t, triangle_bound) from a loop over the samples."""
+    sup_acc, worst_t = 0.0, float(traj.t[0])
+    for k in range(traj.n_samples):
+        acc = -lambda_at(s, float(traj.t[k])) * traj.v[k] - gradient(p, traj.x[k])
+        norm = float(np.linalg.norm(acc))
+        if norm > sup_acc:
+            sup_acc, worst_t = norm, float(traj.t[k])
+    lam = [lambda_at(s, float(t)) for t in traj.t]
+    triangle = float(np.max(lam) * np.max(traj.speeds()) + np.max(traj.grad_norm))
+    return sup_acc, worst_t, triangle
+
+
+def _near_tie_run(n: int, radius: float, seed: int) -> Trajectory:
+    """At the bowl's minimum with velocities of one length in random
+    directions: every |a| = |v| agrees up to rounding, so the sup and the
+    sample attaining it are decided in the last bit."""
+    u = np.random.default_rng(seed).standard_normal((n, 2))
+    v = radius * (u / np.linalg.norm(u, axis=1)[:, None])
+    zeros = np.zeros(n)
+    return Trajectory(
+        t=np.linspace(0.0, 1.0, n), x=np.zeros((n, 2)), v=v, energy=zeros, lam=np.ones(n),
+        grad_norm=zeros, dissipation=zeros, termination_reason="t_max",
+        step_stats=StepStats(accepted=n - 1, rejected=0, smallest_step=0.1, largest_step=0.1),
+    )
+
+
+def _assert_matches_reference(traj: Trajectory, p, s) -> None:
+    rec = check_acceleration_bound(traj, p, s)
+    got = (rec.details["sup_acceleration"], rec.details["attained_at_t"], rec.details["triangle_bound"])
+    assert got == _reference_acceleration(traj, p, s)
+    assert rec.residual == got[0]
+
+
+@pytest.mark.parametrize(
+    "p, s, x0, kw",
+    [
+        (rosenbrock(), constant(1.0), [-1.2, 1.44], dict(method="dopri45", h_max=2e-3, t_max=2.0)),
+        (eggcrate(dim=2), power_decay(1.0, 0.5), [2.5, -1.5], dict(method="rk4", step=2e-3, t_max=4.0)),
+    ],
+    ids=["rosenbrock", "eggcrate"],
+)
+def test_acceleration_bound_matches_per_sample_loop(p, s, x0, kw):
+    _assert_matches_reference(_run(p, s, x0, [0.0, 0.0], **kw), p, s)
+
+
+@pytest.mark.parametrize("seed, radius", enumerate([1.0, 3.7, 1e-3, 2.0**500, 1e-160]))
+def test_acceleration_bound_breaks_near_ties_like_the_loop(seed, radius):
+    _assert_matches_reference(_near_tie_run(2000, radius, seed), quadratic(dim=2), constant(1.0))
 
 
 # ------------------------------------------------------- model discrepancy

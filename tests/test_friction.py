@@ -18,7 +18,7 @@ from hbft import (
     make_schedule,
     verify_friction_hypotheses,
 )
-from hbft.friction import constant, linear_growth, oscillating, power_decay, step
+from hbft.friction import constant, lambda_values, linear_growth, oscillating, power_decay, step
 
 
 def test_evaluation_examples():
@@ -67,6 +67,53 @@ def test_nonfinite_value_rejected():
     broken = FrictionSchedule(name="broken", lam=lambda t: float("nan"))
     with pytest.raises(ScheduleConsistencyError):
         lambda_at(broken, 1.0)
+
+
+def _outcome(fn):
+    """What ``fn()`` returns as float reprs (NaN-safe), or the type and text of what it raises."""
+    try:
+        return [repr(float(v)) for v in fn()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    outputs=st.lists(
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.none()), min_size=1, max_size=6
+    ),
+    times=st.lists(
+        st.floats(min_value=-5.0, max_value=50.0, allow_nan=False), min_size=0, max_size=12
+    ),
+    nonnegative=st.booleans(),
+)
+def test_lambda_values_matches_lambda_at(outputs, times, nonnegative):
+    # A schedule that cycles through outputs: negative and non-finite values,
+    # and None, on which float() raises inside the evaluation.
+    def outcome(evaluate):
+        calls = []
+        it = iter(outputs * len(times))
+        s = FrictionSchedule(
+            name="cycling", lam=lambda t: calls.append(t) or next(it), claims_nonnegative=nonnegative
+        )
+        return _outcome(lambda: evaluate(s)), calls
+
+    ts = np.array(times, dtype=float)
+    looped, looped_calls = outcome(lambda s: [lambda_at(s, float(t)) for t in ts])
+    got, calls = outcome(lambda s: lambda_values(s, ts))
+    assert got == looped
+    # never evaluated at or past the first negative time
+    assert calls[: len(looped_calls)] == looped_calls
+    assert all(t >= 0 for t in calls)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in builtin_schedules()])
+def test_lambda_values_matches_lambda_at_on_builtins(name):
+    s = make_schedule(name)
+    ts = np.linspace(0.0, 40.0, 4001)
+    vals = lambda_values(s, ts)
+    assert vals.dtype == np.float64
+    assert vals.tolist() == [lambda_at(s, float(t)) for t in ts]
 
 
 def test_step_schedule_has_no_derivative():
