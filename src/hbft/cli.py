@@ -41,6 +41,9 @@ from .diagnostics import (
     TAIL_FRACTION,
     CertificationReport,
     CheckRecord,
+    _json_safe,
+    _record,
+    _sqrt_lam_speed,
     _tail_slice,
     barbalat_check,
     check_acceleration_bound,
@@ -71,6 +74,8 @@ OUT_DIR_ENV = "HBFT_OUT_DIR"
 _FORMATS = ("csv", "report", "summary")
 # Rows per write of the trajectory CSV: bounds the memory of a long run's text.
 _CSV_BLOCK_ROWS = 1024
+# list command -> the catalogue it prints
+_CATALOGUES = {"list-potentials": builtin_potentials, "list-schedules": builtin_schedules}
 
 
 # --- config loading with line anchors ---------------------------------------
@@ -257,7 +262,7 @@ def _check_keys(fn, n_inputs: int) -> dict:
 _CHECK_KEYS = {
     name: _check_keys(globals()[fn], len(inputs)) for name, (fn, inputs) in _CHECK_CALLS.items()
 }
-# _friction_bounded defaults horizon to integrator.t_max.
+# horizon defaults to integrator.t_max, filled in at parse time.
 _CHECK_KEYS["friction_bounded"]["horizon"] = (_Node.number, False)
 
 # The allowed range of every check key, tested at parse time: (test, rule).
@@ -279,38 +284,38 @@ class _RunContext:
     traj: Trajectory
     p: Potential
     s: FrictionSchedule
-    cfg: "ScenarioConfig"
 
     @property
     def f(self):
         return sqrt_friction_speed(self.traj)
 
 
-def _friction_bounded(s: FrictionSchedule, t_max: float, **params) -> CheckRecord:
-    params.setdefault("horizon", t_max)
+def _friction_bounded(s: FrictionSchedule, **params) -> CheckRecord:
     rep = verify_friction_hypotheses(s, **params)
-    return CheckRecord(
-        check_name="friction_bounded",
-        passed=bool(rep.max_after_t1 <= rep.bound_guess),
-        residual=rep.max_after_t1,
-        threshold=rep.bound_guess,
-        details={
-            "t1_guess": rep.t1_guess,
-            "continuity_ok": rep.continuity_ok,
-            "min_value": rep.min_value,
-            "has_zeros": rep.has_zeros,
-            "derivative_available": rep.derivative_available,
-            "max_abs_derivative": rep.max_abs_derivative,
-        },
+    return _record(
+        "friction_bounded",
+        rep.max_after_t1,
+        rep.bound_guess,
+        t1_guess=rep.t1_guess,
+        continuity_ok=rep.continuity_ok,
+        min_value=rep.min_value,
+        has_zeros=rep.has_zeros,
+        derivative_available=rep.derivative_available,
+        max_abs_derivative=rep.max_abs_derivative,
     )
 
 
 def _run_check(check: dict, ctx: _RunContext) -> CheckRecord:
+    """Run one configured check; a check that raises becomes a failed record."""
+    name = check["name"]
     params = {k: v for k, v in check.items() if k != "name"}
-    if check["name"] == "friction_bounded":
-        return _friction_bounded(ctx.s, ctx.cfg.integrator.t_max, **params)
-    fn, inputs = _CHECK_CALLS[check["name"]]
-    return globals()[fn](*(getattr(ctx, name) for name in inputs), **params)
+    try:
+        if name == "friction_bounded":
+            return _friction_bounded(ctx.s, **params)
+        fn, inputs = _CHECK_CALLS[name]
+        return globals()[fn](*(getattr(ctx, i) for i in inputs), **params)
+    except (ValueError, RuntimeError) as exc:
+        return _record(name, math.nan, 0.0, error=str(exc))
 
 
 # --- scenario configuration --------------------------------------------------
@@ -346,39 +351,17 @@ class ScenarioConfig:
             root.fail(f"model must be 'hbft' or 'full_surface', got '{model}'", "model")
 
         pot_node = root.child("potential")
-        pot_node.require_known({"name", "params"})
-        pot_name = pot_node.string("name")
-        pot_params = pot_node.raw("params") or {}
-        if not isinstance(pot_params, dict):
-            pot_node.fail("expected a mapping of factory parameters", "params")
-        try:
-            potential = make_potential(pot_name, **pot_params)
-        except ValueError as exc:
-            pot_node.fail(str(exc))
-
-        sch_node = root.child("schedule")
-        sch_node.require_known({"name", "params"})
-        sch_name = sch_node.string("name")
-        sch_params = sch_node.raw("params") or {}
-        if not isinstance(sch_params, dict):
-            sch_node.fail("expected a mapping of factory parameters", "params")
-        try:
-            schedule = make_schedule(sch_name, **sch_params)
-        except ValueError as exc:
-            sch_node.fail(str(exc))
+        pot_name, potential = _from_catalogue(pot_node, make_potential)
+        _, schedule = _from_catalogue(root.child("schedule"), make_schedule)
 
         init_node = root.child("initial")
         init_node.require_known({"x0", "v0"})
-        x0 = np.array(init_node.number_list("x0"))
-        v0 = np.array(init_node.number_list("v0"))
-        if x0.size != potential.dim:
-            init_node.fail(
-                f"length {x0.size} does not match potential '{pot_name}' dim {potential.dim}", "x0"
-            )
-        if v0.size != potential.dim:
-            init_node.fail(
-                f"length {v0.size} does not match potential '{pot_name}' dim {potential.dim}", "v0"
-            )
+        x0, v0 = (np.array(init_node.number_list(key)) for key in ("x0", "v0"))
+        for key, vec in (("x0", x0), ("v0", v0)):
+            if vec.size != potential.dim:
+                init_node.fail(
+                    f"length {vec.size} does not match potential '{pot_name}' dim {potential.dim}", key
+                )
 
         mech_node = root.child("mechanical", required=False)
         mechanical = None if mech_node is None else _build(mech_node, MechanicalParams)
@@ -393,7 +376,7 @@ class ScenarioConfig:
         int_node = root.child("integrator")
         integrator = _parse_integrator(int_node, model)
 
-        checks = _parse_checks(root, potential)
+        checks = _parse_checks(root, potential, integrator.t_max)
         out_node = root.child("outputs", required=False)
         out_dir = None
         formats: tuple[str, ...] = _FORMATS
@@ -423,6 +406,19 @@ class ScenarioConfig:
             formats=formats,
             raw=strip_line_markers(raw),
         )
+
+
+def _from_catalogue(node: _Node, factory):
+    """(name, ``factory(name, **params)``) for a ``{name, params}`` section."""
+    node.require_known({"name", "params"})
+    name = node.string("name")
+    params = node.raw("params") or {}
+    if not isinstance(params, dict):
+        node.fail("expected a mapping of factory parameters", "params")
+    try:
+        return name, factory(name, **params)
+    except ValueError as exc:
+        node.fail(str(exc))
 
 
 @functools.cache
@@ -462,7 +458,7 @@ def _parse_integrator(node: _Node, model: str) -> IntegratorConfig:
     return _build(node, IntegratorConfig, stop=stop)
 
 
-def _parse_checks(root: _Node, potential: Potential) -> list[dict]:
+def _parse_checks(root: _Node, potential: Potential, t_max: float) -> list[dict]:
     raw_list = root.data.get("checks")
     if raw_list is None:
         return []
@@ -488,6 +484,10 @@ def _parse_checks(root: _Node, potential: Potential) -> list[dict]:
                 if not test(value):
                     node.fail(f"must be {rule}, got {value!r}", key)
                 params[key] = value
+        if cname == "friction_bounded":
+            horizon = params.setdefault("horizon", t_max)
+            if "t1_guess" in params and not params["t1_guess"] < horizon:
+                node.fail(f"must be < horizon ({horizon!r}), got {params['t1_guess']!r}", "t1_guess")
         checks.append({"name": cname, **params})
     if checks and potential.unbounded_below:
         root.fail(
@@ -533,7 +533,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 def _trajectory_meta(cfg: ScenarioConfig, traj: Trajectory) -> dict:
     tail = _tail_slice(traj.n_samples, TAIL_FRACTION)
-    f = np.sqrt(np.maximum(traj.lam[tail], 0.0)) * np.linalg.norm(traj.v[tail], axis=1)
+    f = _sqrt_lam_speed(traj.lam[tail], traj.v[tail])
     return {
         "scenario": cfg.name,
         "model": cfg.model,
@@ -630,58 +630,37 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
     field, reaction = _bind_field(cfg)
     initial = PhaseState(t=0.0, x=cfg.x0.copy(), v=cfg.v0.copy())
 
+    error = report = None
     try:
         traj = integrate(field, cfg.potential, cfg.schedule, initial, cfg.integrator,
                          reaction=reaction)
     except IntegrationError as exc:
-        traj = exc.partial
-        message = str(exc)
-        meta = summary = None
-        if traj is not None:
-            meta = _trajectory_meta(cfg, traj)
-            if "csv" in cfg.formats:
-                write_trajectory_csv(traj, paths["csv"])
-            summary = render_summary(meta, None, error=message)
-        if "report" in cfg.formats:
-            payload = {"scenario": cfg.name, "error": message, "all_passed": False}
-            if meta is not None:
-                payload["trajectory"] = CertificationReport([], meta).to_dict()["trajectory"]
-            _write_report_json(paths["report"], payload)
-        if summary is not None and "summary" in cfg.formats:
-            paths["summary"].write_text(summary)
-        if not quiet and summary is not None:
-            print(summary, end="")
-        # errors are not informational output: always reach stderr
-        print(f"integration error: {message}", file=sys.stderr)
-        return ScenarioResult(3, traj, None, paths, error=message, meta=meta)
+        traj, error = exc.partial, str(exc)
+    meta = None if traj is None else _trajectory_meta(cfg, traj)
+    if error is None:
+        ctx = _RunContext(traj=traj, p=cfg.potential, s=cfg.schedule)
+        # as in integrate, a diverged run's overflows are values to judge, not warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = [_run_check(check, ctx) for check in cfg.checks]
+        report = CertificationReport(checks=records, trajectory_meta=meta)
+    else:
+        error_report = {"scenario": cfg.name, "error": error, "all_passed": False}
+        if meta is not None:
+            error_report["trajectory"] = _json_safe(meta)
 
-    ctx = _RunContext(traj=traj, p=cfg.potential, s=cfg.schedule, cfg=cfg)
-    records = []
-    for check in cfg.checks:
-        try:
-            records.append(_run_check(check, ctx))
-        except (ValueError, RuntimeError) as exc:
-            records.append(
-                CheckRecord(
-                    check_name=check["name"],
-                    passed=False,
-                    residual=math.nan,
-                    threshold=0.0,
-                    details={"error": str(exc)},
-                )
-            )
-    meta = _trajectory_meta(cfg, traj)
-    report = CertificationReport(checks=records, trajectory_meta=meta)
-
-    if "csv" in cfg.formats:
+    summary = None if meta is None else render_summary(meta, report, error)
+    if traj is not None and "csv" in cfg.formats:
         write_trajectory_csv(traj, paths["csv"])
     if "report" in cfg.formats:
-        _write_report_json(paths["report"], report.to_dict())
-    summary = render_summary(meta, report)
-    if "summary" in cfg.formats:
+        _write_report_json(paths["report"], error_report if report is None else report.to_dict())
+    if summary is not None and "summary" in cfg.formats:
         paths["summary"].write_text(summary)
-    if not quiet:
+    if summary is not None and not quiet:
         print(summary, end="")
+    if error is not None:
+        # errors are not informational output: always reach stderr
+        print(f"integration error: {error}", file=sys.stderr)
+        return ScenarioResult(3, traj, None, paths, error=error, meta=meta)
     return ScenarioResult(0 if report.all_passed else 1, traj, report, paths, meta=meta)
 
 
@@ -731,8 +710,12 @@ def sweep_points(base_raw: dict, grid: dict[str, list]) -> list[tuple[dict, dict
     return points
 
 
-def _sweep_worker(payload: dict) -> dict:
-    """Run one sweep point; always returns a row dict (never raises)."""
+def _sweep_worker(payload: dict, cfg: Optional[ScenarioConfig] = None) -> dict:
+    """Run one sweep point; always returns a row dict (never raises).
+
+    Without ``cfg`` the point is parsed from ``payload["raw"]`` here, inside
+    the isolation: a parsed config may hold lambdas, which a pool cannot send.
+    """
     row = {
         "point": payload["point"],
         "overrides": payload["overrides"],
@@ -746,9 +729,10 @@ def _sweep_worker(payload: dict) -> dict:
         "error": "",
     }
     try:
-        cfg = ScenarioConfig.from_raw(
-            payload["raw"], source=payload["source"], default_name=payload["point"]
-        )
+        if cfg is None:
+            cfg = ScenarioConfig.from_raw(
+                payload["raw"], source=payload["source"], default_name=payload["point"]
+            )
         result = run_scenario(cfg, payload["out_dir"], quiet=True)
         meta, report = result.meta, result.report
         row["exit_code"] = result.exit_code
@@ -785,11 +769,11 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
     points = sweep_points(base_raw, grid)
     axes = sorted(grid)
 
-    payloads = []
+    payloads, cfgs = [], []
     for idx, (overrides, merged) in enumerate(points):
         point = f"point_{idx:03d}"
         # Validate before running anything: bad sweep axes fail the whole sweep.
-        ScenarioConfig.from_raw(merged, source=f"{source}[{point}]", default_name=point)
+        cfgs.append(ScenarioConfig.from_raw(merged, source=f"{source}[{point}]", default_name=point))
         payloads.append(
             {
                 "raw": merged,
@@ -801,7 +785,7 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
         )
 
     if workers <= 1:
-        rows = [_sweep_worker(p) for p in payloads]
+        rows = [_sweep_worker(p, cfg) for p, cfg in zip(payloads, cfgs)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
@@ -848,14 +832,7 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
 
 
 def _resolve_out_dir(flag_value: Optional[str], cfg_value: Optional[str]) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    if cfg_value:
-        return Path(cfg_value)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path("hbft_out")
+    return Path(flag_value or cfg_value or os.environ.get(OUT_DIR_ENV) or "hbft_out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -887,48 +864,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            raw = load_config_file(args.config)
-            cfg = ScenarioConfig.from_raw(raw, source=args.config,
-                                          default_name=Path(args.config).stem)
-            out_dir = _resolve_out_dir(args.out_dir, cfg.out_dir)
-            return run_scenario(cfg, out_dir, quiet=args.quiet).exit_code
-        if args.command == "sweep":
-            raw = load_config_file(args.config)
-            cfg = ScenarioConfig.from_raw(raw, source=args.config,
-                                          default_name=Path(args.config).stem)
-            if args.workers < 1:
-                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-            grid = load_sweep_grid(args.grid)
-            out_dir = _resolve_out_dir(args.out_dir, cfg.out_dir)
-            return run_sweep(cfg.raw, grid, out_dir, workers=args.workers,
-                             quiet=args.quiet, source=args.config)
+        if args.command in _CATALOGUES:
+            for name, desc in _CATALOGUES[args.command]():
+                print(f"{name:<24} {desc}")
+            return 0
+        cfg = ScenarioConfig.from_raw(load_config_file(args.config), source=args.config,
+                                      default_name=Path(args.config).stem)
         if args.command == "validate":
-            raw = load_config_file(args.config)
-            cfg = ScenarioConfig.from_raw(raw, source=args.config,
-                                          default_name=Path(args.config).stem)
             print(f"config OK: scenario '{cfg.name}' ({cfg.model}, potential {cfg.potential.name}, "
                   f"schedule {cfg.schedule.name})")
             return 0
-        if args.command == "list-potentials":
-            for name, desc in builtin_potentials():
-                print(f"{name:<24} {desc}")
-            return 0
-        if args.command == "list-schedules":
-            for name, desc in builtin_schedules():
-                print(f"{name:<24} {desc}")
-            return 0
-        parser.error(f"unknown command {args.command}")
+        out_dir = _resolve_out_dir(args.out_dir, cfg.out_dir)
+        if args.command == "simulate":
+            return run_scenario(cfg, out_dir, quiet=args.quiet).exit_code
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        return run_sweep(cfg.raw, load_sweep_grid(args.grid), out_dir, workers=args.workers,
+                         quiet=args.quiet, source=args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:
         print(f"integration error: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 def entry() -> None:

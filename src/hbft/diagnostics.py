@@ -164,10 +164,19 @@ class SampledFunction:
                 raise ValueError("derivative must match the sample grid length")
 
 
+def _sqrt_lam_speed(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """√max(λ, 0)·|v| per sample, from λ samples and the rows of ``v``."""
+    return np.sqrt(np.maximum(lam, 0.0)) * np.linalg.norm(v, axis=1)
+
+
+def _dissipated(traj: Trajectory, s: FrictionSchedule) -> float:
+    """Trapezoid quadrature of λ(t)|v(t)|² on the sample grid, λ from ``s``."""
+    return float(np.trapezoid(lambda_values(s, traj.t) * traj.speeds() ** 2, traj.t))
+
+
 def sqrt_friction_speed(traj: Trajectory) -> SampledFunction:
     """Extract f(t) = √λ(t)·|v(t)| from a trajectory's columns."""
-    f = np.sqrt(np.maximum(traj.lam, 0.0)) * traj.speeds()
-    return SampledFunction(t=traj.t.copy(), value=f)
+    return SampledFunction(t=traj.t.copy(), value=_sqrt_lam_speed(traj.lam, traj.v))
 
 
 def _tail_slice(n: int, tail_fraction: float) -> slice:
@@ -222,9 +231,7 @@ def energy_balance_residual(
     """
     if traj.n_samples < 2:
         raise ValueError("energy balance needs at least 2 samples")
-    lam = lambda_values(s, traj.t)
-    integrand = lam * traj.speeds() ** 2
-    q = float(np.trapezoid(integrand, traj.t))
+    q = _dissipated(traj, s)
     drop = float(traj.energy[0] - traj.energy[-1])
     residual = abs(drop - q) / max(1.0, abs(float(traj.energy[0])))
     return _record(
@@ -317,10 +324,8 @@ def tail_asymptotics(
     if traj.n_samples < 2:
         raise ValueError("tail asymptotics need at least 2 samples")
     tail = _tail_slice(traj.n_samples, tail_fraction)
-    f = np.sqrt(np.maximum(traj.lam, 0.0)) * traj.speeds()
-    residual = float(np.max(f[tail]))
-    lam = lambda_values(s, traj.t)
-    partial_l2 = float(np.trapezoid(lam * traj.speeds() ** 2, traj.t))
+    residual = float(np.max(_sqrt_lam_speed(traj.lam, traj.v)[tail]))
+    partial_l2 = _dissipated(traj, s)
     details = {
         "tail_start_t": float(traj.t[tail][0]),
         "tail_samples": int(traj.n_samples - tail.start),

@@ -168,9 +168,6 @@ class Trajectory:
     def t_final(self) -> float:
         return float(self.t[-1])
 
-    def final_state(self) -> PhaseState:
-        return PhaseState(t=float(self.t[-1]), x=self.x[-1].copy(), v=self.v[-1].copy())
-
     def speeds(self) -> np.ndarray:
         """|v| per sample."""
         return np.linalg.norm(self.v, axis=1)

@@ -156,7 +156,8 @@ CHECK_GRAMMAR = {
 @pytest.mark.parametrize("name", sorted(CHECK_GRAMMAR))
 def test_check_grammar(tmp_path, scenario_raw, capsys, name):
     required, optional = CHECK_GRAMMAR[name]
-    valid = {key: 3 if key == "grid_points" else 0.5 for key in [*required, *optional]}
+    # t1_guess stays below the horizon (0.5) it is given here
+    valid = {key: {"grid_points": 3, "t1_guess": 0.25}.get(key, 0.5) for key in [*required, *optional]}
     minimal = {"name": name, **{key: valid[key] for key in required}}
     variants = {
         "minimal": ([minimal], 0),
@@ -204,6 +205,9 @@ OUT_OF_RANGE = [
     ("acceleration_bound", "bound", -10.0, ">= 0"),
     ("friction_bounded", "bound_guess", -1.0, ">= 0"),
     ("friction_bounded", "t1_guess", -0.5, ">= 0"),
+    # the horizon defaults to integrator.t_max, 0.5 here
+    ("friction_bounded", "t1_guess", 0.5, "< horizon (0.5)"),
+    ("friction_bounded", "t1_guess", 5.0, "< horizon (0.5)"),
     ("friction_bounded", "horizon", 0.0, "> 0 and finite"),
     ("friction_bounded", "horizon", math.inf, "> 0 and finite"),
     ("friction_bounded", "grid_points", 1, ">= 2"),
@@ -343,7 +347,12 @@ def test_integration_failure_exits_three_with_partial(tmp_path, scenario_raw, ca
     # partial trajectory and an error report are still written
     assert (out / "starved.csv").exists()
     report = json.loads((out / "starved.report.json").read_text())
+    assert set(report) == {"all_passed", "error", "scenario", "trajectory"}
+    assert report["all_passed"] is False
     assert report["trajectory"]["termination_reason"] == "aborted"
+    summary = (out / "starved.summary.txt").read_text()
+    assert f"integration error: {report['error']}\n" in summary
+    assert summary.endswith("overall: ERROR\n")
     assert "step budget exhausted" in capsys.readouterr().err
 
 
@@ -354,6 +363,8 @@ def test_overflowing_run_ends_diverged_without_traceback(tmp_path, scenario_raw)
     scenario_raw["potential"]["params"]["scale"] = 1.0e300
     scenario_raw["initial"]["x0"] = [1.0e10]
     scenario_raw["integrator"].update(step=1.0, t_max=10.0)
+    # the acceleration check evaluates the overflowing gradient again
+    scenario_raw["checks"] = [{"name": "energy_monotone"}, {"name": "acceleration_bound"}]
     path = write_yaml(tmp_path / "overflow.yaml", scenario_raw)
     out = tmp_path / "out"
     proc = run_hbft("simulate", str(path), "--out-dir", str(out), "--quiet")
@@ -454,13 +465,28 @@ def test_sweep_parallel_matches_serial(tmp_path, scenario_raw):
     grid = {"schedule.params.value": [0.5, 1.0, 2.0]}
     assert run_sweep(base, grid, out_dir=tmp_path / "serial", quiet=True, source="t") == 0
     assert run_sweep(base, grid, out_dir=tmp_path / "par", workers=2, quiet=True, source="t") == 0
-    serial = (tmp_path / "serial" / "sweep_summary.csv").read_bytes()
-    par = (tmp_path / "par" / "sweep_summary.csv").read_bytes()
-    assert serial == par
-    for i in range(3):
-        a = (tmp_path / "serial" / f"point_{i:03d}" / "unit.csv").read_bytes()
-        b = (tmp_path / "par" / f"point_{i:03d}" / "unit.csv").read_bytes()
-        assert a == b
+
+    def files(root: Path) -> dict:
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    serial = files(tmp_path / "serial")
+    # two aggregate tables, then a CSV, a report and a summary per point
+    assert len(serial) == 2 + 3 * 3
+    assert files(tmp_path / "par") == serial
+
+
+def test_serial_sweep_parses_each_point_once(tmp_path, scenario_raw, monkeypatch):
+    parse, parsed = ScenarioConfig.from_raw, []
+
+    def counting_parse(raw, source, default_name="scenario"):
+        parsed.append(default_name)
+        return parse(raw, source, default_name)
+
+    monkeypatch.setattr(ScenarioConfig, "from_raw", staticmethod(counting_parse))
+    grid = {"schedule.params.value": [0.5, 1.0, 2.0]}
+    assert run_sweep(_sweep_base(scenario_raw), grid, out_dir=tmp_path / "s", quiet=True,
+                     source="t") == 0
+    assert parsed == ["point_000", "point_001", "point_002"]
 
 
 def test_sweep_cli_subcommand(tmp_path, scenario_raw):
