@@ -609,8 +609,8 @@ def _bind_field(cfg: ScenarioConfig):
         field = lambda state: full_surface_field(p, s, mp, state)
         reaction = lambda state: _reaction_value(p, mp, state)
         return field, reaction
-    field = lambda state: hbft_field(p, s, state)
-    return field, None
+    # the documented binding, which integrate steps on floats for builtin potentials
+    return functools.partial(hbft_field, p, s), None
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioResult:

@@ -30,19 +30,31 @@ Inputs are validated once, at the :func:`integrate` boundary. The stage
 states handed to the field are built unchecked from float arithmetic on
 validated arrays, and finiteness is tested once per attempted step, on its
 result.
+
+Fast path. When ``field`` is ``functools.partial(hbft_field, p, s)`` for the
+``p`` and ``s`` passed in, ``p`` has a float gradient form (every builtin
+potential at dim 1 and 2) and no reaction is given, the steppers run on
+Python floats (dim 1) or float pairs (dim 2) instead of numpy arrays. The
+arithmetic is the same operation by operation, so the trajectory is the same
+byte for byte; the gradient at the end of a step is reused as the next
+step's first stage, and λ still goes through ``lambda_at`` at every stage.
+Any other field, a custom potential, dim ≥ 3 and the full surface model take
+the generic array path. One loop in :func:`integrate` serves both: the stop
+rules, sampling and recording do not depend on the path.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import PhaseState
+from .dynamics import PhaseState, hbft_field
 from .errors import DivergenceError, IntegrationError
-from .friction import FrictionSchedule, lambda_at
+from .friction import FrictionSchedule, lambda_at, lambda_values
 from .potentials import Potential, Vector, gradient, value
 
 FieldFn = Callable[[PhaseState], tuple[Vector, Vector]]
@@ -174,6 +186,10 @@ class Trajectory:
 
 
 # --- steppers ---------------------------------------------------------------
+#
+# The cores step any state type with +, - and scalar *: (dim,) float arrays on
+# the generic path, floats on the dim-1 kernel. d(t, x, v, g) is the field,
+# (ẋ, v̇) at (t, x, v); the kernel takes g = ∇Φ(x) when it is known.
 
 
 _stage = PhaseState._trusted
@@ -191,11 +207,11 @@ def _finite(*arrays: Vector) -> bool:
     return all(all(np.isfinite(a).tolist()) for a in arrays)
 
 
-def _rk4_core(f: FieldFn, t: float, x: Vector, v: Vector, h: float) -> tuple[Vector, Vector]:
-    k1x, k1v = f(_stage(t, x, v))
-    k2x, k2v = f(_stage(t + 0.5 * h, x + 0.5 * h * k1x, v + 0.5 * h * k1v))
-    k3x, k3v = f(_stage(t + 0.5 * h, x + 0.5 * h * k2x, v + 0.5 * h * k2v))
-    k4x, k4v = f(_stage(t + h, x + h * k3x, v + h * k3v))
+def _rk4_core(d, t: float, x, v, h: float, g):
+    k1x, k1v = d(t, x, v, g)
+    k2x, k2v = d(t + 0.5 * h, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+    k3x, k3v = d(t + 0.5 * h, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+    k4x, k4v = d(t + h, x + h * k3x, v + h * k3v)
     x1 = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     v1 = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return x1, v1
@@ -225,26 +241,35 @@ _DP_E = (
 )
 
 
-def _dopri_core(
-    f: FieldFn, t: float, x: Vector, v: Vector, h: float
-) -> tuple[Vector, Vector, Vector, Vector]:
+def _weighted(weights: tuple, ks: list):
+    # Left to right from 0.0, never sum(): from Python 3.12 sum() of floats is
+    # compensated and would round differently from the array path.
+    acc = 0.0
+    for w, k in zip(weights, ks):
+        if w != 0.0:
+            acc = acc + w * k
+    return acc
+
+
+def _dopri_core(d, t: float, x, v, h: float, g):
     """One Dormand-Prince attempt: (x5, v5, err_x, err_v)."""
-    kx: list[Vector] = []
-    kv: list[Vector] = []
+    kx: list = []
+    kv: list = []
     for i in range(7):
         xi, vi = x, v
         for j, a in enumerate(_DP_A[i]):
             if a != 0.0:
                 xi = xi + (h * a) * kx[j]
                 vi = vi + (h * a) * kv[j]
-        dx, dv = f(_stage(t + _DP_C[i] * h, xi, vi))
+        dx, dv = d(t + _DP_C[i] * h, xi, vi, g if i == 0 else None)
         kx.append(dx)
         kv.append(dv)
-    x5 = x + h * sum(b * k for b, k in zip(_DP_B5, kx) if b != 0.0)
-    v5 = v + h * sum(b * k for b, k in zip(_DP_B5, kv) if b != 0.0)
-    err_x = h * sum(e * k for e, k in zip(_DP_E, kx) if e != 0.0)
-    err_v = h * sum(e * k for e, k in zip(_DP_E, kv) if e != 0.0)
-    return x5, v5, err_x, err_v
+    return (
+        x + h * _weighted(_DP_B5, kx),
+        v + h * _weighted(_DP_B5, kv),
+        h * _weighted(_DP_E, kx),
+        h * _weighted(_DP_E, kv),
+    )
 
 
 def _error_ratio(
@@ -277,46 +302,239 @@ def _kahan_add(total: float, comp: float, inc: float) -> tuple[float, float]:
     return t, (t - total) - y
 
 
-class _Recorder:
-    """Accumulates sample rows and materializes the column arrays."""
+# --- state representations --------------------------------------------------
+#
+# integrate's loop sees the state through one of these: the two steppers, ∇Φ,
+# |·|, the finiteness test and the dopri error ratio.
+
+
+class _Cores:
+    """rk4 and dopri45 through the shared cores, on the field ``self.d``."""
+
+    def rk4(self, t: float, x, v, h: float, g):
+        return _rk4_core(self.d, t, x, v, h, g)
+
+    def dopri(self, t: float, x, v, h: float, g):
+        return _dopri_core(self.d, t, x, v, h, g)
+
+
+class _Arrays(_Cores):
+    """The generic path: (dim,) arrays through the caller's field."""
+
+    norm, finite = staticmethod(_norm), staticmethod(_finite)
+    error_ratio, load = staticmethod(_error_ratio), staticmethod(np.copy)
+
+    def __init__(self, field: FieldFn, p: Potential):
+        self.field, self.p = field, p
+
+    def d(self, t, x, v, g=None):
+        return self.field(_stage(t, x, v))
+
+    def grad(self, x: Vector) -> Vector:
+        return gradient(self.p, x)
+
+
+class _Floats(_Cores):
+    """The float kernel for dim 1: the reduced model on Python floats.
+
+    It repeats the generic path's operations for ``functools.partial(
+    hbft_field, p, s)`` on floats, so it gives the same bytes. λ still goes
+    through ``lambda_at`` at every stage.
+    """
 
     def __init__(self, p: Potential, s: FrictionSchedule):
-        self.p = p
-        self.s = s
-        self.rows_t: list[float] = []
-        self.rows_x: list[Vector] = []
-        self.rows_v: list[Vector] = []
-        self.rows_e: list[float] = []
-        self.rows_lam: list[float] = []
-        self.rows_gn: list[float] = []
-        self.rows_dis: list[float] = []
+        self.p, self.s, self.form = p, s, p.float_gradient_fn
 
-    def record(self, state: PhaseState, grad_norm: float) -> None:
-        if self.rows_t and self.rows_t[-1] == state.t:
+    def d(self, t, x, v, g=None):
+        lam = lambda_at(self.s, t)
+        if g is None:
+            g = self.grad(x)
+        return v, -lam * v - g
+
+    def grad(self, x: float) -> float:
+        try:
+            return self.form(x)
+        except (OverflowError, ValueError):
+            return self.numpy_grad(x)[0]
+
+    def numpy_grad(self, x) -> tuple:
+        # Python floats raise where numpy returns inf or nan (x**3, sin(inf));
+        # numpy's values are the reference, so take them.
+        return tuple(gradient(self.p, np.array(self.parts(x))).tolist())
+
+    @staticmethod
+    def parts(a: float) -> tuple:
+        return (a,)
+
+    @staticmethod
+    def norm(a: float) -> float:
+        # g*g, not abs(g): they differ where g*g overflows or underflows
+        return math.sqrt(a * a)
+
+    @staticmethod
+    def finite(*states: float) -> bool:
+        return all(map(math.isfinite, states))
+
+    def error_ratio(self, x, v, x1, v1, ex, ev, atol: float, rtol: float) -> float:
+        parts = self.parts
+        y0, y1 = parts(x) + parts(v), parts(x1) + parts(v1)
+        total = 0.0
+        for e, a, b in zip(parts(ex) + parts(ev), y0, y1):
+            q = e / (atol + rtol * max(abs(a), abs(b)))
+            # numpy's mean of arr**2 on at most 4 entries: q*q summed left to right
+            total = total + q * q
+        return math.sqrt(total / len(y0))
+
+    @staticmethod
+    def load(a: Vector) -> float:
+        return a.tolist()[0]
+
+
+class _Pairs(_Floats):
+    """The float kernel for dim 2, on (a, b) tuples.
+
+    Its steppers are the shared cores written out per component: the same
+    operations in the same order, without an object per operation.
+    """
+
+    def __init__(self, p: Potential, s: FrictionSchedule):
+        super().__init__(p, s)
+        self._row = np.empty(2)
+
+    def rk4(self, t: float, x: tuple, v: tuple, h: float, g: tuple) -> tuple:
+        s, grad, c = self.s, self.grad, 0.5 * h
+        (xa, xb), (va, vb), (ga, gb) = x, v, g
+        lam = lambda_at(s, t)
+        k1a, k1b = -lam * va - ga, -lam * vb - gb
+        x2a, x2b, v2a, v2b = xa + c * va, xb + c * vb, va + c * k1a, vb + c * k1b
+        lam = lambda_at(s, t + c)
+        ga, gb = grad((x2a, x2b))
+        k2a, k2b = -lam * v2a - ga, -lam * v2b - gb
+        x3a, x3b, v3a, v3b = xa + c * v2a, xb + c * v2b, va + c * k2a, vb + c * k2b
+        lam = lambda_at(s, t + c)
+        ga, gb = grad((x3a, x3b))
+        k3a, k3b = -lam * v3a - ga, -lam * v3b - gb
+        x4a, x4b, v4a, v4b = xa + h * v3a, xb + h * v3b, va + h * k3a, vb + h * k3b
+        lam = lambda_at(s, t + h)
+        ga, gb = grad((x4a, x4b))
+        k4a, k4b = -lam * v4a - ga, -lam * v4b - gb
+        w = h / 6.0
+        return (
+            (xa + w * (va + 2.0 * v2a + 2.0 * v3a + v4a), xb + w * (vb + 2.0 * v2b + 2.0 * v3b + v4b)),
+            (va + w * (k1a + 2.0 * k2a + 2.0 * k3a + k4a), vb + w * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)),
+        )
+
+    def dopri(self, t: float, x: tuple, v: tuple, h: float, g: tuple) -> tuple:
+        s, grad = self.s, self.grad
+        (xa0, xb0), (va0, vb0) = x, v
+        kxa: list = []
+        kxb: list = []
+        kva: list = []
+        kvb: list = []
+        for i in range(7):
+            xa, xb, va, vb = xa0, xb0, va0, vb0
+            for j, a in enumerate(_DP_A[i]):
+                if a != 0.0:
+                    c = h * a
+                    xa, xb = xa + c * kxa[j], xb + c * kxb[j]
+                    va, vb = va + c * kva[j], vb + c * kvb[j]
+            lam = lambda_at(s, t + _DP_C[i] * h)
+            ga, gb = g if i == 0 else grad((xa, xb))
+            kxa.append(va)
+            kxb.append(vb)
+            kva.append(-lam * va - ga)
+            kvb.append(-lam * vb - gb)
+        return (
+            (xa0 + h * _weighted(_DP_B5, kxa), xb0 + h * _weighted(_DP_B5, kxb)),
+            (va0 + h * _weighted(_DP_B5, kva), vb0 + h * _weighted(_DP_B5, kvb)),
+            (h * _weighted(_DP_E, kxa), h * _weighted(_DP_E, kxb)),
+            (h * _weighted(_DP_E, kva), h * _weighted(_DP_E, kvb)),
+        )
+
+    def grad(self, x: tuple) -> tuple:
+        try:
+            return self.form(*x)
+        except (OverflowError, ValueError):
+            return self.numpy_grad(x)
+
+    @staticmethod
+    def parts(a: tuple) -> tuple:
+        return a
+
+    def norm(self, a: tuple) -> float:
+        # numpy's dot: a*a + b*b rounds differently on 2,708 of 20,000 rows
+        row = self._row
+        row[0], row[1] = a
+        return math.sqrt(row.dot(row))
+
+    @staticmethod
+    def finite(*states: tuple) -> bool:
+        return all(math.isfinite(a) and math.isfinite(b) for a, b in states)
+
+    @staticmethod
+    def load(a: Vector) -> tuple:
+        return tuple(a.tolist())
+
+
+def _representation(field, p: Potential, s: FrictionSchedule, reaction):
+    """The float kernel when ``field`` is the documented binding of the reduced
+    model to ``p`` and ``s`` and ``p`` has a float gradient form; else arrays."""
+    if (
+        reaction is None
+        and type(field) is functools.partial
+        and field.func is hbft_field
+        and len(field.args) == 2
+        and field.args[0] is p
+        and field.args[1] is s
+        and not field.keywords
+        and p.float_gradient_fn is not None
+        and p.dim <= 2
+    ):
+        return (_Floats if p.dim == 1 else _Pairs)(p, s)
+    return _Arrays(field, p)
+
+
+class _Recorder:
+    """Accumulates t, x, v and |∇Φ| per sample and builds the columns.
+
+    Energy, λ and dissipation are built as whole columns: λ through
+    ``lambda_values``, |v|² as one numpy dot per row.
+    """
+
+    def __init__(self, p: Potential, s: FrictionSchedule):
+        self.p, self.s = p, s
+        self.rows_t: list[float] = []
+        self.rows_x: list = []
+        self.rows_v: list = []
+        self.rows_gn: list[float] = []
+
+    def record(self, t: float, x, v, grad_norm: float) -> None:
+        if self.rows_t and self.rows_t[-1] == t:
             return
-        self.rows_t.append(state.t)
-        # No copies: integrate makes new x and v arrays each step and never
-        # writes into them.
-        self.rows_x.append(state.x)
-        self.rows_v.append(state.v)
-        # The arithmetic of dynamics.energy and dynamics.dissipation_rate,
-        # with λ(t) and |v|² evaluated once.
-        lam = lambda_at(self.s, state.t)
-        vv = float(state.v @ state.v)
-        self.rows_e.append(0.5 * vv + value(self.p, state.x))
-        self.rows_lam.append(lam)
+        self.rows_t.append(t)
+        # No copies: every step makes new states and never writes into them.
+        self.rows_x.append(x)
+        self.rows_v.append(v)
         self.rows_gn.append(grad_norm)
-        self.rows_dis.append(-lam * vv + 0.0)
 
     def build(self, reason: str, stats: StepStats) -> Trajectory:
+        n = len(self.rows_t)
+        t = np.array(self.rows_t)
+        # rows are (dim,) arrays, floats or (a, b) tuples, as the path steps
+        x = np.array(self.rows_x, dtype=float).reshape(n, -1)
+        v = np.array(self.rows_v, dtype=float).reshape(n, -1)
+        # |v|² as dynamics.energy takes it: a batched matmul is numpy's dot per row
+        vv = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+        lam = lambda_values(self.s, t)
         return Trajectory(
-            t=np.array(self.rows_t),
-            x=np.array(self.rows_x),
-            v=np.array(self.rows_v),
-            energy=np.array(self.rows_e),
-            lam=np.array(self.rows_lam),
+            t=t,
+            x=x,
+            v=v,
+            energy=0.5 * vv + np.array([value(self.p, xk) for xk in x]),
+            lam=lam,
             grad_norm=np.array(self.rows_gn),
-            dissipation=np.array(self.rows_dis),
+            # + 0.0 turns -0.0 at v = 0 into 0.0, as dynamics.dissipation_rate
+            dissipation=-lam * vv + 0.0,
             termination_reason=reason,
             step_stats=stats,
         )
@@ -336,7 +554,8 @@ def integrate(
     Args:
         field: Phase-space right-hand side, state ↦ (ẋ, v̇). Bind the model
             (and its potential/schedule/mechanics) before calling, e.g.
-            ``functools.partial(hbft_field, p, s)``.
+            ``functools.partial(hbft_field, p, s)``, which takes the fast
+            path described in the module docstring.
         p: Potential; used for the energy / gradient-norm columns and the
             stationarity stop condition.
         s: Schedule; used for the λ / dissipation columns.
@@ -370,14 +589,16 @@ def integrate(
     if cfg.stop.halt_on_contact_loss and reaction is None:
         raise ValueError("halt_on_contact_loss requires a reaction callable")
 
+    model = _representation(field, p, s, reaction)
     rec = _Recorder(p, s)
     stop = cfg.stop
     eps_t = 1e-12 * max(1.0, cfg.t_max)
 
     t, t_comp = 0.0, 0.0
-    x, v = initial.x.copy(), initial.v.copy()
-    gn = _norm(gradient(p, x))
-    rec.record(_stage(t, x, v), gn)
+    x, v = model.load(initial.x), model.load(initial.v)
+    g = model.grad(x)
+    gn = model.norm(g)
+    rec.record(t, x, v, gn)
 
     accepted = 0
     rejected = 0
@@ -386,12 +607,13 @@ def integrate(
 
     # Stationarity dwell clock; may start at t=0.
     below_since: Optional[float] = None
-    if _norm(v) < stop.stationarity_tol and gn < stop.stationarity_tol:
+    if model.norm(v) < stop.stationarity_tol and gn < stop.stationarity_tol:
         below_since = 0.0
 
     next_sample = cfg.sample_dt if cfg.sample_dt is not None else None
     adaptive = cfg.method == "dopri45"
-    h = _initial_step(field, t, x, v, cfg) if adaptive else float(cfg.step)
+    step = model.dopri if adaptive else model.rk4
+    h = _initial_step(field, t, initial.x, initial.v, cfg) if adaptive else float(cfg.step)
 
     def build_stats() -> StepStats:
         return StepStats(
@@ -408,7 +630,7 @@ def integrate(
     while True:
         remaining = cfg.t_max - t
         if remaining <= eps_t:
-            rec.record(_stage(t, x, v), gn)
+            rec.record(t, x, v, gn)
             return rec.build("t_max", build_stats())
         if accepted + rejected >= cfg.max_steps:
             raise abort(
@@ -416,19 +638,17 @@ def integrate(
             )
 
         h_try = min(h, remaining)
+        try:
+            result = step(t, x, v, h_try, g)
+        except DivergenceError:
+            finite = False
+        else:
+            finite = model.finite(*result)
         if adaptive:
-            try:
-                x1, v1, ex, ev = _dopri_core(field, t, x, v, h_try)
-            except DivergenceError:
-                finite = False
-            else:
-                finite = _finite(x1, v1, ex, ev)
-            ratio = (
-                _error_ratio(x, v, x1, v1, ex, ev, cfg.abs_tol, cfg.rel_tol) if finite else math.inf
-            )
+            ratio = model.error_ratio(x, v, *result, cfg.abs_tol, cfg.rel_tol) if finite else math.inf
             if not finite and h_try <= cfg.h_min:
                 # Cannot shrink further; treat as divergence at the last good state.
-                rec.record(_stage(t, x, v), gn)
+                rec.record(t, x, v, gn)
                 return rec.build("diverged", build_stats())
             if ratio > 1.0:
                 rejected += 1
@@ -441,47 +661,40 @@ def integrate(
                 continue
             grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
             h = min(cfg.h_max, h_try * grow)
-        else:
-            try:
-                x1, v1 = _rk4_core(field, t, x, v, h_try)
-            except DivergenceError:
-                finite = False
-            else:
-                finite = _finite(x1, v1)
-            if not finite:
-                rec.record(_stage(t, x, v), gn)
-                return rec.build("diverged", build_stats())
+        elif not finite:
+            rec.record(t, x, v, gn)
+            return rec.build("diverged", build_stats())
 
         t, t_comp = _kahan_add(t, t_comp, h_try)
-        x, v = x1, v1
+        x, v = result[0], result[1]
         accepted += 1
         h_small = min(h_small, h_try)
         h_big = max(h_big, h_try)
 
-        gn = _norm(gradient(p, x))
-        state = _stage(t, x, v)
+        g = model.grad(x)
+        gn = model.norm(g)
 
-        if _norm(x) > stop.divergence_radius:
-            rec.record(state, gn)
+        if model.norm(x) > stop.divergence_radius:
+            rec.record(t, x, v, gn)
             return rec.build("diverged", build_stats())
 
-        if stop.halt_on_contact_loss and reaction(state) <= 0.0:
-            rec.record(state, gn)
+        if stop.halt_on_contact_loss and reaction(_stage(t, x, v)) <= 0.0:
+            rec.record(t, x, v, gn)
             return rec.build("contact_lost", build_stats())
 
-        if _norm(v) < stop.stationarity_tol and gn < stop.stationarity_tol:
+        if model.norm(v) < stop.stationarity_tol and gn < stop.stationarity_tol:
             if below_since is None:
                 below_since = t
             if t - below_since >= stop.dwell:
-                rec.record(state, gn)
+                rec.record(t, x, v, gn)
                 return rec.build("stationary", build_stats())
         else:
             below_since = None
 
         if cfg.sample_dt is not None:
             if t >= next_sample - eps_t:
-                rec.record(state, gn)
+                rec.record(t, x, v, gn)
                 while next_sample <= t + eps_t:
                     next_sample += cfg.sample_dt
         elif accepted % cfg.sample_stride == 0:
-            rec.record(state, gn)
+            rec.record(t, x, v, gn)

@@ -53,6 +53,11 @@ class Potential:
             known in closed form. Used by the hypothesis checks.
         unbounded_below: True when the landscape is known to have no lower
             bound. Such landscapes can be simulated but never certified.
+        float_gradient_fn: ∇Φ on Python floats, for dim 1 and 2 only: x ↦ g
+            for dim 1, (x₀, x₁) ↦ (g₀, g₁) for dim 2. It must give the doubles
+            ``gradient_fn`` gives; it may raise OverflowError or ValueError
+            where numpy would return inf or nan. With it, ``integrate`` steps
+            the reduced model on floats (see :mod:`hbft.integrate`).
     """
 
     name: str
@@ -65,6 +70,7 @@ class Potential:
     lower_bound: Optional[float] = None
     known_critical_points: tuple = ()
     unbounded_below: bool = False
+    float_gradient_fn: Optional[Callable] = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -285,6 +291,22 @@ def verify_potential_hypotheses(
 
 
 # --- builtin catalogue -----------------------------------------------------
+#
+# The float forms mirror the numpy expressions term by term. +, * and math.sin
+# give the doubles numpy gives elementwise, and x ** k on a float equals
+# x[0] ** k on an np.float64 scalar; ** 3 on a whole array does not (it differs
+# on about 2.7% of inputs), so the numpy forms keep their scalar powers.
+
+
+def _per_axis(parts: list) -> Optional[Callable]:
+    """The float gradient form from one float function per axis, or None
+    beyond dim 2."""
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        f0, f1 = parts
+        return lambda x0, x1: (f0(x0), f1(x1))
+    return None
 
 
 def quadratic(dim: int = 1, scale: float = 1.0) -> Potential:
@@ -302,6 +324,7 @@ def quadratic(dim: int = 1, scale: float = 1.0) -> Potential:
         hessian_quadform_fn=lambda x, v: scale * float(v @ v),
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
+        float_gradient_fn=_per_axis([lambda xi: scale * xi] * dim),
     )
 
 
@@ -321,6 +344,7 @@ def anisotropic_quadratic(diag=(1.0, 4.0)) -> Potential:
         hessian_quadform_fn=lambda x, v: float(d @ (v * v)),
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
+        float_gradient_fn=_per_axis([lambda xi, di=di: di * xi for di in d.tolist()]),
     )
 
 
@@ -335,6 +359,10 @@ def rosenbrock(a: float = 1.0, b: float = 100.0) -> Potential:
     def grad(x: Vector) -> Vector:
         gap = x[1] - x[0] ** 2
         return np.array([-2.0 * (a - x[0]) - 4.0 * b * x[0] * gap, 2.0 * b * gap])
+
+    def grad_floats(x0: float, x1: float) -> tuple[float, float]:
+        gap = x1 - x0 ** 2
+        return -2.0 * (a - x0) - 4.0 * b * x0 * gap, 2.0 * b * gap
 
     def quad(x: Vector, v: Vector) -> float:
         # Hessian entries: Φ_xx = 2 + 12 b x² − 4 b y, Φ_xy = −4 b x, Φ_yy = 2 b.
@@ -351,6 +379,7 @@ def rosenbrock(a: float = 1.0, b: float = 100.0) -> Potential:
         hessian_quadform_fn=quad,
         lower_bound=0.0,
         known_critical_points=(np.array([a, a * a]),),
+        float_gradient_fn=grad_floats,
     )
 
 
@@ -364,6 +393,7 @@ def double_well() -> Potential:
         hessian_quadform_fn=lambda x, v: (3.0 * x[0] ** 2 - 1.0) * v[0] ** 2,
         lower_bound=-0.25,
         known_critical_points=(np.array([-1.0]), np.array([0.0]), np.array([1.0])),
+        float_gradient_fn=lambda x: x ** 3 - x,
     )
 
 
@@ -383,6 +413,7 @@ def eggcrate(dim: int = 2, amplitude: float = 1.0) -> Potential:
         hessian_quadform_fn=lambda x, v: float(np.sum((1.0 + 2.0 * amp * np.cos(2.0 * x)) * v * v)),
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
+        float_gradient_fn=_per_axis([lambda xi: xi + amp * math.sin(2.0 * xi)] * dim),
     )
 
 
@@ -399,6 +430,7 @@ def flat(dim: int = 1) -> Potential:
         hessian_quadform_fn=lambda x, v: 0.0,
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
+        float_gradient_fn=_per_axis([lambda xi: 0.0] * dim),
     )
 
 
@@ -425,6 +457,7 @@ def tilted_plane(slope=(1.0,)) -> Potential:
         lower_bound=None,
         known_critical_points=(),
         unbounded_below=True,
+        float_gradient_fn=_per_axis([lambda xi, si=si: si for si in s.tolist()]),
     )
 
 

@@ -8,12 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbft import (
     IntegrationError,
     IntegratorConfig,
     MechanicalParams,
     PhaseState,
+    ScheduleConsistencyError,
     StopCondition,
     Trajectory,
     energy,
@@ -21,8 +24,25 @@ from hbft import (
     hbft_field,
     integrate,
 )
-from hbft.friction import constant
-from hbft.potentials import Potential, double_well, flat, quadratic
+from hbft.friction import (
+    FrictionSchedule,
+    constant,
+    linear_growth,
+    oscillating,
+    power_decay,
+    step,
+)
+from hbft.integrate import _Arrays, _representation
+from hbft.potentials import (
+    Potential,
+    anisotropic_quadratic,
+    double_well,
+    eggcrate,
+    flat,
+    quadratic,
+    rosenbrock,
+    tilted_plane,
+)
 
 from conftest import damped_v, damped_x
 
@@ -284,3 +304,229 @@ def test_contact_loss_halt_requires_reaction():
     )
     with pytest.raises(ValueError):
         integrate(_field(p, s), p, s, _init([0.0], [1.0]), cfg)
+
+
+# --- the float kernel against the generic path --------------------------------
+#
+# integrate steps functools.partial(hbft_field, p, s) on Python floats when p is
+# a builtin of dim 1 or 2; any other callable takes the array path. The two must
+# agree to the last bit on every column, the termination and the step stats.
+
+_COLUMNS = ("t", "x", "v", "energy", "lam", "grad_norm", "dissipation")
+
+
+def _assert_same_run(kernel: Trajectory, generic: Trajectory) -> None:
+    for name in _COLUMNS:
+        a, b = getattr(kernel, name), getattr(generic, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert kernel.termination_reason == generic.termination_reason
+    assert kernel.step_stats == generic.step_stats
+
+
+def _both(p, s, x0, v0, **kw):
+    """Run (or fail) through the kernel and through the generic path.
+
+    Returns the two trajectories, or for a run that raises, the two
+    exceptions."""
+    kernel_field = functools.partial(hbft_field, p, s)
+    assert not isinstance(_representation(kernel_field, p, s, None), _Arrays)
+    cfg = IntegratorConfig(**kw)
+    out = []
+    for field in (kernel_field, _field(p, s)):
+        try:
+            out.append(integrate(field, p, s, _init(x0, v0), cfg))
+        except (IntegrationError, ScheduleConsistencyError) as exc:
+            out.append(exc)
+    return out
+
+
+_BUILTINS_1D = [
+    (quadratic(dim=1, scale=2.5), constant(0.7), [1.3], [-0.4]),
+    (anisotropic_quadratic(diag=(3.0,)), power_decay(2.0, 0.5), [-0.8], [0.3]),
+    (double_well(), oscillating(1.0, 0.5, 3.0), [2.0], [0.0]),
+    (eggcrate(dim=1, amplitude=0.8), step((0.7,), (0.4, 1.5)), [2.5], [1.0]),
+    (flat(dim=1), constant(1.0), [0.2], [1.0]),
+    (tilted_plane(slope=(0.5,)), constant(1.0), [0.0], [-0.3]),
+]
+_BUILTINS_2D = [
+    (quadratic(dim=2), constant(1.0), [1.0, -0.5], [0.0, 0.3]),
+    (anisotropic_quadratic(diag=(1.0, 4.0)), step((0.6,), (1.0, 0.6)), [1.0, -1.0], [0.0, 0.0]),
+    (rosenbrock(), constant(1.0), [-1.2, 1.44], [0.0, 0.0]),
+    (eggcrate(dim=2), power_decay(1.0, 0.5), [2.5, -1.5], [0.0, 0.0]),
+    (flat(dim=2), oscillating(2.0, 1.0, 1.0), [0.3, 0.1], [1.0, -2.0]),
+    (tilted_plane(slope=(1.0, -2.0)), constant(0.5), [0.0, 0.0], [0.1, 0.1]),
+]
+_SAMPLING = [{}, {"sample_stride": 7}, {"sample_dt": 0.05}]
+
+
+@pytest.mark.parametrize("case", _BUILTINS_1D + _BUILTINS_2D, ids=lambda c: c[0].name)
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.01},
+                                    {"method": "dopri45", "abs_tol": 1e-9, "rel_tol": 1e-9}],
+                         ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("sampling", _SAMPLING, ids=["every", "stride", "dt"])
+def test_kernel_matches_generic_path_on_every_builtin(case, method, sampling):
+    p, s, x0, v0 = case
+    kernel, generic = _both(p, s, x0, v0, t_max=1.5, **method, **sampling)
+    _assert_same_run(kernel, generic)
+    assert kernel.termination_reason == "t_max"
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.01},
+                                    {"method": "dopri45", "h_max": 0.05}], ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_matches_generic_path_on_stationary_and_radius_stops(method, dim):
+    settle = StopCondition(stationarity_tol=1e-3, dwell=0.5)
+    kernel, generic = _both(quadratic(dim=dim), constant(3.0), [1.0] * dim, [0.0] * dim,
+                            t_max=50.0, stop=settle, **method)
+    _assert_same_run(kernel, generic)
+    assert kernel.termination_reason == "stationary"
+
+    escape = StopCondition(divergence_radius=5.0)
+    kernel, generic = _both(tilted_plane(slope=(-1.0,) * dim), constant(0.1), [0.0] * dim,
+                            [0.0] * dim, t_max=50.0, stop=escape, **method)
+    _assert_same_run(kernel, generic)
+    assert kernel.termination_reason == "diverged" and np.linalg.norm(kernel.x[-1]) > 5.0
+
+
+@pytest.mark.parametrize("method", ["rk4", "dopri45"])
+@pytest.mark.parametrize("p, x0", [
+    # Python floats raise OverflowError on x**3 and x**2 and ValueError on
+    # sin(inf), where numpy gives inf or nan: the kernel must end as numpy does.
+    (double_well(), [1e110]),
+    (rosenbrock(), [1e160, 0.0]),
+    (eggcrate(dim=2), [1e307, 1e307]),  # a stage reaches sin(inf) at this step
+], ids=["double_well", "rosenbrock", "eggcrate"])
+def test_kernel_matches_generic_path_on_overflowing_starts(method, p, x0):
+    kernel, generic = _both(p, constant(1.0), x0, [0.0] * p.dim, t_max=10.0, method=method,
+                            step=10.0, h_max=10.0, stop=StopCondition(divergence_radius=1e308))
+    _assert_same_run(kernel, generic)
+    assert kernel.termination_reason == "diverged" and kernel.grad_norm[0] == math.inf
+    if method == "rk4":
+        assert kernel.n_samples == 1
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 1e-3},
+                                    {"method": "dopri45", "h_max": 1e-3}], ids=["rk4", "dopri45"])
+def test_kernel_matches_generic_path_when_the_step_budget_runs_out(method):
+    for p, s, x0, v0 in (_BUILTINS_1D[2], _BUILTINS_2D[2]):
+        kernel, generic = _both(p, s, x0, v0, t_max=10.0, max_steps=50, **method)
+        assert isinstance(kernel, IntegrationError) and isinstance(generic, IntegrationError)
+        assert str(kernel) == str(generic)
+        _assert_same_run(kernel.partial, generic.partial)
+        assert kernel.partial.termination_reason == "aborted"
+
+
+_KERNEL_CASES = _BUILTINS_1D + _BUILTINS_2D
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(range(len(_KERNEL_CASES))),
+    xv=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+    h=st.floats(1e-3, 0.2),
+    adaptive=st.booleans(),
+)
+def test_kernel_matches_generic_path_from_random_starts(case, xv, h, adaptive):
+    p, s, _, _ = _KERNEL_CASES[case]
+    method = ({"method": "dopri45", "h_max": h, "abs_tol": 1e-7, "rel_tol": 1e-7} if adaptive
+              else {"method": "rk4", "step": h})
+    kernel, generic = _both(p, s, xv[: p.dim], xv[2 : 2 + p.dim], t_max=1.0,
+                            max_steps=2000, **method)
+    if isinstance(generic, Exception):
+        assert type(kernel) is type(generic) and str(kernel) == str(generic)
+        kernel, generic = kernel.partial, generic.partial
+    _assert_same_run(kernel, generic)
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.01}, {"method": "dopri45"}],
+                         ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_keeps_the_lambda_checks_of_a_custom_schedule(method, dim):
+    # Guard on the λ boundary: the kernel calls lambda_at at every stage, so a
+    # schedule that breaks its nonnegativity claim fails as on the generic path.
+    flips = FrictionSchedule(name="flips", lam=lambda t: 1.0 if t <= 0.5 else -1.0)
+    kernel, generic = _both(quadratic(dim=dim), flips, [1.0] * dim, [0.0] * dim, t_max=2.0,
+                            **method)
+    assert isinstance(generic, ScheduleConsistencyError)
+    assert type(kernel) is ScheduleConsistencyError and str(kernel) == str(generic)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_reports_a_schedule_that_overflows_to_inf(dim):
+    # λ(2) = 2e308 overflows to inf at the last stage of the first step.
+    kernel, generic = _both(quadratic(dim=dim), linear_growth(rate=1e308), [1.0, 0.5][:dim],
+                            [0.0] * dim, method="rk4", step=2.0, t_max=4.0)
+    assert isinstance(generic, ScheduleConsistencyError) and "inf" in str(generic)
+    assert type(kernel) is ScheduleConsistencyError and str(kernel) == str(generic)
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.05},
+                                    {"method": "dopri45", "h_max": 0.05}], ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_evaluates_the_schedule_where_the_generic_path_does(method, dim):
+    # every stage time, in order, plus the λ column of the samples
+    p = quadratic(dim=dim)
+    times = {}
+    for path in ("kernel", "generic"):
+        seen = times[path] = []
+        s = FrictionSchedule(name="logged", lam=lambda t, seen=seen: seen.append(t) or 1.0 + t)
+        field = functools.partial(hbft_field, p, s) if path == "kernel" else _field(p, s)
+        integrate(field, p, s, _init([1.0] * dim, [0.5] * dim), IntegratorConfig(t_max=1.0, **method))
+    assert times["kernel"] == times["generic"] and len(times["kernel"]) > 20
+
+
+def test_wrapped_and_custom_fields_take_the_generic_path():
+    p, s = quadratic(dim=1), constant(1.0)
+    assert isinstance(_representation(_field(p, s), p, s, None), _Arrays)
+    # bound to another potential, or with a reaction, or a custom potential
+    other = quadratic(dim=1)
+    assert isinstance(_representation(functools.partial(hbft_field, other, s), p, s, None), _Arrays)
+    assert isinstance(_representation(functools.partial(hbft_field, p, s), p, s, lambda st: 1.0),
+                      _Arrays)
+    custom = Potential(name="bowl", dim=1, value_fn=lambda x: 0.5 * float(x @ x),
+                       gradient_fn=lambda x: 1.0 * x)
+    assert isinstance(_representation(functools.partial(hbft_field, custom, s), custom, s, None),
+                      _Arrays)
+    wide = quadratic(dim=3)
+    assert isinstance(_representation(functools.partial(hbft_field, wide, s), wide, s, None), _Arrays)
+
+
+# --- an independent oracle -----------------------------------------------------
+
+
+def _scipy_final_state(p, s, x0, v0, t1):
+    integ = pytest.importorskip("scipy.integrate")
+    dim = p.dim
+
+    def rhs(t, y):
+        x, v = y[:dim], y[dim:]
+        return np.concatenate([v, -s.lam(t) * v - p.gradient_fn(x)])
+
+    sol = integ.solve_ivp(rhs, (0.0, t1), np.concatenate([x0, v0]), method="DOP853",
+                          rtol=1e-12, atol=1e-12)
+    assert sol.success
+    return sol.y[:dim, -1], sol.y[dim:, -1]
+
+
+def test_kernel_final_state_matches_scipy_on_rosenbrock_descent():
+    # The bundled rosenbrock_descent settings. Measured gap: 4.2e-13 in x and
+    # 1.1e-11 in v; the bound leaves a factor of about 10.
+    p, s = rosenbrock(a=1.0, b=100.0), constant(1.0)
+    x0, v0 = np.array([-1.2, 1.44]), np.zeros(2)
+    cfg = IntegratorConfig(method="dopri45", abs_tol=1e-10, rel_tol=1e-10, h_max=2e-3, t_max=20.0)
+    traj = integrate(functools.partial(hbft_field, p, s), p, s, _init(x0, v0), cfg)
+    x_ref, v_ref = _scipy_final_state(p, s, x0, v0, traj.t_final)
+    assert np.max(np.abs(traj.x[-1] - x_ref)) <= 1e-10
+    assert np.max(np.abs(traj.v[-1] - v_ref)) <= 1e-10
+
+
+def test_kernel_final_state_matches_scipy_on_double_well():
+    # rk4 at h = 1e-3 has a global error of order h^4 = 1e-12. Measured gap:
+    # 1.4e-13 in x and 4.7e-13 in v; the bound leaves a factor of about 10.
+    p, s = double_well(), constant(1.0)
+    x0, v0 = np.array([2.0]), np.zeros(1)
+    cfg = IntegratorConfig(method="rk4", step=1e-3, t_max=10.0)
+    traj = integrate(functools.partial(hbft_field, p, s), p, s, _init(x0, v0), cfg)
+    x_ref, v_ref = _scipy_final_state(p, s, x0, v0, traj.t_final)
+    assert np.max(np.abs(traj.x[-1] - x_ref)) <= 5e-12
+    assert np.max(np.abs(traj.v[-1] - v_ref)) <= 5e-12

@@ -23,7 +23,15 @@ from hbft import (
     value,
     verify_potential_hypotheses,
 )
-from hbft.potentials import double_well, eggcrate, flat, quadratic, rosenbrock, tilted_plane
+from hbft.potentials import (
+    anisotropic_quadratic,
+    double_well,
+    eggcrate,
+    flat,
+    quadratic,
+    rosenbrock,
+    tilted_plane,
+)
 
 
 def _central_diff(p: Potential, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -214,3 +222,39 @@ def test_unbounded_potential_is_flagged():
     assert p.lower_bound is None
     # goes arbitrarily negative along the downhill direction
     assert value(p, np.array([-100.0, 0.0])) < -100.0
+
+
+_FLOAT_FORMS = [
+    quadratic(dim=1, scale=2.5), quadratic(dim=2), anisotropic_quadratic(diag=(3.0,)),
+    anisotropic_quadratic(diag=(1.0, 4.0)), rosenbrock(a=0.5, b=30.0), double_well(),
+    eggcrate(dim=1, amplitude=0.8), eggcrate(dim=2), flat(dim=1), flat(dim=2),
+    tilted_plane(slope=(0.5,)), tilted_plane(slope=(1.0, -2.0)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(range(len(_FLOAT_FORMS))),
+    coords=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+)
+def test_float_gradient_form_gives_the_doubles_of_the_array_form(case, coords):
+    p = _FLOAT_FORMS[case]
+    x = coords[: p.dim]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = gradient(p, np.array(x)).tolist()
+    try:
+        g = p.float_gradient_fn(*x)
+    except (OverflowError, ValueError):
+        # where floats raise, numpy overflows to inf or nan instead
+        assert not all(map(math.isfinite, ref))
+        return
+    got = [g] if p.dim == 1 else list(g)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def test_only_dims_one_and_two_get_a_float_form():
+    assert quadratic(dim=3).float_gradient_fn is None
+    assert eggcrate(dim=3).float_gradient_fn is None
+    assert anisotropic_quadratic(diag=(1.0, 2.0, 3.0)).float_gradient_fn is None
+    assert Potential(name="bare", dim=1, value_fn=lambda x: 0.0,
+                     gradient_fn=lambda x: np.zeros(1)).float_gradient_fn is None
