@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .friction import FrictionSchedule, lambda_values
-from .integrate import Trajectory
-from .potentials import Potential, gradient
+from .integrate import Trajectory, gradient_rows
+from .potentials import Potential
 
 from .errors import CapabilityError
 
@@ -186,13 +186,20 @@ def _tail_slice(n: int, tail_fraction: float) -> slice:
     return slice(n - k, n)
 
 
+def _single_sample(traj: Trajectory) -> dict:
+    # why a one-sample run certifies nothing; longer runs keep their keys
+    return {"n_samples": 1} if traj.n_samples == 1 else {}
+
+
 def check_energy_monotone(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
     """Largest energy increase between consecutive samples, vs tol.
 
     The energy law Ė = −λ|v|² makes E nonincreasing whenever λ ≥ 0; any
     rise beyond integrator noise is a violation. A non-finite energy sample
     certifies nothing: the residual is then NaN (so the check fails), and
-    ``worst_increase_at_t`` is the time of the first such sample.
+    ``worst_increase_at_t`` is the time of the first such sample. Neither
+    does a single sample, which has no increase to bound: its residual is
+    NaN too, and the details carry ``n_samples``.
     """
     if traj.n_samples == 0:
         raise ValueError("trajectory has no samples")
@@ -201,7 +208,7 @@ def check_energy_monotone(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
         residual = math.nan
         worst_t = float(traj.t[int(np.argmax(nonfinite))])
     elif traj.n_samples == 1:
-        residual = 0.0
+        residual = math.nan
         worst_t = float(traj.t[0])
     else:
         diffs = np.diff(traj.energy)
@@ -215,6 +222,7 @@ def check_energy_monotone(traj: Trajectory, tol: float = 1e-8) -> CheckRecord:
         worst_increase_at_t=worst_t,
         initial_energy=float(traj.energy[0]),
         final_energy=float(traj.energy[-1]),
+        **_single_sample(traj),
     )
 
 
@@ -249,7 +257,8 @@ def check_velocity_bound(traj: Trajectory, p: Potential, tol: float = 1e-8) -> C
 
     Needs a potential with a known lower bound (it plays inf Φ). A run with
     a non-finite energy sample gets a NaN residual, so the check fails
-    instead of passing against an infinite bound.
+    instead of passing against an infinite bound. So does a run of one
+    sample, which bounds its own start only; its details carry ``n_samples``.
 
     Raises:
         CapabilityError: if the potential declares no lower bound.
@@ -264,7 +273,7 @@ def check_velocity_bound(traj: Trajectory, p: Potential, tol: float = 1e-8) -> C
     rhs = float(traj.energy[0]) - p.lower_bound
     k = int(np.argmax(kinetic))
     residual = max(0.0, float(kinetic[k]) - rhs)
-    if not np.isfinite(traj.energy).all():
+    if traj.n_samples == 1 or not np.isfinite(traj.energy).all():
         residual = math.nan
     return _record(
         "velocity_bound",
@@ -273,6 +282,7 @@ def check_velocity_bound(traj: Trajectory, p: Potential, tol: float = 1e-8) -> C
         bound=rhs,
         max_kinetic=float(kinetic[k]),
         worst_t=float(traj.t[k]),
+        **_single_sample(traj),
     )
 
 
@@ -438,7 +448,7 @@ def check_acceleration_bound(
     if traj.n_samples == 0:
         raise ValueError("trajectory has no samples")
     lam = lambda_values(s, traj.t)
-    grad = np.fromiter((gradient(p, x) for x in traj.x), (float, (traj.dim,)), traj.n_samples)
+    grad = gradient_rows(p, traj.x)
     acc = -lam[:, None] * traj.v - grad
     norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
     nonfinite = ~np.isfinite(norms)

@@ -25,6 +25,7 @@ Builtin catalogue (see :func:`builtin_potentials` / :func:`make_potential`):
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Callable, Optional
 
@@ -58,6 +59,10 @@ class Potential:
             ``gradient_fn`` gives; it may raise OverflowError or ValueError
             where numpy would return inf or nan. With it, ``integrate`` steps
             the reduced model on floats (see :mod:`hbft.integrate`).
+        column_value_fn: Φ over the rows of an (N, dim) array, (N, dim) →
+            (N,), for dim 1 and 2 only. It must give the doubles ``value``
+            gives row by row. With it, ``integrate`` builds the energy
+            column in one pass instead of one ``value`` call per sample.
     """
 
     name: str
@@ -71,6 +76,7 @@ class Potential:
     known_critical_points: tuple = ()
     unbounded_below: bool = False
     float_gradient_fn: Optional[Callable] = dataclasses.field(default=None, repr=False)
+    column_value_fn: Optional[Callable] = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -93,6 +99,20 @@ def _as_point(p: Potential, x, name: str = "x") -> Vector:
             f"{name} has shape {arr.shape}, expected ({p.dim},) for potential '{p.name}'"
         )
     return arr
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a·b per row of (N, dim) arrays (or of one and a (dim,) row), in one
+    batched matmul that takes numpy's dot per row, as ``a @ b`` on rows does."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def float_rows(x: np.ndarray):
+    """The rows of the (N, dim) array ``x`` as tuples of Python floats,
+    converted 4096 rows at a time, so that a long column never holds one
+    Python float per entry at once."""
+    for i in range(0, len(x), 4096):
+        yield from zip(*x[i : i + 4096].T.tolist())
 
 
 def value(p: Potential, x) -> float:
@@ -295,7 +315,9 @@ def verify_potential_hypotheses(
 # The float forms mirror the numpy expressions term by term. +, * and math.sin
 # give the doubles numpy gives elementwise, and x ** k on a float equals
 # x[0] ** k on an np.float64 scalar; ** 3 on a whole array does not (it differs
-# on about 2.7% of inputs), so the numpy forms keep their scalar powers.
+# on about 2.7% of inputs), so the numpy forms keep their scalar powers. The
+# column forms follow the same rule: dots go through row_dots, and scalar
+# powers run on each row's floats (_by_rows).
 
 
 def _per_axis(parts: list) -> Optional[Callable]:
@@ -307,6 +329,25 @@ def _per_axis(parts: list) -> Optional[Callable]:
         f0, f1 = parts
         return lambda x0, x1: (f0(x0), f1(x1))
     return None
+
+
+def _up_to_dim2(dim: int, column: Callable) -> Optional[Callable]:
+    # Beyond dim 2 a sum along rows may add in another order than per row.
+    return column if dim <= 2 else None
+
+
+def _by_rows(form: Callable) -> Callable:
+    """The column form of ``form``(x0, ...), which ``value_fn`` calls on a
+    row's np.float64 scalars: it runs on each row's Python floats, and on
+    the numpy scalars, which overflow to inf, where floats raise."""
+
+    def column(x: np.ndarray) -> np.ndarray:
+        try:
+            return np.fromiter(itertools.starmap(form, float_rows(x)), float, len(x))
+        except OverflowError:
+            return np.fromiter(map(form, *x.T), float, len(x))
+
+    return column
 
 
 def quadratic(dim: int = 1, scale: float = 1.0) -> Potential:
@@ -325,6 +366,7 @@ def quadratic(dim: int = 1, scale: float = 1.0) -> Potential:
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
         float_gradient_fn=_per_axis([lambda xi: scale * xi] * dim),
+        column_value_fn=_up_to_dim2(dim, lambda x: 0.5 * scale * row_dots(x, x)),
     )
 
 
@@ -345,6 +387,7 @@ def anisotropic_quadratic(diag=(1.0, 4.0)) -> Potential:
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
         float_gradient_fn=_per_axis([lambda xi, di=di: di * xi for di in d.tolist()]),
+        column_value_fn=_up_to_dim2(dim, lambda x: 0.5 * row_dots(d, x * x)),
     )
 
 
@@ -353,14 +396,12 @@ def rosenbrock(a: float = 1.0, b: float = 100.0) -> Potential:
     if not (math.isfinite(a) and math.isfinite(b) and b > 0):
         raise ValueError(f"rosenbrock: need finite a and b > 0, got a={a}, b={b}")
 
-    def val(x: Vector) -> float:
-        return (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
+    # phi and dphi run on np.float64 scalars in the numpy forms and on Python
+    # floats in the float and column forms.
+    def phi(x0, x1):
+        return (a - x0) ** 2 + b * (x1 - x0 ** 2) ** 2
 
-    def grad(x: Vector) -> Vector:
-        gap = x[1] - x[0] ** 2
-        return np.array([-2.0 * (a - x[0]) - 4.0 * b * x[0] * gap, 2.0 * b * gap])
-
-    def grad_floats(x0: float, x1: float) -> tuple[float, float]:
+    def dphi(x0, x1):
         gap = x1 - x0 ** 2
         return -2.0 * (a - x0) - 4.0 * b * x0 * gap, 2.0 * b * gap
 
@@ -374,26 +415,32 @@ def rosenbrock(a: float = 1.0, b: float = 100.0) -> Potential:
     return Potential(
         name=f"rosenbrock(a={a:g}, b={b:g})",
         dim=2,
-        value_fn=val,
-        gradient_fn=grad,
+        value_fn=lambda x: phi(x[0], x[1]),
+        gradient_fn=lambda x: np.array(dphi(x[0], x[1])),
         hessian_quadform_fn=quad,
         lower_bound=0.0,
         known_critical_points=(np.array([a, a * a]),),
-        float_gradient_fn=grad_floats,
+        float_gradient_fn=dphi,
+        column_value_fn=_by_rows(phi),
     )
 
 
 def double_well() -> Potential:
     """Two-basin landscape Φ(x) = x⁴/4 − x²/2: minima at ±1, saddle at 0."""
+
+    def phi(x0):  # on an np.float64 scalar in value_fn, on a float in the column form
+        return 0.25 * x0 ** 4 - 0.5 * x0 ** 2
+
     return Potential(
         name="double_well",
         dim=1,
-        value_fn=lambda x: 0.25 * x[0] ** 4 - 0.5 * x[0] ** 2,
+        value_fn=lambda x: phi(x[0]),
         gradient_fn=lambda x: np.array([x[0] ** 3 - x[0]]),
         hessian_quadform_fn=lambda x, v: (3.0 * x[0] ** 2 - 1.0) * v[0] ** 2,
         lower_bound=-0.25,
         known_critical_points=(np.array([-1.0]), np.array([0.0]), np.array([1.0])),
         float_gradient_fn=lambda x: x ** 3 - x,
+        column_value_fn=_by_rows(phi),
     )
 
 
@@ -414,6 +461,9 @@ def eggcrate(dim: int = 2, amplitude: float = 1.0) -> Potential:
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
         float_gradient_fn=_per_axis([lambda xi: xi + amp * math.sin(2.0 * xi)] * dim),
+        column_value_fn=_up_to_dim2(
+            dim, lambda x: 0.5 * row_dots(x, x) + amp * np.sum(np.sin(x) ** 2, axis=1)
+        ),
     )
 
 
@@ -431,6 +481,7 @@ def flat(dim: int = 1) -> Potential:
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
         float_gradient_fn=_per_axis([lambda xi: 0.0] * dim),
+        column_value_fn=_up_to_dim2(dim, lambda x: np.zeros(len(x))),
     )
 
 
@@ -458,6 +509,7 @@ def tilted_plane(slope=(1.0,)) -> Potential:
         known_critical_points=(),
         unbounded_below=True,
         float_gradient_fn=_per_axis([lambda xi, si=si: si for si in s.tolist()]),
+        column_value_fn=_up_to_dim2(dim, lambda x: row_dots(s, x)),
     )
 
 

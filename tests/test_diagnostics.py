@@ -155,6 +155,24 @@ def test_energy_checks_fail_on_nonfinite_energy(damped_run: Trajectory):
             assert math.isnan(rec.residual)
 
 
+def test_energy_checks_fail_on_a_single_sample(damped_run: Trajectory):
+    # One sample has no increase to bound and bounds only its own start: a
+    # run that diverged on its first step certifies nothing.
+    p = quadratic(dim=1)
+    one = Trajectory(
+        t=np.array([0.0]), x=np.array([[1.0]]), v=np.array([[0.5]]), energy=np.array([0.625]),
+        lam=np.array([1.0]), grad_norm=np.array([1.0]), dissipation=np.array([-0.25]),
+        termination_reason="diverged", step_stats=StepStats(0, 0, 0.0, 0.0),
+    )
+    for rec in (check_energy_monotone(one), check_velocity_bound(one, p)):
+        assert not rec.passed
+        assert math.isnan(rec.residual)
+        assert rec.details["n_samples"] == 1
+    # longer runs keep their record keys
+    for rec in (check_energy_monotone(damped_run), check_velocity_bound(damped_run, p)):
+        assert "n_samples" not in rec.details
+
+
 # ------------------------------------------------------------------- tail
 
 

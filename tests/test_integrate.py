@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbft import (
@@ -17,6 +17,7 @@ from hbft import (
     MechanicalParams,
     PhaseState,
     ScheduleConsistencyError,
+    StepStats,
     StopCondition,
     Trajectory,
     energy,
@@ -32,13 +33,14 @@ from hbft.friction import (
     power_decay,
     step,
 )
-from hbft.integrate import _Arrays, _representation
+from hbft.integrate import _Arrays, _norm, _Recorder, _representation, gradient_rows
 from hbft.potentials import (
     Potential,
     anisotropic_quadratic,
     double_well,
     eggcrate,
     flat,
+    gradient,
     quadratic,
     rosenbrock,
     tilted_plane,
@@ -489,6 +491,99 @@ def test_wrapped_and_custom_fields_take_the_generic_path():
                       _Arrays)
     wide = quadratic(dim=3)
     assert isinstance(_representation(functools.partial(hbft_field, wide, s), wide, s, None), _Arrays)
+
+
+# --- columns built at the end of a run ------------------------------------------
+
+_ROWS = st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+                 min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(range(len(_KERNEL_CASES))), rows=_ROWS)
+@example(case=8, rows=[[1e160, 0.0, 0.0], [1.0, 2.0, 0.0]])  # rosenbrock: x0**2 overflows
+@example(case=2, rows=[[1e110, 0.0, 0.0]])  # double_well: x**3 overflows
+def test_gradient_rows_give_the_doubles_of_gradient(case, rows):
+    # the rows check_acceleration_bound takes ∇Φ from
+    p = _KERNEL_CASES[case][0]
+    x = np.array(rows)[:, : p.dim].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = gradient_rows(p, x)
+        ref = np.array([gradient(p, row) for row in x])
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), rows=_ROWS)
+@example(dim=2, rows=[[1e200, 1e200, 0.0], [1e154, -1e154, 0.0], [1e-160, 3e-170, 0.0]])
+@example(dim=3, rows=[[5e-324, -1e-310, 2.2e-308], [1.5e-200, 0.0, -0.0]])
+@example(dim=1, rows=[[1e160, 0.0, 0.0], [1e-170, 0.0, 0.0], [-0.0, 0.0, 0.0]])
+def test_grad_norm_column_equals_the_per_row_norm(dim, rows):
+    # huge rows overflow |g|², subnormal ones underflow it: the column must do
+    # what _norm does per row, and at dim 1 what the kernel's sqrt(g*g) does
+    g = np.array(rows)[:, :dim].copy()
+    rec = _Recorder(quadratic(dim=dim), constant(1.0), _Arrays.put)
+    for k, gk in enumerate(g):
+        rec.record(float(k), np.zeros(dim), np.zeros(dim), gk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = rec.build("t_max", StepStats(0, 0, 0.0, 0.0)).grad_norm
+        ref = np.array([_norm(gk) for gk in g])
+    assert col.tobytes() == ref.tobytes()
+    if dim == 1:
+        assert col.tobytes() == np.array([math.sqrt(a * a) for a in g[:, 0].tolist()]).tobytes()
+
+
+# --- the dim-2 stop tests near their thresholds ----------------------------------
+#
+# The dim-2 kernel compares sqrt(a*a + b*b) with a threshold and falls back to
+# numpy's dot only near it. Thresholds a few ulps around |(a, b)| must end each
+# run as the generic path does, for rows where the two sums round differently.
+
+
+def _rows_rounding_apart(n: int = 3) -> list:
+    rng = np.random.default_rng(7)
+    rows = []
+    for a, b in rng.normal(size=(20000, 2)).tolist():
+        if math.sqrt(a * a + b * b) != _norm(np.array([a, b])):
+            rows.append((a, b))
+            if len(rows) == n:
+                break
+    return rows + [(0.6, -0.8)]
+
+
+def _ulps_around(r: float, k: int = 3) -> list:
+    out = [r]
+    for direction in (math.inf, -math.inf):
+        edge = r
+        for _ in range(k):
+            edge = math.nextafter(edge, direction)
+            out.append(edge)
+    return out
+
+
+@pytest.mark.parametrize("row", _rows_rounding_apart())
+def test_kernel_matches_generic_path_near_the_stop_thresholds(row):
+    size = _norm(np.array(row))
+    rk4 = {"method": "rk4", "step": 0.05}
+    ends = {"radius": set(), "speed": set(), "gradient": set()}
+    for r in _ulps_around(size):
+        # x stays at row (v = 0 on a flat landscape): diverged iff |x| > r
+        kernel, generic = _both(flat(dim=2), constant(1.0), row, [0.0, 0.0], t_max=0.2,
+                                stop=StopCondition(divergence_radius=r), **rk4)
+        _assert_same_run(kernel, generic)
+        ends["radius"].add(kernel.termination_reason)
+        # v stays at row (no friction, no force): stationary iff |v| < r
+        kernel, generic = _both(flat(dim=2), constant(0.0), [0.0, 0.0], row, t_max=0.2,
+                                stop=StopCondition(stationarity_tol=r, dwell=0.05), **rk4)
+        _assert_same_run(kernel, generic)
+        ends["speed"].add(kernel.termination_reason)
+        # ∇Φ stays at row on a plane of that slope, and |v| stays below r
+        kernel, generic = _both(tilted_plane(slope=row), constant(1.0), [0.0, 0.0], [0.0, 0.0],
+                                t_max=0.2, stop=StopCondition(stationarity_tol=r, dwell=0.05), **rk4)
+        _assert_same_run(kernel, generic)
+        ends["gradient"].add(kernel.termination_reason)
+    assert ends == {"radius": {"diverged", "t_max"}, "speed": {"stationary", "t_max"},
+                    "gradient": {"stationary", "t_max"}}
 
 
 # --- an independent oracle -----------------------------------------------------

@@ -258,3 +258,53 @@ def test_only_dims_one_and_two_get_a_float_form():
     assert anisotropic_quadratic(diag=(1.0, 2.0, 3.0)).float_gradient_fn is None
     assert Potential(name="bare", dim=1, value_fn=lambda x: 0.0,
                      gradient_fn=lambda x: np.zeros(1)).float_gradient_fn is None
+
+
+def _per_row_values(p: Potential, x: np.ndarray) -> np.ndarray:
+    return np.array([value(p, row) for row in x])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(range(len(_FLOAT_FORMS))),
+    rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+                  min_size=1, max_size=6),
+)
+def test_column_value_form_gives_the_doubles_of_per_row_value(case, rows):
+    p = _FLOAT_FORMS[case]
+    x = np.array(rows)[:, : p.dim].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        col, ref = p.column_value_fn(x), _per_row_values(p, x)
+    assert col.shape == ref.shape and col.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("p", _FLOAT_FORMS, ids=lambda p: p.name)
+def test_column_value_form_matches_per_row_value_on_many_rows(p):
+    # Whole-array powers round differently on a few percent of such rows
+    # (x ** 4 on double_well's, x0 ** 2 inside rosenbrock's); a handful of
+    # rows rarely meets one, so this runs thousands.
+    x = np.random.default_rng(3).normal(scale=3.0, size=(5000, p.dim))
+    assert p.column_value_fn(x).tobytes() == _per_row_values(p, x).tobytes()
+
+
+@pytest.mark.parametrize("p, start", [
+    # Python floats raise OverflowError on these powers, where numpy gives inf
+    (double_well(), [1e110]),
+    (rosenbrock(), [1e160, 0.0]),
+    (eggcrate(dim=2), [1e307, 1e307]),
+    (eggcrate(dim=1), [1e307]),
+], ids=["double_well", "rosenbrock", "eggcrate-2", "eggcrate-1"])
+def test_column_value_form_matches_per_row_value_on_overflowing_rows(p, start):
+    x = np.array([[0.5, -1.5][: p.dim], start, [2.0, 3.0][: p.dim]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        col, ref = p.column_value_fn(x), _per_row_values(p, x)
+    assert not math.isfinite(ref[1])
+    assert col.tobytes() == ref.tobytes()
+
+
+def test_only_dims_one_and_two_get_a_column_form():
+    for p in _FLOAT_FORMS:
+        assert p.column_value_fn is not None
+    for p in (quadratic(dim=3), eggcrate(dim=3), flat(dim=3), tilted_plane(slope=(1.0, 2.0, 3.0)),
+              anisotropic_quadratic(diag=(1.0, 2.0, 3.0))):
+        assert p.column_value_fn is None
