@@ -60,7 +60,7 @@ from .dynamics import (
     full_surface_field,
     hbft_field,
 )
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, IntegrationError, ScheduleConsistencyError
 from .friction import (
     FrictionSchedule,
     builtin_schedules,
@@ -337,6 +337,11 @@ class ScenarioConfig:
     out_dir: Optional[str]
     formats: tuple[str, ...]
     raw: dict
+    source: str
+
+    def __reduce__(self):
+        # The built potential and schedule hold lambdas: a pool child parses again.
+        return ScenarioConfig.from_raw, (self.raw, self.source, self.name)
 
     @staticmethod
     def from_raw(raw: dict, source: str, default_name: str = "scenario") -> "ScenarioConfig":
@@ -405,6 +410,7 @@ class ScenarioConfig:
             out_dir=out_dir,
             formats=formats,
             raw=strip_line_markers(raw),
+            source=source,
         )
 
 
@@ -617,8 +623,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
     """Integrate one scenario, run its checks, and write the artifacts.
 
     Returns a result whose ``exit_code`` follows the CLI contract: 0 all
-    checks passed, 1 a check failed, 3 the integrator raised a hard error
-    (whatever trajectory prefix exists is still written).
+    checks passed, 1 a check failed, 3 the integrator raised a hard error or
+    the schedule broke its claim mid-run (whatever trajectory prefix exists
+    is still written).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -634,8 +641,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
     try:
         traj = integrate(field, cfg.potential, cfg.schedule, initial, cfg.integrator,
                          reaction=reaction)
-    except IntegrationError as exc:
-        traj, error = exc.partial, str(exc)
+    except (IntegrationError, ScheduleConsistencyError) as exc:
+        # a schedule that breaks its claim mid-run leaves no trajectory
+        traj, error = getattr(exc, "partial", None), str(exc)
     meta = None if traj is None else _trajectory_meta(cfg, traj)
     if error is None:
         ctx = _RunContext(traj=traj, p=cfg.potential, s=cfg.schedule)
@@ -710,15 +718,11 @@ def sweep_points(base_raw: dict, grid: dict[str, list]) -> list[tuple[dict, dict
     return points
 
 
-def _sweep_worker(payload: dict, cfg: Optional[ScenarioConfig] = None) -> dict:
-    """Run one sweep point; always returns a row dict (never raises).
-
-    Without ``cfg`` the point is parsed from ``payload["raw"]`` here, inside
-    the isolation: a parsed config may hold lambdas, which a pool cannot send.
-    """
+def _sweep_worker(cfg: ScenarioConfig, point: str, overrides: dict, out_dir: Path) -> dict:
+    """Run one sweep point; always returns a row dict (never raises)."""
     row = {
-        "point": payload["point"],
-        "overrides": payload["overrides"],
+        "point": point,
+        "overrides": overrides,
         "status": "ok",
         "termination": "",
         "final_energy": math.nan,
@@ -729,11 +733,7 @@ def _sweep_worker(payload: dict, cfg: Optional[ScenarioConfig] = None) -> dict:
         "error": "",
     }
     try:
-        if cfg is None:
-            cfg = ScenarioConfig.from_raw(
-                payload["raw"], source=payload["source"], default_name=payload["point"]
-            )
-        result = run_scenario(cfg, payload["out_dir"], quiet=True)
+        result = run_scenario(cfg, out_dir, quiet=True)
         meta, report = result.meta, result.report
         row["exit_code"] = result.exit_code
         if meta is not None:
@@ -748,11 +748,14 @@ def _sweep_worker(payload: dict, cfg: Optional[ScenarioConfig] = None) -> dict:
             row["checks_passed"] = sum(1 for c in report.checks if c.passed)
             if not report.all_passed:
                 row["status"] = "check_failure"
-    except ConfigError as exc:
-        row.update(status="config_error", error=str(exc), exit_code=2)
     except Exception as exc:  # isolation: a broken point must not kill the sweep
         row.update(status="error", error=f"{type(exc).__name__}: {exc}", exit_code=3)
     return row
+
+
+# sweep_summary.csv columns after the point and its axes, as the row keys
+_SWEEP_COLUMNS = ("status", "termination", "final_energy", "tail_sqrt_friction_speed_sup",
+                  "checks_passed", "checks_total", "error")
 
 
 def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
@@ -769,49 +772,23 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
     points = sweep_points(base_raw, grid)
     axes = sorted(grid)
 
-    payloads, cfgs = [], []
-    for idx, (overrides, merged) in enumerate(points):
-        point = f"point_{idx:03d}"
-        # Validate before running anything: bad sweep axes fail the whole sweep.
-        cfgs.append(ScenarioConfig.from_raw(merged, source=f"{source}[{point}]", default_name=point))
-        payloads.append(
-            {
-                "raw": merged,
-                "overrides": overrides,
-                "point": point,
-                "source": f"{source}[{point}]",
-                "out_dir": str(out_dir / point),
-            }
-        )
-
+    names = [f"point_{idx:03d}" for idx in range(len(points))]
+    # Validate before running anything: bad sweep axes fail the whole sweep.
+    cfgs = [ScenarioConfig.from_raw(merged, source=f"{source}[{point}]", default_name=point)
+            for point, (_, merged) in zip(names, points)]
+    jobs = (cfgs, names, [overrides for overrides, _ in points], [out_dir / n for n in names])
     if workers <= 1:
-        rows = [_sweep_worker(p, cfg) for p, cfg in zip(payloads, cfgs)]
+        rows = list(map(_sweep_worker, *jobs))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
+            rows = list(pool.map(_sweep_worker, *jobs))
 
-    agg_csv = out_dir / "sweep_summary.csv"
-    with open(agg_csv, "w", newline="") as fh:
+    with open(out_dir / "sweep_summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["point", *axes, "status", "termination", "final_energy",
-             "tail_sqrt_friction_speed_sup", "checks_passed", "checks_total", "error"]
-        )
+        writer.writerow(["point", *axes, *_SWEEP_COLUMNS])
         for row in rows:
-            writer.writerow(
-                [
-                    row["point"],
-                    *[repr(row["overrides"][a]) if isinstance(row["overrides"][a], float)
-                      else row["overrides"][a] for a in axes],
-                    row["status"],
-                    row["termination"],
-                    repr(float(row["final_energy"])),
-                    repr(float(row["tail_sqrt_friction_speed_sup"])),
-                    row["checks_passed"],
-                    row["checks_total"],
-                    row["error"],
-                ]
-            )
+            writer.writerow([row["point"], *(row["overrides"][a] for a in axes),
+                             *(row[c] for c in _SWEEP_COLUMNS)])
 
     text_lines = [f"{'point':<10} {'status':<18} {'termination':<12} "
                   f"{'final_E':>14} {'tail sqrt(lam)|v|':>18}  overrides"]

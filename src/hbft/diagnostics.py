@@ -34,7 +34,7 @@ import numpy as np
 
 from .friction import FrictionSchedule, lambda_values
 from .integrate import Trajectory, gradient_rows
-from .potentials import Potential
+from .potentials import Potential, row_dots
 
 from .errors import CapabilityError
 
@@ -450,23 +450,11 @@ def check_acceleration_bound(
     lam = lambda_values(s, traj.t)
     grad = gradient_rows(p, traj.x)
     acc = -lam[:, None] * traj.v - grad
-    norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
+    # row_dots gives np.linalg.norm of each row bit for bit
+    norms = np.sqrt(row_dots(acc, acc))
     nonfinite = ~np.isfinite(norms)
-    if nonfinite.any():
-        k = int(np.argmax(nonfinite))
-        sup_acc = float(norms[k])
-    else:
-        # For dim > 1 the row reduction above and the 1-d dot of
-        # np.linalg.norm can differ in the last bits (summation order, fused
-        # multiply-add), by less than (dim + 2) eps relative. The sup and the
-        # first sample attaining it therefore come from np.linalg.norm on the
-        # rows within a wider margin of the array max.
-        cut = float(np.max(norms)) * (1.0 - 8.0 * traj.dim * np.finfo(float).eps)
-        k, sup_acc = 0, 0.0
-        for j in np.flatnonzero(norms >= cut).tolist():
-            norm = float(np.linalg.norm(acc[j]))
-            if norm > sup_acc:
-                k, sup_acc = j, norm
+    k = int(np.argmax(nonfinite) if nonfinite.any() else np.argmax(norms))
+    sup_acc = float(norms[k])
     triangle = float(np.max(lam) * np.max(traj.speeds()) + np.max(traj.grad_norm))
     residual = sup_acc if math.isfinite(sup_acc) else math.nan
     return _record(

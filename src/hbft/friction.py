@@ -16,6 +16,7 @@ Builtin catalogue (see :func:`builtin_schedules` / :func:`make_schedule`):
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from typing import Callable, Optional
@@ -288,17 +289,9 @@ def step(times=(10.0, 20.0), values=(1.0, 0.5, 2.0)) -> FrictionSchedule:
     if any(v < 0 or not math.isfinite(v) for v in vs):
         raise ValueError(f"step: values must be >= 0 and finite, got {vs}")
 
-    def lam(t: float) -> float:
-        idx = 0
-        for edge in ts:
-            if t < edge:
-                break
-            idx += 1
-        return vs[idx]
-
     return FrictionSchedule(
         name=f"step(times={ts}, values={vs})",
-        lam=lam,
+        lam=lambda t: vs[bisect.bisect_right(ts, t)],
         lam_dot=None,
         params={"times": ts, "values": vs},
     )

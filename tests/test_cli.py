@@ -356,6 +356,60 @@ def test_integration_failure_exits_three_with_partial(tmp_path, scenario_raw, ca
     assert "step budget exhausted" in capsys.readouterr().err
 
 
+def _schedule_breaks_claim(raw: dict) -> dict:
+    # a valid config whose schedule overflows to inf mid-run (lambda(2.0) = 2e308)
+    raw["name"] = "infrate"
+    raw["schedule"] = {"name": "linear_growth", "params": {"rate": 1.0e308}}
+    raw["initial"] = {"x0": [0.0], "v0": [0.0]}
+    raw["integrator"] = {"method": "rk4", "step": 0.5, "t_max": 5.0, "stop": {"dwell": 100.0}}
+    raw["checks"] = []
+    return raw
+
+
+def test_schedule_breaking_its_claim_exits_three(tmp_path, scenario_raw):
+    path = write_yaml(tmp_path / "infrate.yaml", _schedule_breaks_claim(scenario_raw))
+    assert run_hbft("validate", str(path)).returncode == 0
+    out = tmp_path / "out"
+    proc = run_hbft("simulate", str(path), "--out-dir", str(out), "--quiet")
+    assert proc.returncode == 3
+    message = "schedule 'linear_growth(rate=1e+308)' claims nonnegativity but produced inf at t=2.0"
+    assert proc.stderr == f"integration error: {message}\n"
+    report = json.loads((out / "infrate.report.json").read_text())
+    assert report == {"all_passed": False, "error": message, "scenario": "infrate"}
+    # the error leaves no trajectory behind: no CSV and no summary
+    assert sorted(p.name for p in out.iterdir()) == ["infrate.report.json"]
+
+
+def test_dopri45_step_underflow_exits_three_with_partial(tmp_path, scenario_raw, capsys):
+    # tolerances no step above h_min can meet: the first rejection underflows
+    scenario_raw["name"] = "underflow"
+    scenario_raw["integrator"] = {"method": "dopri45", "abs_tol": 1e-16, "rel_tol": 1e-16,
+                                  "h_min": 0.1, "h_max": 0.5, "t_max": 5.0}
+    path = write_yaml(tmp_path / "underflow.yaml", scenario_raw)
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out-dir", str(out), "--quiet"]) == 3
+    assert "adaptive step underflow: needed step below h_min=0.1 at t=0.0" in capsys.readouterr().err
+    report = json.loads((out / "underflow.report.json").read_text())
+    assert report["trajectory"]["termination_reason"] == "aborted"
+    assert report["trajectory"]["n_samples"] == 1
+    rows = (out / "underflow.csv").read_text().splitlines()
+    assert rows[1:] == ["0.0,1.0,0.0,0.5,1.0,1.0,0.0"]
+
+
+def test_raising_check_becomes_a_failed_record(tmp_path, scenario_file, monkeypatch):
+    def broken(traj, tol=0.0):
+        raise RuntimeError("broken check")
+
+    # checks are called through their module-level names
+    monkeypatch.setattr(hbft.cli, "check_energy_monotone", broken)
+    out = tmp_path / "out"
+    assert main(["simulate", str(scenario_file), "--out-dir", str(out), "--quiet"]) == 1
+    (record,) = json.loads((out / "unit.report.json").read_text())["checks"]
+    assert record["check_name"] == "energy_monotone" and record["passed"] is False
+    assert record["residual"] == "NaN"
+    assert record["details"]["error"] == "broken check"
+
+
 def test_overflowing_run_ends_diverged_without_traceback(tmp_path, scenario_raw):
     # The first RK4 stage overflows; the run must end as diverged at the
     # last finite state, through the normal report path.
@@ -443,6 +497,26 @@ def test_sweep_isolates_integration_errors(tmp_path, scenario_raw):
     assert [r["status"] for r in rows] == ["integration_error", "ok"]
     # the failed point still leaves a partial trajectory behind
     assert (tmp_path / "sweep" / "point_000" / "unit.csv").exists()
+
+
+def test_sweep_point_whose_schedule_breaks_its_claim_is_an_integration_error(tmp_path,
+                                                                           scenario_raw):
+    base = _schedule_breaks_claim(scenario_raw)
+    grid = {"schedule.params.rate": [1.0, 1.0e308]}
+    code = run_sweep(base, grid, out_dir=tmp_path / "sweep", quiet=True, source="test")
+    assert code == 3
+    rows = list(csv.DictReader((tmp_path / "sweep" / "sweep_summary.csv").open()))
+    assert [r["status"] for r in rows] == ["ok", "integration_error"]
+    assert rows[1]["error"].endswith("produced inf at t=2.0")
+    assert rows[1]["final_energy"] == "nan"
+
+
+def test_sweep_summary_writes_numpy_float_overrides_as_numbers(tmp_path, scenario_raw):
+    grid = {"schedule.params.value": [np.float64(0.2), 1.0]}
+    assert run_sweep(_sweep_base(scenario_raw), grid, out_dir=tmp_path / "s", quiet=True,
+                     source="t") == 0
+    rows = list(csv.reader((tmp_path / "s" / "sweep_summary.csv").open()))
+    assert [r[1] for r in rows] == ["schedule.params.value", "0.2", "1.0"]
 
 
 def test_sweep_unknown_axis_fails_whole_sweep(tmp_path, scenario_raw):

@@ -116,6 +116,16 @@ def test_lambda_values_matches_lambda_at_on_builtins(name):
     assert vals.tolist() == [lambda_at(s, float(t)) for t in ts]
 
 
+def test_step_schedule_pieces_at_the_edges():
+    # λ = values[k] on [times[k-1], times[k]): each edge opens the next piece
+    s = step(times=(1.0, 2.5), values=(0.5, 2.0, 3.0))
+    cases = [(0.0, 0.5), (np.nextafter(1.0, 0.0), 0.5), (1.0, 2.0), (np.nextafter(2.5, 0.0), 2.0),
+             (2.5, 3.0), (1e300, 3.0), (np.inf, 3.0)]
+    assert [lambda_at(s, float(t)) for t, _ in cases] == [v for _, v in cases]
+    # an unordered time falls in the last piece, as past every edge
+    assert s.lam(np.nan) == 3.0
+
+
 def test_step_schedule_has_no_derivative():
     with pytest.raises(CapabilityError):
         lambda_dot_at(step(times=(1.0,), values=(1.0, 2.0)), 0.5)

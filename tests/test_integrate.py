@@ -513,6 +513,24 @@ def test_gradient_rows_give_the_doubles_of_gradient(case, rows):
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        Potential(name="bowl", dim=2, value_fn=lambda x: float(x @ x),
+                  gradient_fn=lambda x: np.array([2.0 * x[0] + x[1], x[0] ** 3])),
+        quadratic(dim=3, scale=1.7),
+        eggcrate(dim=3),
+    ],
+    ids=["custom", "quadratic3", "eggcrate3"],
+)
+def test_gradient_rows_of_potentials_without_a_float_form(p):
+    # no float kernel here: the rows come from gradient, one row at a time
+    x = np.random.default_rng(7).normal(scale=3.0, size=(50, p.dim))
+    got = gradient_rows(p, x)
+    ref = np.array([gradient(p, row) for row in x])
+    assert got.shape == (50, p.dim) and got.tobytes() == ref.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(dim=st.sampled_from([1, 2, 3]), rows=_ROWS)
 @example(dim=2, rows=[[1e200, 1e200, 0.0], [1e154, -1e154, 0.0], [1e-160, 3e-170, 0.0]])
