@@ -642,7 +642,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
         traj = integrate(field, cfg.potential, cfg.schedule, initial, cfg.integrator,
                          reaction=reaction)
     except (IntegrationError, ScheduleConsistencyError) as exc:
-        # a schedule that breaks its claim mid-run leaves no trajectory
+        # a schedule broken at a kept sample (say t = 0) leaves no trajectory
         traj, error = getattr(exc, "partial", None), str(exc)
     meta = None if traj is None else _trajectory_meta(cfg, traj)
     if error is None:

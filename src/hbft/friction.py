@@ -62,7 +62,13 @@ def lambda_at(s: FrictionSchedule, t: float) -> float:
     if t < 0:
         raise ValueError(f"schedule '{s.name}' evaluated at t={t} < 0")
     val = float(s.lam(t))
-    if s.claims_nonnegative and not (val >= 0 and math.isfinite(val)):
+    return val if val >= 0.0 and val < math.inf else outside_claim(s, t, val)
+
+
+def outside_claim(s: FrictionSchedule, t: float, val: float) -> float:
+    """λ(t) = ``val`` outside [0, inf): returned if ``s`` does not claim
+    nonnegativity, else :func:`lambda_at`'s ScheduleConsistencyError."""
+    if s.claims_nonnegative:
         raise ScheduleConsistencyError(
             f"schedule '{s.name}' claims nonnegativity but produced {val} at t={t}"
         )
@@ -88,14 +94,9 @@ def lambda_values(s: FrictionSchedule, t) -> np.ndarray:
         # Checked even when s.lam raised: an inconsistent value before that
         # sample is what lambda_at would have reported.
         arr = np.array(vals, dtype=float)
-        if s.claims_nonnegative:
-            bad = np.flatnonzero(~((arr >= 0) & np.isfinite(arr)))
-            if bad.size:
-                k = int(bad[0])
-                raise ScheduleConsistencyError(
-                    f"schedule '{s.name}' claims nonnegativity but produced {vals[k]} "
-                    f"at t={times[k]}"
-                )
+        bad = np.flatnonzero(~((arr >= 0) & np.isfinite(arr)))
+        if bad.size:  # raises if s claims nonnegativity
+            outside_claim(s, times[bad[0]], vals[bad[0]])
     if negative.size:
         raise ValueError(f"schedule '{s.name}' evaluated at t={float(ts[negative[0]])} < 0")
     return arr

@@ -36,18 +36,18 @@ Fast path. When ``field`` is ``functools.partial(hbft_field, p, s)`` for the
 potential at dim 1 and 2) and no reaction is given, the steppers run on
 Python floats (dim 1) or float pairs (dim 2) instead of numpy arrays. The
 arithmetic is the same operation by operation, so the trajectory is the same
-byte for byte; the gradient at the end of a step is reused as the next
-step's first stage, and λ still goes through ``lambda_at`` at every stage.
-Any other field, a custom potential, dim ≥ 3 and the full surface model take
-the generic array path. One loop in :func:`integrate` serves both: the stop
-rules, sampling and recording do not depend on the path. The recorder keeps
-the components of x, v and ∇Φ in flat buffers and builds every other column
-in one pass at the end, Φ through the potential's column form where it has
-one.
+byte for byte; the gradient at the end of a step is reused as the next step's
+first stage, and λ is checked at every stage as ``lambda_at`` checks it. Any
+other field, a custom potential, dim ≥ 3 and the full surface model take the
+generic array path. One loop in :func:`integrate` serves both: the stop rules,
+sampling and recording do not depend on the path. The recorder keeps the
+components of x, v and ∇Φ in flat buffers and builds every other column in one
+pass at the end, Φ through the potential's column form where it has one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -59,8 +59,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import PhaseState, hbft_field
-from .errors import DivergenceError, IntegrationError
-from .friction import FrictionSchedule, lambda_at, lambda_values
+from .errors import DivergenceError, IntegrationError, ScheduleConsistencyError
+from .friction import FrictionSchedule, lambda_values, outside_claim
 from .potentials import Potential, Vector, float_rows, gradient, row_dots, value
 
 FieldFn = Callable[[PhaseState], tuple[Vector, Vector]]
@@ -199,6 +199,7 @@ class Trajectory:
 
 
 _stage = PhaseState._trusted
+_INF = math.inf
 
 
 def _norm(a: Vector) -> float:
@@ -223,10 +224,15 @@ def _rk4_core(d, t: float, x, v, h: float, g):
     return x1, v1
 
 
-# Dormand-Prince 5(4) tableau. _DP_E is the difference between the 5th- and
-# 4th-order weights; its dot with the stages estimates the local error.
+def _nonzero(row: tuple) -> tuple:
+    return tuple((j, a) for j, a in enumerate(row) if a != 0.0)
+
+
+# Dormand-Prince 5(4) tableau, each row as its (j, a) entries with a != 0, in
+# order. _DP_E is the difference between the 5th- and 4th-order weights; its
+# dot with the stages estimates the local error.
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
+_DP_A = tuple(map(_nonzero, (
     (),
     (1.0 / 5.0,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -234,9 +240,9 @@ _DP_A = (
     (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-_DP_E = (
+)))
+_DP_B5 = _DP_A[6]  # the 5th-order weights are the last row of A (b7 = 0)
+_DP_E = _nonzero((
     71.0 / 57600.0,
     0.0,
     -71.0 / 16695.0,
@@ -244,16 +250,16 @@ _DP_E = (
     -17253.0 / 339200.0,
     22.0 / 525.0,
     -1.0 / 40.0,
-)
+))
 
 
 def _weighted(weights: tuple, ks: list):
+    """Σ w·ks[j] over the (j, w) entries of ``weights``."""
     # Left to right from 0.0, never sum(): from Python 3.12 sum() of floats is
     # compensated and would round differently from the array path.
     acc = 0.0
-    for w, k in zip(weights, ks):
-        if w != 0.0:
-            acc = acc + w * k
+    for j, w in weights:
+        acc = acc + w * ks[j]
     return acc
 
 
@@ -261,12 +267,11 @@ def _dopri_core(d, t: float, x, v, h: float, g):
     """One Dormand-Prince attempt: (x5, v5, err_x, err_v)."""
     kx: list = []
     kv: list = []
-    for i in range(7):
+    for i, row in enumerate(_DP_A):
         xi, vi = x, v
-        for j, a in enumerate(_DP_A[i]):
-            if a != 0.0:
-                xi = xi + (h * a) * kx[j]
-                vi = vi + (h * a) * kv[j]
+        for j, a in row:
+            xi = xi + (h * a) * kx[j]
+            vi = vi + (h * a) * kv[j]
         dx, dv = d(t + _DP_C[i] * h, xi, vi, g if i == 0 else None)
         kx.append(dx)
         kv.append(dv)
@@ -300,12 +305,6 @@ def _initial_step(f: FieldFn, t: float, x: Vector, v: Vector, cfg: IntegratorCon
     else:
         h0 = 0.01 * d0 / d1
     return min(max(h0, cfg.h_min), cfg.h_max, cfg.t_max)
-
-
-def _kahan_add(total: float, comp: float, inc: float) -> tuple[float, float]:
-    y = inc - comp
-    t = total + y
-    return t, (t - total) - y
 
 
 # --- state representations --------------------------------------------------
@@ -353,8 +352,9 @@ class _Floats(_Cores):
     """The float kernel for dim 1: the reduced model on Python floats.
 
     It repeats the generic path's operations for ``functools.partial(
-    hbft_field, p, s)`` on floats, so it gives the same bytes. λ still goes
-    through ``lambda_at`` at every stage.
+    hbft_field, p, s)`` on floats, so it gives the same bytes: rk4 is the
+    shared core written out per stage. Each stage checks its one ``s.lam``
+    value as ``lambda_at`` does (stage times are never negative).
     """
 
     put = staticmethod(array.append)
@@ -362,8 +362,29 @@ class _Floats(_Cores):
     def __init__(self, p: Potential, s: Optional[FrictionSchedule]):
         self.p, self.s, self.form = p, s, p.float_gradient_fn
 
+    def rk4(self, t: float, x: float, v: float, h: float, g: float) -> tuple:
+        s, lam_of, grad, c = self.s, self.s.lam, self.grad, 0.5 * h
+        lam = float(lam_of(t))
+        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t, lam)
+        k1 = -lam * v - g
+        x2, v2 = x + c * v, v + c * k1
+        lam = float(lam_of(t + c))
+        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + c, lam)
+        k2 = -lam * v2 - grad(x2)
+        x3, v3 = x + c * v2, v + c * k2
+        lam = float(lam_of(t + c))
+        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + c, lam)
+        k3 = -lam * v3 - grad(x3)
+        x4, v4 = x + h * v3, v + h * k3
+        lam = float(lam_of(t + h))
+        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + h, lam)
+        k4 = -lam * v4 - grad(x4)
+        w = h / 6.0
+        return x + w * (v + 2.0 * v2 + 2.0 * v3 + v4), v + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     def d(self, t, x, v, g=None):
-        lam = lambda_at(self.s, t)
+        lam = float(self.s.lam(t))
+        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(self.s, t, lam)
         if g is None:
             g = self.grad(x)
         return v, -lam * v - g
@@ -427,20 +448,24 @@ class _Pairs(_Floats):
         self._row = np.empty(2)
 
     def rk4(self, t: float, x: tuple, v: tuple, h: float, g: tuple) -> tuple:
-        s, grad, c = self.s, self.grad, 0.5 * h
+        s, lam_of, grad, c = self.s, self.s.lam, self.grad, 0.5 * h
         (xa, xb), (va, vb), (ga, gb) = x, v, g
-        lam = lambda_at(s, t)
+        lam = float(lam_of(t))
+        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t, lam)
         k1a, k1b = -lam * va - ga, -lam * vb - gb
         x2a, x2b, v2a, v2b = xa + c * va, xb + c * vb, va + c * k1a, vb + c * k1b
-        lam = lambda_at(s, t + c)
+        lam = float(lam_of(t + c))
+        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + c, lam)
         ga, gb = grad((x2a, x2b))
         k2a, k2b = -lam * v2a - ga, -lam * v2b - gb
         x3a, x3b, v3a, v3b = xa + c * v2a, xb + c * v2b, va + c * k2a, vb + c * k2b
-        lam = lambda_at(s, t + c)
+        lam = float(lam_of(t + c))
+        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + c, lam)
         ga, gb = grad((x3a, x3b))
         k3a, k3b = -lam * v3a - ga, -lam * v3b - gb
         x4a, x4b, v4a, v4b = xa + h * v3a, xb + h * v3b, va + h * k3a, vb + h * k3b
-        lam = lambda_at(s, t + h)
+        lam = float(lam_of(t + h))
+        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + h, lam)
         ga, gb = grad((x4a, x4b))
         k4a, k4b = -lam * v4a - ga, -lam * v4b - gb
         w = h / 6.0
@@ -450,20 +475,21 @@ class _Pairs(_Floats):
         )
 
     def dopri(self, t: float, x: tuple, v: tuple, h: float, g: tuple) -> tuple:
-        s, grad = self.s, self.grad
+        s, lam_of, grad = self.s, self.s.lam, self.grad
         (xa0, xb0), (va0, vb0) = x, v
         kxa: list = []
         kxb: list = []
         kva: list = []
         kvb: list = []
-        for i in range(7):
+        for i, row in enumerate(_DP_A):
             xa, xb, va, vb = xa0, xb0, va0, vb0
-            for j, a in enumerate(_DP_A[i]):
-                if a != 0.0:
-                    c = h * a
-                    xa, xb = xa + c * kxa[j], xb + c * kxb[j]
-                    va, vb = va + c * kva[j], vb + c * kvb[j]
-            lam = lambda_at(s, t + _DP_C[i] * h)
+            for j, a in row:
+                c = h * a
+                xa, xb = xa + c * kxa[j], xb + c * kxb[j]
+                va, vb = va + c * kva[j], vb + c * kvb[j]
+            ti = t + _DP_C[i] * h
+            lam = float(lam_of(ti))
+            lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, ti, lam)
             ga, gb = g if i == 0 else grad((xa, xb))
             kxa.append(va)
             kxb.append(vb)
@@ -623,6 +649,9 @@ def integrate(
         IntegrationError: when the adaptive stepper underflows ``h_min`` or
             the step budget is exhausted; the partial trajectory is attached
             to the exception with termination_reason "aborted".
+        ScheduleConsistencyError: when λ breaks the schedule's claim; the
+            partial trajectory is attached likewise, unless λ is broken at
+            one of its samples too.
         ValueError: for a nonzero initial time, a dimension mismatch with
             the potential, or a missing reaction callable.
     """
@@ -639,14 +668,17 @@ def integrate(
 
     model = _representation(field, p, s, reaction)
     rec = _Recorder(p, s, model.put)
+    record, grad, size, is_finite = rec.record, model.grad, model.size, model.finite
     stop = cfg.stop
-    tol, size = stop.stationarity_tol, model.size
-    eps_t = 1e-12 * max(1.0, cfg.t_max)
+    tol, dwell, radius = stop.stationarity_tol, stop.dwell, stop.divergence_radius
+    halt, t_max, max_steps = stop.halt_on_contact_loss, cfg.t_max, cfg.max_steps
+    sample_dt, sample_stride = cfg.sample_dt, cfg.sample_stride
+    eps_t = 1e-12 * max(1.0, t_max)
 
     t, t_comp = 0.0, 0.0
     x, v = model.load(initial.x), model.load(initial.v)
-    g = model.grad(x)
-    rec.record(t, x, v, g)
+    g = grad(x)
+    record(t, x, v, g)
 
     accepted = 0
     rejected = 0
@@ -658,7 +690,7 @@ def integrate(
     if size(v, tol) < tol and size(g, tol) < tol:
         below_since = 0.0
 
-    next_sample = cfg.sample_dt if cfg.sample_dt is not None else None
+    next_sample = sample_dt
     adaptive = cfg.method == "dopri45"
     step = model.dopri if adaptive else model.rk4
     h = _initial_step(field, t, initial.x, initial.v, cfg) if adaptive else float(cfg.step)
@@ -676,27 +708,31 @@ def integrate(
         return IntegrationError(message, partial=partial)
 
     while True:
-        remaining = cfg.t_max - t
+        remaining = t_max - t
         if remaining <= eps_t:
-            rec.record(t, x, v, g)
+            record(t, x, v, g)
             return rec.build("t_max", build_stats())
-        if accepted + rejected >= cfg.max_steps:
+        if accepted + rejected >= max_steps:
             raise abort(
-                f"step budget exhausted: {cfg.max_steps} steps before reaching t_max={cfg.t_max}"
+                f"step budget exhausted: {max_steps} steps before reaching t_max={t_max}"
             )
 
-        h_try = min(h, remaining)
+        h_try = h if h < remaining else remaining
         try:
             result = step(t, x, v, h_try, g)
         except DivergenceError:
             finite = False
+        except ScheduleConsistencyError as exc:
+            with contextlib.suppress(ScheduleConsistencyError):
+                exc.partial = rec.build("aborted", build_stats())
+            raise
         else:
-            finite = model.finite(*result)
+            finite = is_finite(*result)
         if adaptive:
             ratio = model.error_ratio(x, v, *result, cfg.abs_tol, cfg.rel_tol) if finite else math.inf
             if not finite and h_try <= cfg.h_min:
                 # Cannot shrink further; treat as divergence at the last good state.
-                rec.record(t, x, v, g)
+                record(t, x, v, g)
                 return rec.build("diverged", build_stats())
             if ratio > 1.0:
                 rejected += 1
@@ -710,38 +746,43 @@ def integrate(
             grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
             h = min(cfg.h_max, h_try * grow)
         elif not finite:
-            rec.record(t, x, v, g)
+            record(t, x, v, g)
             return rec.build("diverged", build_stats())
 
-        t, t_comp = _kahan_add(t, t_comp, h_try)
+        # Kahan-compensated t += h_try, so 10⁵-step runs do not smear the grid
+        y = h_try - t_comp
+        t_next = t + y
+        t, t_comp = t_next, (t_next - t) - y
         x, v = result[0], result[1]
         accepted += 1
-        h_small = min(h_small, h_try)
-        h_big = max(h_big, h_try)
+        if h_try < h_small:
+            h_small = h_try
+        if h_try > h_big:
+            h_big = h_try
 
-        g = model.grad(x)
+        g = grad(x)
 
-        if size(x, stop.divergence_radius) > stop.divergence_radius:
-            rec.record(t, x, v, g)
+        if size(x, radius) > radius:
+            record(t, x, v, g)
             return rec.build("diverged", build_stats())
 
-        if stop.halt_on_contact_loss and reaction(_stage(t, x, v)) <= 0.0:
-            rec.record(t, x, v, g)
+        if halt and reaction(_stage(t, x, v)) <= 0.0:
+            record(t, x, v, g)
             return rec.build("contact_lost", build_stats())
 
         if size(v, tol) < tol and size(g, tol) < tol:
             if below_since is None:
                 below_since = t
-            if t - below_since >= stop.dwell:
-                rec.record(t, x, v, g)
+            if t - below_since >= dwell:
+                record(t, x, v, g)
                 return rec.build("stationary", build_stats())
         else:
             below_since = None
 
-        if cfg.sample_dt is not None:
+        if sample_dt is not None:
             if t >= next_sample - eps_t:
-                rec.record(t, x, v, g)
+                record(t, x, v, g)
                 while next_sample <= t + eps_t:
-                    next_sample += cfg.sample_dt
-        elif accepted % cfg.sample_stride == 0:
-            rec.record(t, x, v, g)
+                    next_sample += sample_dt
+        elif accepted % sample_stride == 0:
+            record(t, x, v, g)

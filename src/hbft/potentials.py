@@ -320,20 +320,11 @@ def verify_potential_hypotheses(
 # powers run on each row's floats (_by_rows).
 
 
-def _per_axis(parts: list) -> Optional[Callable]:
-    """The float gradient form from one float function per axis, or None
-    beyond dim 2."""
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) == 2:
-        f0, f1 = parts
-        return lambda x0, x1: (f0(x0), f1(x1))
-    return None
-
-
-def _up_to_dim2(dim: int, column: Callable) -> Optional[Callable]:
-    # Beyond dim 2 a sum along rows may add in another order than per row.
-    return column if dim <= 2 else None
+def _up_to_dim2(dim: int, *forms: Callable) -> Optional[Callable]:
+    """The form for ``dim``: ``forms[dim - 1]``, or the one form given, at dim
+    1 and 2; None beyond, where the float kernel does not run and a sum along
+    rows may add in another order than per row."""
+    return forms[min(dim, len(forms)) - 1] if dim <= 2 else None
 
 
 def _by_rows(form: Callable) -> Callable:
@@ -365,7 +356,8 @@ def quadratic(dim: int = 1, scale: float = 1.0) -> Potential:
         hessian_quadform_fn=lambda x, v: scale * float(v @ v),
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
-        float_gradient_fn=_per_axis([lambda xi: scale * xi] * dim),
+        float_gradient_fn=_up_to_dim2(dim, lambda x: scale * x,
+                                      lambda x0, x1: (scale * x0, scale * x1)),
         column_value_fn=_up_to_dim2(dim, lambda x: 0.5 * scale * row_dots(x, x)),
     )
 
@@ -378,6 +370,7 @@ def anisotropic_quadratic(diag=(1.0, 4.0)) -> Potential:
     if not np.all(np.isfinite(d)) or np.any(d <= 0):
         raise ValueError(f"anisotropic_quadratic: all diag entries must be positive and finite, got {d.tolist()}")
     dim = d.size
+    d0, d1 = d.tolist()[0], d.tolist()[-1]
     return Potential(
         name=f"anisotropic_quadratic(diag={d.tolist()})",
         dim=dim,
@@ -386,7 +379,7 @@ def anisotropic_quadratic(diag=(1.0, 4.0)) -> Potential:
         hessian_quadform_fn=lambda x, v: float(d @ (v * v)),
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
-        float_gradient_fn=_per_axis([lambda xi, di=di: di * xi for di in d.tolist()]),
+        float_gradient_fn=_up_to_dim2(dim, lambda x: d0 * x, lambda x0, x1: (d0 * x0, d1 * x1)),
         column_value_fn=_up_to_dim2(dim, lambda x: 0.5 * row_dots(d, x * x)),
     )
 
@@ -460,7 +453,11 @@ def eggcrate(dim: int = 2, amplitude: float = 1.0) -> Potential:
         hessian_quadform_fn=lambda x, v: float(np.sum((1.0 + 2.0 * amp * np.cos(2.0 * x)) * v * v)),
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
-        float_gradient_fn=_per_axis([lambda xi: xi + amp * math.sin(2.0 * xi)] * dim),
+        float_gradient_fn=_up_to_dim2(
+            dim,
+            lambda x: x + amp * math.sin(2.0 * x),
+            lambda x0, x1: (x0 + amp * math.sin(2.0 * x0), x1 + amp * math.sin(2.0 * x1)),
+        ),
         column_value_fn=_up_to_dim2(
             dim, lambda x: 0.5 * row_dots(x, x) + amp * np.sum(np.sin(x) ** 2, axis=1)
         ),
@@ -480,7 +477,7 @@ def flat(dim: int = 1) -> Potential:
         hessian_quadform_fn=lambda x, v: 0.0,
         lower_bound=0.0,
         known_critical_points=(np.zeros(dim),),
-        float_gradient_fn=_per_axis([lambda xi: 0.0] * dim),
+        float_gradient_fn=_up_to_dim2(dim, lambda x: 0.0, lambda x0, x1: (0.0, 0.0)),
         column_value_fn=_up_to_dim2(dim, lambda x: np.zeros(len(x))),
     )
 
@@ -499,6 +496,7 @@ def tilted_plane(slope=(1.0,)) -> Potential:
     if np.linalg.norm(s) == 0.0:
         raise ValueError("tilted_plane: slope must be nonzero (use 'flat' for a level landscape)")
     dim = s.size
+    s0, s1 = s.tolist()[0], s.tolist()[-1]
     return Potential(
         name=f"tilted_plane(slope={s.tolist()})",
         dim=dim,
@@ -508,7 +506,7 @@ def tilted_plane(slope=(1.0,)) -> Potential:
         lower_bound=None,
         known_critical_points=(),
         unbounded_below=True,
-        float_gradient_fn=_per_axis([lambda xi, si=si: si for si in s.tolist()]),
+        float_gradient_fn=_up_to_dim2(dim, lambda x: s0, lambda x0, x1: (s0, s1)),
         column_value_fn=_up_to_dim2(dim, lambda x: row_dots(s, x)),
     )
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -34,8 +36,9 @@ from hbft.cli import (
     write_trajectory_csv,
 )
 from hbft.errors import ConfigError
+from hbft.friction import FrictionSchedule
 
-from conftest import SCENARIO_DIR, SWEEP_DIR, bundled_scenario_paths
+from conftest import REPO_ROOT, SCENARIO_DIR, SWEEP_DIR, bundled_scenario_paths
 
 
 def run_hbft(*args: str) -> subprocess.CompletedProcess:
@@ -374,10 +377,30 @@ def test_schedule_breaking_its_claim_exits_three(tmp_path, scenario_raw):
     assert proc.returncode == 3
     message = "schedule 'linear_growth(rate=1e+308)' claims nonnegativity but produced inf at t=2.0"
     assert proc.stderr == f"integration error: {message}\n"
+    # the samples kept before the failure are written, as for an integrator abort
     report = json.loads((out / "infrate.report.json").read_text())
-    assert report == {"all_passed": False, "error": message, "scenario": "infrate"}
-    # the error leaves no trajectory behind: no CSV and no summary
-    assert sorted(p.name for p in out.iterdir()) == ["infrate.report.json"]
+    assert set(report) == {"all_passed", "error", "scenario", "trajectory"}
+    assert report["all_passed"] is False and report["error"] == message
+    assert report["trajectory"]["termination_reason"] == "aborted"
+    assert report["trajectory"]["t_final"] == 1.5
+    rows = (out / "infrate.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["0.0", "0.5", "1.0", "1.5"]
+    assert rows[-1].split(",")[4] == "1.5e+308"  # lambda
+    summary = (out / "infrate.summary.txt").read_text()
+    assert f"integration error: {message}\n" in summary and summary.endswith("overall: ERROR\n")
+
+
+def test_schedule_broken_at_a_kept_sample_leaves_no_trajectory(tmp_path, scenario_raw):
+    # λ(0) breaks the claim: the partial would hold that sample, so none is built
+    cfg = ScenarioConfig.from_raw(scenario_raw, source="test")
+    cfg.schedule = FrictionSchedule(name="nan_at_0", lam=lambda t: math.nan if t == 0.0 else 1.0)
+    out = tmp_path / "out"
+    result = run_scenario(cfg, out, quiet=True)
+    assert result.exit_code == 3 and result.trajectory is None
+    message = "schedule 'nan_at_0' claims nonnegativity but produced nan at t=0.0"
+    report = json.loads((out / "unit.report.json").read_text())
+    assert report == {"all_passed": False, "error": message, "scenario": "unit"}
+    assert sorted(p.name for p in out.iterdir()) == ["unit.report.json"]
 
 
 def test_dopri45_step_underflow_exits_three_with_partial(tmp_path, scenario_raw, capsys):
@@ -508,7 +531,7 @@ def test_sweep_point_whose_schedule_breaks_its_claim_is_an_integration_error(tmp
     rows = list(csv.DictReader((tmp_path / "sweep" / "sweep_summary.csv").open()))
     assert [r["status"] for r in rows] == ["ok", "integration_error"]
     assert rows[1]["error"].endswith("produced inf at t=2.0")
-    assert rows[1]["final_energy"] == "nan"
+    assert rows[1]["termination"] == "aborted" and rows[1]["final_energy"] == "0.0"
 
 
 def test_sweep_summary_writes_numpy_float_overrides_as_numbers(tmp_path, scenario_raw):
@@ -571,6 +594,24 @@ def test_sweep_cli_subcommand(tmp_path, scenario_raw):
     assert code == 0
     text = (out / "sweep_summary.txt").read_text()
     assert "point_000" in text and "point_001" in text
+
+
+def test_bundled_artifacts_have_their_recorded_digests(bundle_runs):
+    # perfbench/reference.json holds the sha256 of every bundled artifact. Other
+    # Python or numpy builds may round a last bit differently, so it binds only
+    # the versions it was recorded on.
+    reference = json.loads((REPO_ROOT / "perfbench" / "reference.json").read_text())
+    recorded = reference["recorded"]
+    if (platform.python_version(), np.__version__) != (recorded["python"], recorded["numpy"]):
+        pytest.skip(f"digests recorded on Python {recorded['python']}, numpy {recorded['numpy']}")
+    assert sorted(bundle_runs) == sorted(reference["bundle"])
+    checked = 0
+    for name, run in bundle_runs.items():
+        for file_name, digest in reference["bundle"][name]["digests"].items():
+            assert hashlib.sha256((run.out_dir / file_name).read_bytes()).hexdigest() == digest, \
+                file_name
+            checked += 1
+    assert checked == 3 * len(bundle_runs)
 
 
 def test_bundled_sweep_grid_loads():

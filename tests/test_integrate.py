@@ -444,13 +444,39 @@ def test_kernel_matches_generic_path_from_random_starts(case, xv, h, adaptive):
                          ids=["rk4", "dopri45"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_keeps_the_lambda_checks_of_a_custom_schedule(method, dim):
-    # Guard on the λ boundary: the kernel calls lambda_at at every stage, so a
-    # schedule that breaks its nonnegativity claim fails as on the generic path.
+    # Guard on the λ boundary: the kernel checks λ at every stage as lambda_at
+    # does, so a schedule that breaks its nonnegativity claim fails as on the
+    # generic path, with the same samples kept.
     flips = FrictionSchedule(name="flips", lam=lambda t: 1.0 if t <= 0.5 else -1.0)
     kernel, generic = _both(quadratic(dim=dim), flips, [1.0] * dim, [0.0] * dim, t_max=2.0,
                             **method)
     assert isinstance(generic, ScheduleConsistencyError)
     assert type(kernel) is ScheduleConsistencyError and str(kernel) == str(generic)
+    _assert_same_run(kernel.partial, generic.partial)
+    assert kernel.partial.termination_reason == "aborted" and kernel.partial.t[-1] <= 0.5
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.01}, {"method": "dopri45"}],
+                         ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_passes_a_signed_schedule_through(method, dim):
+    # without a nonnegativity claim a negative λ is a value like any other
+    signed = FrictionSchedule(name="signed", lam=lambda t: math.cos(3.0 * t),
+                              claims_nonnegative=False)
+    kernel, generic = _both(quadratic(dim=dim), signed, [1.0] * dim, [0.5] * dim, t_max=2.0,
+                            **method)
+    _assert_same_run(kernel, generic)
+    assert kernel.termination_reason == "t_max" and kernel.lam.min() < 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_schedule_broken_at_a_kept_sample_leaves_no_partial(dim):
+    # λ(0) is NaN: the first sample cannot be built, so the error carries none
+    broken = FrictionSchedule(name="nan_at_0", lam=lambda t: math.nan if t == 0.0 else 1.0)
+    for exc in _both(quadratic(dim=dim), broken, [1.0] * dim, [0.0] * dim, method="rk4",
+                     step=0.1, t_max=1.0):
+        assert type(exc) is ScheduleConsistencyError and getattr(exc, "partial", None) is None
+        assert str(exc) == "schedule 'nan_at_0' claims nonnegativity but produced nan at t=0.0"
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -460,6 +486,8 @@ def test_kernel_reports_a_schedule_that_overflows_to_inf(dim):
                             [0.0] * dim, method="rk4", step=2.0, t_max=4.0)
     assert isinstance(generic, ScheduleConsistencyError) and "inf" in str(generic)
     assert type(kernel) is ScheduleConsistencyError and str(kernel) == str(generic)
+    _assert_same_run(kernel.partial, generic.partial)
+    assert kernel.partial.n_samples == 1
 
 
 @pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.05},
