@@ -87,6 +87,10 @@ class _LineLoader(yaml.SafeLoader):
 
 def _construct_mapping(loader, node, deep=False):
     mapping = yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
+    for key_node, _ in node.value:
+        if not isinstance(key := loader.construct_object(key_node), str):
+            raise yaml.constructor.ConstructorError(
+                None, None, f"config keys must be strings, got {key!r}", key_node.start_mark)
     mapping["__line__"] = node.start_mark.line + 1
     return mapping
 
@@ -100,9 +104,13 @@ def load_config_file(path) -> dict:
     """Parse a YAML config file; mappings carry ``__line__`` markers."""
     path = Path(path)
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
+        text = raw.decode()
     except OSError as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not valid UTF-8: {exc}") from None
     try:
         data = yaml.load(text, Loader=_LineLoader)
     except yaml.YAMLError as exc:
@@ -186,29 +194,24 @@ class _Node:
                 pass
         self.fail(f"expected a number, got {val!r}", key)
 
-    def integer(self, key: str, default=_MISSING) -> int:
-        val = self._get(key, default, "integer")
+    def _typed(self, key: str, default, kind: type, what: str):
+        """The value at ``key``, which must be a ``kind`` (a bool is no int);
+        ``what`` names the kind with its article."""
+        val = self._get(key, default, what.split()[1])
         if val is None:
             return default
-        if isinstance(val, bool) or not isinstance(val, int):
-            self.fail(f"expected an integer, got {val!r}", key)
-        return int(val)
+        if not isinstance(val, kind) or (isinstance(val, bool) and kind is not bool):
+            self.fail(f"expected {what}, got {val!r}", key)
+        return val
+
+    def integer(self, key: str, default=_MISSING) -> int:
+        return self._typed(key, default, int, "an integer")
 
     def boolean(self, key: str, default=_MISSING) -> bool:
-        val = self._get(key, default, "boolean")
-        if val is None:
-            return default
-        if not isinstance(val, bool):
-            self.fail(f"expected a boolean, got {val!r}", key)
-        return val
+        return self._typed(key, default, bool, "a boolean")
 
     def string(self, key: str, default=_MISSING) -> str:
-        val = self._get(key, default, "string")
-        if val is None:
-            return default
-        if not isinstance(val, str):
-            self.fail(f"expected a string, got {val!r}", key)
-        return val
+        return self._typed(key, default, str, "a string")
 
     def number_list(self, key: str, default=_MISSING) -> list[float]:
         val = self._get(key, default, "list of numbers")
@@ -367,6 +370,8 @@ class ScenarioConfig:
                 init_node.fail(
                     f"length {vec.size} does not match potential '{pot_name}' dim {potential.dim}", key
                 )
+            if not np.isfinite(vec).all():
+                init_node.fail(f"components must be finite, got {vec.tolist()}", key)
 
         mech_node = root.child("mechanical", required=False)
         mechanical = None if mech_node is None else _build(mech_node, MechanicalParams)

@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .friction import FrictionSchedule, lambda_values
-from .integrate import Trajectory, gradient_rows
-from .potentials import Potential, row_dots
+from .integrate import Trajectory
+from .potentials import Potential, gradient_rows, row_dots
 
 from .errors import CapabilityError
 
@@ -59,8 +59,7 @@ class CheckRecord:
     details: dict
 
     def __post_init__(self):
-        consistent = bool(self.residual <= self.threshold) == bool(self.passed)
-        if not consistent:
+        if bool(self.residual <= self.threshold) != bool(self.passed):
             raise ValueError(
                 f"check '{self.check_name}': passed={self.passed} contradicts "
                 f"residual={self.residual} vs threshold={self.threshold}"
@@ -130,13 +129,11 @@ class CertificationReport:
 
     def render_lines(self) -> list[str]:
         """Fixed-width pass/fail lines, one per check."""
-        out = []
-        for c in self.checks:
-            verdict = "PASS" if c.passed else "FAIL"
-            out.append(
-                f"[{verdict}] {c.check_name:<24} residual={c.residual:.6g} threshold={c.threshold:.6g}"
-            )
-        return out
+        return [
+            f"[{'PASS' if c.passed else 'FAIL'}] {c.check_name:<24} "
+            f"residual={c.residual:.6g} threshold={c.threshold:.6g}"
+            for c in self.checks
+        ]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -36,13 +36,14 @@ Fast path. When ``field`` is ``functools.partial(hbft_field, p, s)`` for the
 potential at dim 1 and 2) and no reaction is given, the steppers run on
 Python floats (dim 1) or float pairs (dim 2) instead of numpy arrays. The
 arithmetic is the same operation by operation, so the trajectory is the same
-byte for byte; the gradient at the end of a step is reused as the next step's
-first stage, and λ is checked at every stage as ``lambda_at`` checks it. Any
-other field, a custom potential, dim ≥ 3 and the full surface model take the
-generic array path. One loop in :func:`integrate` serves both: the stop rules,
-sampling and recording do not depend on the path. The recorder keeps the
-components of x, v and ∇Φ in flat buffers and builds every other column in one
-pass at the end, Φ through the potential's column form where it has one.
+byte for byte. Each stage calls the float form, which never raises; the
+gradient at the end of a step is reused as the next step's first stage, and λ
+is checked at every stage as ``lambda_at`` checks it. Any other field, a custom
+potential, dim ≥ 3 and the full surface model take the generic array path. One
+loop in :func:`integrate` serves both: the stop rules, sampling and recording
+do not depend on the path. The recorder keeps the components of x, v and ∇Φ in
+flat buffers and builds every other column in one pass at the end, Φ through
+the potential's column form where it has one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import math
 import sys
 from array import array
@@ -61,7 +61,7 @@ import numpy as np
 from .dynamics import PhaseState, hbft_field
 from .errors import DivergenceError, IntegrationError, ScheduleConsistencyError
 from .friction import FrictionSchedule, lambda_values, outside_claim
-from .potentials import Potential, Vector, float_rows, gradient, row_dots, value
+from .potentials import Potential, Vector, gradient, row_dots, value
 
 FieldFn = Callable[[PhaseState], tuple[Vector, Vector]]
 
@@ -331,13 +331,10 @@ class _Arrays(_Cores):
     load = staticmethod(np.copy)
 
     def __init__(self, field: FieldFn, p: Potential):
-        self.field, self.p = field, p
+        self.field, self.grad = field, functools.partial(gradient, p)
 
     def d(self, t, x, v, g=None):
         return self.field(_stage(t, x, v))
-
-    def grad(self, x: Vector) -> Vector:
-        return gradient(self.p, x)
 
     @staticmethod
     def size(a: Vector, r: float) -> float:
@@ -354,13 +351,14 @@ class _Floats(_Cores):
     It repeats the generic path's operations for ``functools.partial(
     hbft_field, p, s)`` on floats, so it gives the same bytes: rk4 is the
     shared core written out per stage. Each stage checks its one ``s.lam``
-    value as ``lambda_at`` does (stage times are never negative).
+    value as ``lambda_at`` does (stage times are never negative). ∇Φ is the
+    potential's float form itself.
     """
 
     put = staticmethod(array.append)
 
-    def __init__(self, p: Potential, s: Optional[FrictionSchedule]):
-        self.p, self.s, self.form = p, s, p.float_gradient_fn
+    def __init__(self, p: Potential, s: FrictionSchedule):
+        self.s, self.grad = s, p.float_gradient_fn
 
     def rk4(self, t: float, x: float, v: float, h: float, g: float) -> tuple:
         s, lam_of, grad, c = self.s, self.s.lam, self.grad, 0.5 * h
@@ -385,20 +383,7 @@ class _Floats(_Cores):
     def d(self, t, x, v, g=None):
         lam = float(self.s.lam(t))
         lam = lam if lam >= 0.0 and lam < _INF else outside_claim(self.s, t, lam)
-        if g is None:
-            g = self.grad(x)
-        return v, -lam * v - g
-
-    def grad(self, x: float) -> float:
-        try:
-            return self.form(x)
-        except (OverflowError, ValueError):
-            return self.numpy_grad(x)[0]
-
-    def numpy_grad(self, x) -> tuple:
-        # Python floats raise where numpy returns inf or nan (x**3, sin(inf));
-        # numpy's values are the reference, so take them.
-        return tuple(gradient(self.p, np.array(self.parts(x))).tolist())
+        return v, -lam * v - (self.grad(x) if g is None else g)
 
     @staticmethod
     def parts(a: float) -> tuple:
@@ -438,17 +423,16 @@ class _Pairs(_Floats):
     Its steppers are the shared cores written out per component: the same
     operations in the same order, without an object per operation. A step
     makes no numpy call unless a size lies within rounding of a threshold
-    or a float raises.
+    or the form falls back to numpy.
     """
 
     put = staticmethod(array.extend)
 
-    def __init__(self, p: Potential, s: Optional[FrictionSchedule]):
-        super().__init__(p, s)
-        self._row = np.empty(2)
+    def __init__(self, p: Potential, s: FrictionSchedule):
+        self.s, self.form, self._row = s, p.float_gradient_fn, np.empty(2)
 
     def rk4(self, t: float, x: tuple, v: tuple, h: float, g: tuple) -> tuple:
-        s, lam_of, grad, c = self.s, self.s.lam, self.grad, 0.5 * h
+        s, lam_of, form, c = self.s, self.s.lam, self.form, 0.5 * h
         (xa, xb), (va, vb), (ga, gb) = x, v, g
         lam = float(lam_of(t))
         lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t, lam)
@@ -456,17 +440,17 @@ class _Pairs(_Floats):
         x2a, x2b, v2a, v2b = xa + c * va, xb + c * vb, va + c * k1a, vb + c * k1b
         lam = float(lam_of(t + c))
         lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + c, lam)
-        ga, gb = grad((x2a, x2b))
+        ga, gb = form(x2a, x2b)
         k2a, k2b = -lam * v2a - ga, -lam * v2b - gb
         x3a, x3b, v3a, v3b = xa + c * v2a, xb + c * v2b, va + c * k2a, vb + c * k2b
         lam = float(lam_of(t + c))
         lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + c, lam)
-        ga, gb = grad((x3a, x3b))
+        ga, gb = form(x3a, x3b)
         k3a, k3b = -lam * v3a - ga, -lam * v3b - gb
         x4a, x4b, v4a, v4b = xa + h * v3a, xb + h * v3b, va + h * k3a, vb + h * k3b
         lam = float(lam_of(t + h))
         lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + h, lam)
-        ga, gb = grad((x4a, x4b))
+        ga, gb = form(x4a, x4b)
         k4a, k4b = -lam * v4a - ga, -lam * v4b - gb
         w = h / 6.0
         return (
@@ -475,7 +459,7 @@ class _Pairs(_Floats):
         )
 
     def dopri(self, t: float, x: tuple, v: tuple, h: float, g: tuple) -> tuple:
-        s, lam_of, grad = self.s, self.s.lam, self.grad
+        s, lam_of, form = self.s, self.s.lam, self.form
         (xa0, xb0), (va0, vb0) = x, v
         kxa: list = []
         kxb: list = []
@@ -490,7 +474,7 @@ class _Pairs(_Floats):
             ti = t + _DP_C[i] * h
             lam = float(lam_of(ti))
             lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, ti, lam)
-            ga, gb = g if i == 0 else grad((xa, xb))
+            ga, gb = g if i == 0 else form(xa, xb)
             kxa.append(va)
             kxb.append(vb)
             kva.append(-lam * va - ga)
@@ -503,10 +487,7 @@ class _Pairs(_Floats):
         )
 
     def grad(self, x: tuple) -> tuple:
-        try:
-            return self.form(*x)
-        except (OverflowError, ValueError):
-            return self.numpy_grad(x)
+        return self.form(*x)
 
     @staticmethod
     def parts(a: tuple) -> tuple:
@@ -554,19 +535,6 @@ def _representation(field, p: Potential, s: FrictionSchedule, reaction):
     ):
         return (_Floats if p.dim == 1 else _Pairs)(p, s)
     return _Arrays(field, p)
-
-
-def gradient_rows(p: Potential, x: np.ndarray) -> np.ndarray:
-    """∇Φ at each row of the (N, dim) array ``x``, the rows ``gradient`` gives:
-    through the float kernel's gradient, numpy fallback included, where ``p``
-    has a float form."""
-    if p.float_gradient_fn is None or p.dim > 2 or x.shape[1] != p.dim:
-        return np.fromiter((gradient(p, xk) for xk in x), (float, (p.dim,)), len(x))
-    if p.dim == 1:
-        rows = itertools.starmap(_Floats(p, None).grad, float_rows(x))
-    else:
-        rows = itertools.chain.from_iterable(map(_Pairs(p, None).grad, float_rows(x)))
-    return np.fromiter(rows, float, x.size).reshape(x.shape)
 
 
 class _Recorder:
@@ -680,10 +648,7 @@ def integrate(
     g = grad(x)
     record(t, x, v, g)
 
-    accepted = 0
-    rejected = 0
-    h_small = math.inf
-    h_big = 0.0
+    accepted, rejected, h_small, h_big = 0, 0, math.inf, 0.0
 
     # Stationarity dwell clock; may start at t=0.
     below_since: Optional[float] = None

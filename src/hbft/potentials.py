@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,9 +57,9 @@ class Potential:
             bound. Such landscapes can be simulated but never certified.
         float_gradient_fn: ∇Φ on Python floats, for dim 1 and 2 only: x ↦ g
             for dim 1, (x₀, x₁) ↦ (g₀, g₁) for dim 2. It must give the doubles
-            ``gradient_fn`` gives; it may raise OverflowError or ValueError
-            where numpy would return inf or nan. With it, ``integrate`` steps
-            the reduced model on floats (see :mod:`hbft.integrate`).
+            ``gradient_fn`` gives, inf and nan included, and must not raise.
+            With it, ``integrate`` steps the reduced model on floats (see
+            :mod:`hbft.integrate`) and :func:`gradient_rows` runs per row.
         column_value_fn: Φ over the rows of an (N, dim) array, (N, dim) →
             (N,), for dim 1 and 2 only. It must give the doubles ``value``
             gives row by row. With it, ``integrate`` builds the energy
@@ -113,6 +114,18 @@ def float_rows(x: np.ndarray):
     Python float per entry at once."""
     for i in range(0, len(x), 4096):
         yield from zip(*x[i : i + 4096].T.tolist())
+
+
+def gradient_rows(p: Potential, x: np.ndarray) -> np.ndarray:
+    """∇Φ at each row of the (N, dim) array ``x``, the rows ``gradient`` gives:
+    through the float form where ``p`` has one."""
+    form = p.float_gradient_fn
+    if form is None or p.dim > 2 or x.shape[1] != p.dim:
+        return np.fromiter((gradient(p, xk) for xk in x), (float, (p.dim,)), len(x))
+    rows = itertools.starmap(form, float_rows(x))
+    if p.dim == 2:
+        rows = itertools.chain.from_iterable(rows)
+    return np.fromiter(rows, float, x.size).reshape(x.shape)
 
 
 def value(p: Potential, x) -> float:
@@ -327,6 +340,29 @@ def _up_to_dim2(dim: int, *forms: Callable) -> Optional[Callable]:
     return forms[min(dim, len(forms)) - 1] if dim <= 2 else None
 
 
+def _whole_dim(name: str, dim) -> int:
+    """``dim`` as an int >= 1: ``2.0`` passes, a bool or ``1.9`` is refused, not truncated."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Real) or not 1 <= dim < math.inf or dim % 1:
+        raise ValueError(f"{name}: dim must be a whole number >= 1, got {dim!r}")
+    return int(dim)
+
+
+def _or_numpy(p: Potential) -> Potential:
+    """``p`` with a float form that gives ``gradient_fn``'s doubles where its
+    own raises: x ** k overflowing and math.sin(inf) raise on floats where
+    numpy gives inf or nan, and numpy's value is the reference."""
+    form, numpy_form = p.float_gradient_fn, p.gradient_fn
+
+    def checked(*x):
+        try:
+            return form(*x)
+        except (OverflowError, ValueError):
+            g = numpy_form(np.array(x)).tolist()
+            return g[0] if len(x) == 1 else tuple(g)
+
+    return p if form is None else dataclasses.replace(p, float_gradient_fn=checked)
+
+
 def _by_rows(form: Callable) -> Callable:
     """The column form of ``form``(x0, ...), which ``value_fn`` calls on a
     row's np.float64 scalars: it runs on each row's Python floats, and on
@@ -343,9 +379,7 @@ def _by_rows(form: Callable) -> Callable:
 
 def quadratic(dim: int = 1, scale: float = 1.0) -> Potential:
     """Isotropic bowl Φ(x) = scale · ½|x|²."""
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"quadratic: dim must be >= 1, got {dim}")
+    dim = _whole_dim("quadratic", dim)
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"quadratic: scale must be positive and finite, got {scale}")
     return Potential(
@@ -405,7 +439,7 @@ def rosenbrock(a: float = 1.0, b: float = 100.0) -> Potential:
         pyy = 2.0 * b
         return pxx * v[0] ** 2 + 2.0 * pxy * v[0] * v[1] + pyy * v[1] ** 2
 
-    return Potential(
+    return _or_numpy(Potential(
         name=f"rosenbrock(a={a:g}, b={b:g})",
         dim=2,
         value_fn=lambda x: phi(x[0], x[1]),
@@ -415,7 +449,7 @@ def rosenbrock(a: float = 1.0, b: float = 100.0) -> Potential:
         known_critical_points=(np.array([a, a * a]),),
         float_gradient_fn=dphi,
         column_value_fn=_by_rows(phi),
-    )
+    ))
 
 
 def double_well() -> Potential:
@@ -424,7 +458,7 @@ def double_well() -> Potential:
     def phi(x0):  # on an np.float64 scalar in value_fn, on a float in the column form
         return 0.25 * x0 ** 4 - 0.5 * x0 ** 2
 
-    return Potential(
+    return _or_numpy(Potential(
         name="double_well",
         dim=1,
         value_fn=lambda x: phi(x[0]),
@@ -434,18 +468,16 @@ def double_well() -> Potential:
         known_critical_points=(np.array([-1.0]), np.array([0.0]), np.array([1.0])),
         float_gradient_fn=lambda x: x ** 3 - x,
         column_value_fn=_by_rows(phi),
-    )
+    ))
 
 
 def eggcrate(dim: int = 2, amplitude: float = 1.0) -> Potential:
     """Rippled bowl Φ(x) = ½|x|² + A Σ sin² xᵢ with A ≥ 0."""
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"eggcrate: dim must be >= 1, got {dim}")
+    dim = _whole_dim("eggcrate", dim)
     if not (amplitude >= 0 and math.isfinite(amplitude)):
         raise ValueError(f"eggcrate: amplitude must be >= 0 and finite, got {amplitude}")
     amp = float(amplitude)
-    return Potential(
+    return _or_numpy(Potential(
         name=f"eggcrate(dim={dim}, amplitude={amp:g})",
         dim=dim,
         value_fn=lambda x: 0.5 * float(x @ x) + amp * float(np.sum(np.sin(x) ** 2)),
@@ -461,14 +493,12 @@ def eggcrate(dim: int = 2, amplitude: float = 1.0) -> Potential:
         column_value_fn=_up_to_dim2(
             dim, lambda x: 0.5 * row_dots(x, x) + amp * np.sum(np.sin(x) ** 2, axis=1)
         ),
-    )
+    ))
 
 
 def flat(dim: int = 1) -> Potential:
     """The trivial landscape Φ ≡ 0 (free motion under friction alone)."""
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"flat: dim must be >= 1, got {dim}")
+    dim = _whole_dim("flat", dim)
     return Potential(
         name=f"flat(dim={dim})",
         dim=dim,

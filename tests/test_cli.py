@@ -79,6 +79,61 @@ def test_wrong_dimension_anchored_to_field(tmp_path, scenario_raw, capsys):
     assert "bad_dim.yaml" in err
 
 
+@pytest.mark.parametrize("key, vec", [
+    ("x0", [math.inf]), ("v0", [-math.inf]), ("x0", [math.nan]),
+    ("x0", ["1e999"]),  # a numeric string the loader coerces to inf
+])
+def test_non_finite_start_anchored_to_field(tmp_path, scenario_raw, capsys, key, vec):
+    scenario_raw["initial"][key] = vec
+    path = write_yaml(tmp_path / "bad_start.yaml", scenario_raw)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad_start.yaml:" in err and f"initial.{key}" in err and "finite" in err
+
+
+def test_sweep_point_with_non_finite_start_fails_up_front(tmp_path, scenario_raw, capsys):
+    base = write_yaml(tmp_path / "base.yaml", scenario_raw)
+    grid = write_yaml(tmp_path / "grid.yaml", {"grid": {"initial.x0": [[1.0], [math.inf]]}})
+    out = tmp_path / "out"
+    assert main(["sweep", str(base), "--grid", str(grid), "--out-dir", str(out), "--quiet"]) == 2
+    assert "initial.x0" in capsys.readouterr().err
+    assert not list(out.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("{1: a, foo: b}\n", 1),  # a root key
+    ("name: x\npotential:\n  name: quadratic\n  params: {dim: 1, 2: 3}\n", 4),
+    ("name: x\ntrue: 1\n", 2),
+], ids=["root", "params", "bool"])
+def test_non_string_key_is_a_config_error(tmp_path, capsys, text, line):
+    path = tmp_path / "keys.yaml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"keys.yaml:{line}:" in err and "keys must be strings" in err
+
+
+def test_non_string_grid_axis_is_a_config_error(tmp_path, scenario_raw, capsys):
+    base = write_yaml(tmp_path / "base.yaml", scenario_raw)
+    grid = tmp_path / "grid.yaml"
+    grid.write_text("grid:\n  1: [1.0]\n")
+    assert main(["sweep", str(base), "--grid", str(grid), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "grid.yaml:2:" in err and "keys must be strings" in err
+
+
+@pytest.mark.parametrize("which", ["config", "grid"])
+def test_file_that_is_not_utf8_is_a_config_error(tmp_path, scenario_raw, capsys, which):
+    base = write_yaml(tmp_path / "base.yaml", scenario_raw)
+    grid = write_yaml(tmp_path / "grid.yaml", {"grid": {"schedule.params.value": [1.0]}})
+    bad = base if which == "config" else grid
+    bad.write_bytes(bad.read_bytes() + b"# caf\xe9\n")
+    n_lines = bad.read_bytes().count(b"\n")
+    assert main(["sweep", str(base), "--grid", str(grid), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad.name}:{n_lines}: not valid UTF-8" in err
+
+
 def test_unknown_key_rejected(tmp_path, scenario_raw, capsys):
     scenario_raw["integrator"]["stepsize"] = 1e-3
     path = write_yaml(tmp_path / "typo.yaml", scenario_raw)

@@ -33,7 +33,7 @@ from hbft.friction import (
     power_decay,
     step,
 )
-from hbft.integrate import _Arrays, _norm, _Recorder, _representation, gradient_rows
+from hbft.integrate import _Arrays, _norm, _Recorder, _representation
 from hbft.potentials import (
     Potential,
     anisotropic_quadratic,
@@ -41,6 +41,7 @@ from hbft.potentials import (
     eggcrate,
     flat,
     gradient,
+    gradient_rows,
     quadratic,
     rosenbrock,
     tilted_plane,

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbft import (
@@ -237,19 +237,31 @@ _FLOAT_FORMS = [
     case=st.sampled_from(range(len(_FLOAT_FORMS))),
     coords=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
 )
+# Python floats raise OverflowError on x**3 and x**2 and ValueError on sin(inf)
+# where numpy gives inf or nan: the forms must give numpy's value there too.
+@example(case=5, coords=[1e110, 0.0])  # double_well
+@example(case=4, coords=[1e160, 0.0])  # rosenbrock
+@example(case=7, coords=[1e307, 1e307])  # eggcrate, dim 2
+@example(case=6, coords=[1e307, 0.0])  # eggcrate, dim 1
+@example(case=7, coords=[1e308, 0.0])  # eggcrate at sin(inf)
 def test_float_gradient_form_gives_the_doubles_of_the_array_form(case, coords):
     p = _FLOAT_FORMS[case]
     x = coords[: p.dim]
     with np.errstate(over="ignore", invalid="ignore"):
         ref = gradient(p, np.array(x)).tolist()
-    try:
         g = p.float_gradient_fn(*x)
-    except (OverflowError, ValueError):
-        # where floats raise, numpy overflows to inf or nan instead
-        assert not all(map(math.isfinite, ref))
-        return
     got = [g] if p.dim == 1 else list(g)
     assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("factory", [quadratic, eggcrate, flat])
+def test_dim_must_be_a_whole_number(factory):
+    # a bool or a fractional dim used to be truncated by int(dim)
+    for bad in (1.9, True, False, 0, -1, 0.5, math.inf, math.nan, "2"):
+        with pytest.raises(ValueError, match="dim must be a whole number"):
+            factory(dim=bad)
+    assert factory(dim=2).dim == factory(dim=2.0).dim == 2
+    assert type(factory(dim=2.0).dim) is int
 
 
 def test_only_dims_one_and_two_get_a_float_form():
