@@ -132,6 +132,10 @@ def strip_line_markers(data):
 
 
 _MISSING = object()
+# kind -> the Python type of its values (a bool is no integer)
+_SCALARS = {"string": str, "integer": int, "boolean": bool}
+# The kind of each field or parameter type a config key may have.
+_KINDS = {str: "string", float: "number", Optional[float]: "number", int: "integer", bool: "boolean"}
 
 
 class _Node:
@@ -171,18 +175,27 @@ class _Node:
             self.fail(f"expected a mapping, got {type(val).__name__}", key)
         return _Node(val, self.source, self._loc(key))
 
-    def _get(self, key: str, default, what: str):
-        """The value at ``key``; None when it is absent or null and ``default`` applies."""
+    def get(self, key: str, kind: str, default=_MISSING):
+        """The value at ``key`` as a ``kind``: "string", "integer", "boolean",
+        "number" (a numeric string is one) or "list of numbers". An absent or
+        null key gives ``default``, and is an error where there is none."""
         val = self.data.get(key)
-        if val is None and default is _MISSING:
-            self.fail(f"required {what} is missing", key)
+        if val is None:
+            if default is _MISSING:
+                self.fail(f"required {kind} is missing", key)
+            return default
+        if kind == "number":
+            return self._number(val, key)
+        if kind == "list of numbers":
+            if not isinstance(val, list) or not val:
+                self.fail(f"expected a nonempty list of numbers, got {val!r}", key)
+            return [self._number(v, key) for v in val]
+        cls = _SCALARS[kind]
+        if not isinstance(val, cls) or (isinstance(val, bool) and cls is not bool):
+            self.fail(f"expected {'an' if kind == 'integer' else 'a'} {kind}, got {val!r}", key)
         return val
 
-    def number(self, key: str, default=_MISSING) -> float:
-        val = self._get(key, default, "number")
-        return default if val is None else self._coerce_number(val, key)
-
-    def _coerce_number(self, val, key) -> float:
+    def _number(self, val, key) -> float:
         if isinstance(val, bool):
             self.fail("expected a number, got a boolean", key)
         if isinstance(val, (int, float)):
@@ -194,46 +207,19 @@ class _Node:
                 pass
         self.fail(f"expected a number, got {val!r}", key)
 
-    def _typed(self, key: str, default, kind: type, what: str):
-        """The value at ``key``, which must be a ``kind`` (a bool is no int);
-        ``what`` names the kind with its article."""
-        val = self._get(key, default, what.split()[1])
-        if val is None:
-            return default
-        if not isinstance(val, kind) or (isinstance(val, bool) and kind is not bool):
-            self.fail(f"expected {what}, got {val!r}", key)
-        return val
-
-    def integer(self, key: str, default=_MISSING) -> int:
-        return self._typed(key, default, int, "an integer")
-
-    def boolean(self, key: str, default=_MISSING) -> bool:
-        return self._typed(key, default, bool, "a boolean")
-
-    def string(self, key: str, default=_MISSING) -> str:
-        return self._typed(key, default, str, "a string")
-
-    def number_list(self, key: str, default=_MISSING) -> list[float]:
-        val = self._get(key, default, "list of numbers")
-        if val is None:
-            return default
-        if not isinstance(val, list) or not val:
-            self.fail(f"expected a nonempty list of numbers, got {val!r}", key)
-        return [self._coerce_number(v, key) for v in val]
-
     def raw(self, key: str, default=None):
         val = self.data.get(key, default)
         return strip_line_markers(val) if isinstance(val, (dict, list)) else val
 
 
-# The getter for each field or parameter type a config key may have.
-_GETTERS = {
-    str: _Node.string,
-    float: _Node.number,
-    Optional[float]: _Node.number,
-    int: _Node.integer,
-    bool: _Node.boolean,
-}
+@functools.cache
+def _keys(fn, n_inputs: int = 0) -> dict:
+    """Key -> (kind, whether it is required) for the parameters of ``fn``
+    after its first ``n_inputs``; a dataclass's parameters are its fields.
+    The kind is None for a type no kind reads (a nested section)."""
+    hints = get_type_hints(fn)
+    params = list(inspect.signature(fn).parameters.values())[n_inputs:]
+    return {p.name: (_KINDS.get(hints[p.name]), p.default is p.empty) for p in params}
 
 
 # --- check registry ----------------------------------------------------------
@@ -254,19 +240,12 @@ _CHECK_CALLS = {
 }
 
 
-def _check_keys(fn, n_inputs: int) -> dict:
-    """YAML key -> (getter for its annotated type, whether it is required)."""
-    hints = get_type_hints(fn)
-    params = list(inspect.signature(fn).parameters.values())[n_inputs:]
-    return {p.name: (_GETTERS[hints[p.name]], p.default is p.empty) for p in params}
-
-
-# check name -> its keys, as _check_keys gives them
-_CHECK_KEYS = {
-    name: _check_keys(globals()[fn], len(inputs)) for name, (fn, inputs) in _CHECK_CALLS.items()
-}
-# horizon defaults to integrator.t_max, filled in at parse time.
-_CHECK_KEYS["friction_bounded"]["horizon"] = (_Node.number, False)
+# check name -> its keys, as _keys gives them; horizon defaults to
+# integrator.t_max, filled in at parse time.
+_CHECK_KEYS = {name: _keys(globals()[fn], len(inputs)) for name, (fn, inputs) in _CHECK_CALLS.items()}
+_CHECK_KEYS["friction_bounded"] = {**_CHECK_KEYS["friction_bounded"], "horizon": ("number", False)}
+# The name a check's record carries, where it is not the check's name.
+_RECORD_NAMES = {"barbalat_sqrt_friction_speed": "barbalat"}
 
 # The allowed range of every check key, tested at parse time: (test, rule).
 _AT_LEAST_ZERO = (lambda v: v >= 0, ">= 0")
@@ -280,17 +259,6 @@ _CHECK_RANGES = {
     "tail_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
     "grid_points": (lambda v: v >= 2, ">= 2"),
 }
-
-
-@dataclasses.dataclass
-class _RunContext:
-    traj: Trajectory
-    p: Potential
-    s: FrictionSchedule
-
-    @property
-    def f(self):
-        return sqrt_friction_speed(self.traj)
 
 
 def _friction_bounded(s: FrictionSchedule, **params) -> CheckRecord:
@@ -308,17 +276,19 @@ def _friction_bounded(s: FrictionSchedule, **params) -> CheckRecord:
     )
 
 
-def _run_check(check: dict, ctx: _RunContext) -> CheckRecord:
+def _run_check(check: dict, traj: Trajectory, p: Potential, s: FrictionSchedule) -> CheckRecord:
     """Run one configured check; a check that raises becomes a failed record."""
     name = check["name"]
     params = {k: v for k, v in check.items() if k != "name"}
     try:
         if name == "friction_bounded":
-            return _friction_bounded(ctx.s, **params)
+            return _friction_bounded(s, **params)
         fn, inputs = _CHECK_CALLS[name]
-        return globals()[fn](*(getattr(ctx, i) for i in inputs), **params)
+        run = {"traj": traj, "p": p, "s": s}
+        args = [sqrt_friction_speed(traj) if i == "f" else run[i] for i in inputs]
+        return globals()[fn](*args, **params)
     except (ValueError, RuntimeError) as exc:
-        return _record(name, math.nan, 0.0, error=str(exc))
+        return _record(_RECORD_NAMES.get(name, name), math.nan, 0.0, error=str(exc))
 
 
 # --- scenario configuration --------------------------------------------------
@@ -353,8 +323,8 @@ class ScenarioConfig:
             {"name", "model", "potential", "schedule", "initial", "mechanical",
              "integrator", "checks", "outputs"}
         )
-        name = root.string("name", default_name)
-        model = root.string("model", "hbft")
+        name = root.get("name", "string", default_name)
+        model = root.get("model", "string", "hbft")
         if model not in ("hbft", "full_surface"):
             root.fail(f"model must be 'hbft' or 'full_surface', got '{model}'", "model")
 
@@ -364,7 +334,7 @@ class ScenarioConfig:
 
         init_node = root.child("initial")
         init_node.require_known({"x0", "v0"})
-        x0, v0 = (np.array(init_node.number_list(key)) for key in ("x0", "v0"))
+        x0, v0 = (np.array(init_node.get(key, "list of numbers")) for key in ("x0", "v0"))
         for key, vec in (("x0", x0), ("v0", v0)):
             if vec.size != potential.dim:
                 init_node.fail(
@@ -392,7 +362,7 @@ class ScenarioConfig:
         formats: tuple[str, ...] = _FORMATS
         if out_node is not None:
             out_node.require_known({"out_dir", "formats"})
-            out_dir = out_node.string("out_dir", None)
+            out_dir = out_node.get("out_dir", "string", None)
             fmt_raw = out_node.raw("formats")
             if fmt_raw is not None:
                 if not isinstance(fmt_raw, list) or not fmt_raw:
@@ -422,7 +392,7 @@ class ScenarioConfig:
 def _from_catalogue(node: _Node, factory):
     """(name, ``factory(name, **params)``) for a ``{name, params}`` section."""
     node.require_known({"name", "params"})
-    name = node.string("name")
+    name = node.get("name", "string")
     params = node.raw("params") or {}
     if not isinstance(params, dict):
         node.fail("expected a mapping of factory parameters", "params")
@@ -432,25 +402,18 @@ def _from_catalogue(node: _Node, factory):
         node.fail(str(exc))
 
 
-@functools.cache
-def _field_getters(cls) -> dict:
-    """Field name of dataclass ``cls`` -> the getter for its type (None if not a scalar)."""
-    hints = get_type_hints(cls)
-    return {f.name: _GETTERS.get(hints[f.name]) for f in dataclasses.fields(cls)}
-
-
 def _build(node: _Node, cls, **given):
     """``cls`` built from ``node``, which may hold one key per dataclass field.
 
-    Each key is read with the getter for its field's type; an absent or null
-    key leaves the field's default. Fields in ``given`` are passed as given.
+    Each key is read as its field's kind; an absent or null key leaves the
+    field's default. Fields in ``given`` are passed as given.
     """
-    getters = _field_getters(cls)
-    node.require_known(getters)
+    keys = _keys(cls)
+    node.require_known(keys)
     kwargs = dict(given)
-    for name, getter in getters.items():
-        if name not in given and node.data.get(name) is not None:
-            kwargs[name] = getter(node, name)
+    for name, (kind, _) in keys.items():
+        if name not in given and (value := node.get(name, kind, None)) is not None:
+            kwargs[name] = value
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -459,7 +422,7 @@ def _build(node: _Node, cls, **given):
 
 def _parse_integrator(node: _Node, model: str) -> IntegratorConfig:
     # Unknown keys here are reported before any fault in the stop section.
-    node.require_known(_field_getters(IntegratorConfig))
+    node.require_known(_keys(IntegratorConfig))
     stop_node = node.child("stop", required=False)
     stop = StopCondition() if stop_node is None else _build(stop_node, StopCondition)
     if stop.halt_on_contact_loss and model != "full_surface":
@@ -480,7 +443,7 @@ def _parse_checks(root: _Node, potential: Potential, t_max: float) -> list[dict]
         if not isinstance(entry, dict):
             root.fail(f"entry {idx} must be a mapping with a 'name'", "checks")
         node = _Node(entry, root.source, f"checks[{idx}]")
-        cname = node.string("name")
+        cname = node.get("name", "string")
         if cname not in _CHECK_KEYS:
             node.fail(f"unknown check '{cname}'; known checks: {sorted(_CHECK_KEYS)}", "name")
         keys = _CHECK_KEYS[cname]
@@ -488,9 +451,8 @@ def _parse_checks(root: _Node, potential: Potential, t_max: float) -> list[dict]
         params = {}
         # required keys first, each group in sorted order
         for key in sorted(keys, key=lambda k: (not keys[k][1], k)):
-            getter, required = keys[key]
-            if required or key in node.data:
-                value = getter(node, key)
+            kind, required = keys[key]
+            if (value := node.get(key, kind, _MISSING if required else None)) is not None:
                 test, rule = _CHECK_RANGES[key]
                 if not test(value):
                     node.fail(f"must be {rule}, got {value!r}", key)
@@ -651,10 +613,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
         traj, error = getattr(exc, "partial", None), str(exc)
     meta = None if traj is None else _trajectory_meta(cfg, traj)
     if error is None:
-        ctx = _RunContext(traj=traj, p=cfg.potential, s=cfg.schedule)
         # as in integrate, a diverged run's overflows are values to judge, not warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            records = [_run_check(check, ctx) for check in cfg.checks]
+            records = [_run_check(check, traj, cfg.potential, cfg.schedule) for check in cfg.checks]
         report = CertificationReport(checks=records, trajectory_meta=meta)
     else:
         error_report = {"scenario": cfg.name, "error": error, "all_passed": False}
@@ -768,7 +729,7 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
     """Run every grid point, write per-point artifacts plus aggregate tables.
 
     Points are validated up front (a bad axis name fails fast), then run
-    either serially (workers=1) or on a process pool. Rows are assembled in
+    serially or on a pool of at most one process per point. Rows are in
     grid order regardless of completion order, so the aggregate files are
     deterministic. Returns the worst exit code across points.
     """
@@ -782,6 +743,8 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
     cfgs = [ScenarioConfig.from_raw(merged, source=f"{source}[{point}]", default_name=point)
             for point, (_, merged) in zip(names, points)]
     jobs = (cfgs, names, [overrides for overrides, _ in points], [out_dir / n for n in names])
+    # a fork pool starts all its processes on the first submit
+    workers = min(workers, len(points))
     if workers <= 1:
         rows = list(map(_sweep_worker, *jobs))
     else:
@@ -868,9 +831,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationError as exc:
-        print(f"integration error: {exc}", file=sys.stderr)
-        return 3
 
 
 def entry() -> None:

@@ -297,6 +297,100 @@ def test_check_values_at_range_edges_are_accepted(tmp_path, scenario_raw):
     assert main(["validate", str(path)]) == 0
 
 
+# A valid scenario, one section a line, so each refusal below has a known line.
+_SECTIONS = {
+    "name": "unit",
+    "model": "hbft",
+    "potential": "{name: quadratic, params: {dim: 1}}",
+    "schedule": "{name: constant, params: {value: 1.0}}",
+    "initial": "{x0: [1.0], v0: [0.0]}",
+    "integrator": "{method: rk4, step: 1.0e-3, t_max: 0.5}",
+    "checks": "[{name: energy_monotone}]",
+}
+
+
+def _scenario_text(**sections) -> str:
+    """``_SECTIONS`` with ``sections`` replaced or appended (from line 8); None drops one."""
+    merged = {**_SECTIONS, **sections}
+    return "".join(f"{key}: {text}\n" for key, text in merged.items() if text is not None)
+
+
+_GRID = "grid: {schedule.params.value: [1.0]}\n"
+
+# refusal -> (config text, grid text or None to only validate, extra sweep flags,
+#             the stderr line after "config error: ")
+LOADER_REFUSALS = {
+    "root_not_a_mapping": ("- 1\n", None, [], "{config}: config root must be a mapping"),
+    "missing_section": (_scenario_text(initial=None), None, [],
+                        "{config}:1: initial: required section is missing"),
+    "section_not_a_mapping": (_scenario_text(integrator="5"), None, [],
+                              "{config}:1: integrator: expected a mapping, got int"),
+    "x0_scalar": (_scenario_text(initial="{x0: 1.0, v0: [0.0]}"), None, [],
+                  "{config}:5: initial.x0: expected a nonempty list of numbers, got 1.0"),
+    "x0_empty": (_scenario_text(initial="{x0: [], v0: [0.0]}"), None, [],
+                 "{config}:5: initial.x0: expected a nonempty list of numbers, got []"),
+    "unknown_model": (_scenario_text(model="foo"), None, [],
+                      "{config}:1: model: model must be 'hbft' or 'full_surface', got 'foo'"),
+    "no_formats": (_scenario_text(outputs="{formats: []}"), None, [],
+                   "{config}:8: outputs.formats: expected a nonempty list of formats"),
+    "unknown_format": (_scenario_text(outputs="{formats: [pdf]}"), None, [],
+                       "{config}:8: outputs.formats: unknown formats ['pdf']; "
+                       "allowed: ['csv', 'report', 'summary']"),
+    "params_not_a_mapping": (_scenario_text(potential="{name: quadratic, params: [1]}"), None, [],
+                             "{config}:3: potential.params: expected a mapping of factory parameters"),
+    "negative_mass": (_scenario_text(mechanical="{mass: -1}"), None, [],
+                      "{config}:8: mechanical: mass must be positive and finite, got -1.0"),
+    "contact_loss_on_reduced_model": (
+        _scenario_text(integrator="{method: rk4, step: 1.0e-3, t_max: 0.5, "
+                                  "stop: {halt_on_contact_loss: true}}"), None, [],
+        "{config}:6: integrator.stop: halt_on_contact_loss needs the full_surface model "
+        "(the reduced model has no reaction force)"),
+    "checks_not_a_list": (_scenario_text(checks="5"), None, [],
+                          "{config}:1: checks: expected a list of check entries"),
+    "check_not_a_mapping": (_scenario_text(checks="[5]"), None, [],
+                            "{config}:1: checks: entry 0 must be a mapping with a 'name'"),
+    "unknown_check": (_scenario_text(checks="[{name: nope}]"), None, [],
+                      f"{{config}}:7: checks[0].name: unknown check 'nope'; "
+                      f"known checks: {sorted(CHECK_GRAMMAR)}"),
+    "null_required_check_key": (
+        _scenario_text(checks="[{name: barbalat_sqrt_friction_speed, l2_budget: ~, "
+                              "linf_budget: 1.5, dot_budget: 1.5}]"), None, [],
+        "{config}:7: checks[0].l2_budget: required number is missing"),
+    "empty_grid": (_scenario_text(), "grid: {}\n", [],
+                   "{grid}:1: grid: grid must contain at least one parameter axis"),
+    "axis_not_a_list": (_scenario_text(), "grid: {schedule.params.value: 1.0}\n", [],
+                        "{grid}:1: grid.schedule.params.value: each axis needs a nonempty list of values"),
+    "zero_workers": (_scenario_text(), _GRID, ["--workers", "0"], "--workers must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("config, grid, flags, message", LOADER_REFUSALS.values(),
+                         ids=list(LOADER_REFUSALS))
+def test_loader_refusal_is_an_anchored_config_error(tmp_path, capsys, config, grid, flags, message):
+    config_path, grid_path = tmp_path / "scenario.yaml", tmp_path / "grid.yaml"
+    config_path.write_text(config)
+    argv = ["validate", str(config_path)]
+    if grid is not None:
+        grid_path.write_text(grid)
+        argv = ["sweep", str(config_path), "--grid", str(grid_path),
+                "--out-dir", str(tmp_path / "out"), "--quiet", *flags]
+    assert main(argv) == 2
+    expected = message.format(config=config_path, grid=grid_path)
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_optional_check_key_takes_the_default(tmp_path, scenario_raw):
+    # as for the integrator, stop and mechanical keys: null means "use the default"
+    reports = {}
+    for label, entry in {"omitted": {}, "null": {"tol": None}}.items():
+        scenario_raw["checks"] = [{"name": "energy_monotone", **entry}]
+        path = write_yaml(tmp_path / f"{label}.yaml", scenario_raw)
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / label), "--quiet"]) == 0
+        reports[label] = (tmp_path / label / "unit.report.json").read_bytes()
+    assert reports["null"] == reports["omitted"]
+
+
 def test_readme_scenario_block_is_valid():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     start = readme.index("```yaml\n", readme.index("## Scenario files")) + len("```yaml\n")
@@ -319,6 +413,15 @@ def test_simulate_writes_all_outputs(tmp_path, scenario_file, capsys):
     report = json.loads((out / "unit.report.json").read_text())
     assert report["all_passed"] is True
     assert report["checks"][0]["check_name"] == "energy_monotone"
+
+
+def test_simulate_writes_only_the_requested_formats(tmp_path, scenario_raw, capsys):
+    scenario_raw["outputs"] = {"formats": ["report"]}
+    path = write_yaml(tmp_path / "unit.yaml", scenario_raw)
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["unit.report.json"]
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_simulate_quiet_silences_stdout(tmp_path, scenario_file, capsys):
@@ -488,6 +591,24 @@ def test_raising_check_becomes_a_failed_record(tmp_path, scenario_file, monkeypa
     assert record["details"]["error"] == "broken check"
 
 
+def test_raising_barbalat_check_keeps_its_record_name(tmp_path, scenario_raw):
+    # diverged at t=0: one sample, on which the check raises
+    scenario_raw["name"] = "diverged"
+    scenario_raw["potential"] = {"name": "double_well"}
+    scenario_raw["initial"]["x0"] = [1.0e110]
+    scenario_raw["checks"] = [{"name": "barbalat_sqrt_friction_speed", "l2_budget": 10.0,
+                               "linf_budget": 1.5, "dot_budget": 1.5}]
+    path = write_yaml(tmp_path / "diverged.yaml", scenario_raw)
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out-dir", str(out), "--quiet"]) == 1
+    (record,) = json.loads((out / "diverged.report.json").read_text())["checks"]
+    # the name barbalat_check gives the record when it runs
+    assert record["check_name"] == "barbalat" and record["passed"] is False
+    assert record["details"]["error"] == "barbalat check needs at least 2 samples"
+    summary = (out / "diverged.summary.txt").read_text()
+    assert "[FAIL] barbalat                 residual=nan threshold=0\n" in summary
+
+
 def test_overflowing_run_ends_diverged_without_traceback(tmp_path, scenario_raw):
     # The first RK4 stage overflows; the run must end as diverged at the
     # last finite state, through the normal report path.
@@ -625,6 +746,34 @@ def test_sweep_parallel_matches_serial(tmp_path, scenario_raw):
     # two aggregate tables, then a CSV, a report and a summary per point
     assert len(serial) == 2 + 3 * 3
     assert files(tmp_path / "par") == serial
+
+
+def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, scenario_raw, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size asked for and maps in process: no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(hbft.cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    base = _sweep_base(scenario_raw)
+    grid = {"schedule.params.value": [0.5, 1.0, 2.0]}
+    assert run_sweep(base, grid, out_dir=tmp_path / "a", workers=64, quiet=True, source="t") == 0
+    assert run_sweep(base, {"schedule.params.value": [1.0]}, out_dir=tmp_path / "b", workers=64,
+                     quiet=True, source="t") == 0
+    # a one-point grid runs serially
+    assert sizes == [3]
 
 
 def test_serial_sweep_parses_each_point_once(tmp_path, scenario_raw, monkeypatch):
