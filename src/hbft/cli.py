@@ -72,8 +72,9 @@ from .potentials import Potential, builtin_potentials, make_potential
 
 OUT_DIR_ENV = "HBFT_OUT_DIR"
 _FORMATS = ("csv", "report", "summary")
-# Rows per write of the trajectory CSV: bounds the memory of a long run's text.
-_CSV_BLOCK_ROWS = 1024
+# Rows per block of the trajectory CSV: bounds the memory of a long run's text;
+# larger blocks bought no speed and left a higher peak RSS after the bundled runs.
+_CSV_BLOCK_ROWS = 256
 # list command -> the catalogue it prints
 _CATALOGUES = {"list-potentials": builtin_potentials, "list-schedules": builtin_schedules}
 
@@ -481,27 +482,35 @@ def _parse_checks(root: _Node, potential: Potential, t_max: float) -> list[dict]
 
 
 def csv_header(dim: int) -> list[str]:
-    return (
-        ["t"]
-        + [f"x_{i}" for i in range(dim)]
-        + [f"v_{i}" for i in range(dim)]
-        + ["E", "lambda", "grad_norm", "dissipation"]
-    )
+    return ["t", *(f"x_{i}" for i in range(dim)), *(f"v_{i}" for i in range(dim)),
+            "E", "lambda", "grad_norm", "dissipation"]
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Write the fixed-column trajectory CSV (repr floats, LF line ends).
 
-    Rows go out a block at a time. ``tolist()`` yields the Python floats
-    ``float()`` of each cell would, and ``csv.writer`` never quotes a float's
-    ``repr``, so the bytes are those of one ``csv.writer`` row per sample.
+    Rows go out a block at a time, formatted a column at a time: ``tolist()``
+    yields the Python floats ``float()`` of each cell would, and a column
+    whose cells all have the same bits gets one ``repr``. ``csv.writer`` never
+    quotes a float's ``repr``, so the bytes are those of one ``csv.writer``
+    row per sample.
     """
-    columns = (traj.t, traj.x, traj.v, traj.energy, traj.lam, traj.grad_norm, traj.dissipation)
+    columns = [traj.t, *traj.x.T, *traj.v.T, traj.energy, traj.lam, traj.grad_norm,
+               traj.dissipation]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(csv_header(traj.dim)) + "\n")
         for start in range(0, traj.n_samples, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
+            _write_csv_block(fh, [c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+
+
+def _write_csv_block(fh, columns: list[np.ndarray]) -> None:
+    block = np.array(columns, dtype=float)
+    # bits, not ==: 0.0 == -0.0, but their reprs differ
+    same = (block.view(np.uint64) == block[:, :1].view(np.uint64)).all(axis=1)
+    cells = [[repr(col[0])] * len(col) if s else list(map(repr, col))
+             for col, s in zip(block.tolist(), same)]
+    fh.write("\n".join(map(",".join, zip(*cells))))
+    fh.write("\n")
 
 
 def _trajectory_meta(cfg: ScenarioConfig, traj: Trajectory) -> dict:
@@ -642,21 +651,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
 
 
 def _apply_override(raw: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
+    *parents, last = dotted.split(".")
     node = raw
-    for key in keys[:-1]:
-        nxt = node.get(key)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[key] = nxt
-        node = nxt
-    node[keys[-1]] = value
+    for key in parents:
+        if not isinstance(node.get(key), dict):
+            node[key] = {}
+        node = node[key]
+    node[last] = value
 
 
 def load_sweep_grid(path) -> dict[str, list]:
     """Parse a sweep grid file: mapping ``grid: {dotted.key: [values]}``."""
-    raw = load_config_file(path)
-    node = _Node(raw, str(path))
+    node = _Node(load_config_file(path), str(path))
     node.require_known({"grid"})
     grid_node = node.child("grid")
     keys = grid_node.keys()
@@ -822,12 +828,18 @@ def main(argv: Optional[list[str]] = None) -> int:
                   f"schedule {cfg.schedule.name})")
             return 0
         out_dir = _resolve_out_dir(args.out_dir, cfg.out_dir)
+        if args.command == "sweep":
+            if args.workers < 1:
+                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+            grid = load_sweep_grid(args.grid)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory '{out_dir}': {exc.strerror}") from None
         if args.command == "simulate":
             return run_scenario(cfg, out_dir, quiet=args.quiet).exit_code
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        return run_sweep(cfg.raw, load_sweep_grid(args.grid), out_dir, workers=args.workers,
-                         quiet=args.quiet, source=args.config)
+        return run_sweep(cfg.raw, grid, out_dir, workers=args.workers, quiet=args.quiet,
+                         source=args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

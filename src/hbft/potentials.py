@@ -104,7 +104,10 @@ def _as_point(p: Potential, x, name: str = "x") -> Vector:
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a·b per row of (N, dim) arrays (or of one and a (dim,) row), in one
-    batched matmul that takes numpy's dot per row, as ``a @ b`` on rows does."""
+    batched matmul that takes numpy's dot per row, as ``a @ b`` on rows does;
+    at dim 1, the product plus 0.0, as the dot's ``0 + a*b`` (-0.0 -> +0.0)."""
+    if a.shape[-1] == 1:
+        return a[..., 0] * b[..., 0] + 0.0
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 

@@ -483,6 +483,32 @@ def test_csv_matches_per_row_csv_writer(tmp_path_factory, dim, rows, pool, seed)
     assert (out / "fast.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
 
+@pytest.mark.parametrize("rows", [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("same", [math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324])
+def test_csv_matches_per_row_csv_writer_on_block_constant_columns(tmp_path, rows, same):
+    # columns constant over a block, or nearly: each must keep the bytes of
+    # one csv.writer row per sample
+    k = np.arange(rows)
+    const = np.full(rows, same)
+    but_last = np.where((k == rows - 1) | (k % _CSV_BLOCK_ROWS == _CSV_BLOCK_ROWS - 1), 1.5, same)
+    first_block_only = np.where(k < _CSV_BLOCK_ROWS, same, 0.1 * k)
+    signed_zeros = np.where(k % 3 == 0, -0.0, 0.0)
+    traj = Trajectory(
+        t=(k / 3).astype(np.float32),
+        x=np.column_stack([const, signed_zeros]),
+        v=np.column_stack([but_last, first_block_only]),
+        energy=k // 7,  # an int column
+        lam=const,
+        grad_norm=np.full(rows, same, dtype=np.float32),
+        dissipation=np.ones(rows, dtype=int),
+        termination_reason="t_max",
+        step_stats=StepStats(accepted=rows, rejected=0, smallest_step=0.1, largest_step=0.1),
+    )
+    write_trajectory_csv(traj, tmp_path / "fast.csv")
+    _reference_csv(traj, tmp_path / "reference.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_check_failure_exits_one(tmp_path, scenario_raw, capsys):
     # unbounded friction growth against a finite cap must fail the run
     scenario_raw["name"] = "growth"
@@ -656,6 +682,24 @@ def test_out_dir_env_var_honored(tmp_path, scenario_file, monkeypatch):
     monkeypatch.setenv(OUT_DIR_ENV, str(target))
     assert main(["simulate", str(scenario_file), "--quiet"]) == 0
     assert (target / "unit.csv").exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a_file", "under_a_file"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unusable_out_dir_is_a_config_error(tmp_path, scenario_file, capsys, command, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    target = blocker / under if under else blocker
+    argv = [command, str(scenario_file), "--out-dir", str(target)]
+    if command == "sweep":
+        grid = write_yaml(tmp_path / "grid.yaml", {"grid": {"schedule.params.value": [1.0]}})
+        argv += ["--grid", str(grid)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before anything ran
+    assert err.startswith(f"config error: cannot create output directory '{target}': ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_runs_are_byte_deterministic(tmp_path, scenario_file):

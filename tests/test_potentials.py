@@ -30,6 +30,7 @@ from hbft.potentials import (
     flat,
     quadratic,
     rosenbrock,
+    row_dots,
     tilted_plane,
 )
 
@@ -320,3 +321,26 @@ def test_only_dims_one_and_two_get_a_column_form():
     for p in (quadratic(dim=3), eggcrate(dim=3), flat(dim=3), tilted_plane(slope=(1.0, 2.0, 3.0)),
               anisotropic_quadratic(diag=(1.0, 2.0, 3.0))):
         assert p.column_value_fn is None
+
+
+_DOT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-200, -1e-200, 1e200, -1e200,
+              math.inf, -math.inf, math.nan, 1.0, -3.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(st.one_of(st.sampled_from(_DOT_EDGES), st.floats()), min_size=1, max_size=40),
+    b=st.lists(st.one_of(st.sampled_from(_DOT_EDGES), st.floats()), min_size=1, max_size=40),
+)
+def test_row_dots_at_dim_one_gives_the_doubles_of_the_matmul(a, b):
+    # the dim-1 product must match the batched matmul bit for bit, the sign
+    # of a zero from a mixed-sign product included
+    n = min(len(a), len(b))
+    a = np.array(a[:n])[:, None]
+    b = np.array(b[:n])[:, None]
+    with np.errstate(all="ignore"):
+        for left, right in ((a, b), (a, b[0]), (a, a)):
+            want = np.matmul(left[..., None, :], right[..., :, None])[..., 0, 0]
+            got = row_dots(left, right)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
