@@ -71,7 +71,8 @@ from .integrate import IntegratorConfig, StopCondition, Trajectory, integrate
 from .potentials import Potential, builtin_potentials, make_potential
 
 OUT_DIR_ENV = "HBFT_OUT_DIR"
-_FORMATS = ("csv", "report", "summary")
+# output format -> the suffix of its artifact after the scenario name
+_ARTIFACTS = {"csv": ".csv", "report": ".report.json", "summary": ".summary.txt"}
 # Rows per block of the trajectory CSV: bounds the memory of a long run's text;
 # larger blocks bought no speed and left a higher peak RSS after the bundled runs.
 _CSV_BLOCK_ROWS = 256
@@ -360,7 +361,7 @@ class ScenarioConfig:
         checks = _parse_checks(root, potential, integrator.t_max)
         out_node = root.child("outputs", required=False)
         out_dir = None
-        formats: tuple[str, ...] = _FORMATS
+        formats: tuple[str, ...] = tuple(_ARTIFACTS)
         if out_node is not None:
             out_node.require_known({"out_dir", "formats"})
             out_dir = out_node.get("out_dir", "string", None)
@@ -368,9 +369,9 @@ class ScenarioConfig:
             if fmt_raw is not None:
                 if not isinstance(fmt_raw, list) or not fmt_raw:
                     out_node.fail("expected a nonempty list of formats", "formats")
-                bad = [f for f in fmt_raw if f not in _FORMATS]
+                bad = [f for f in fmt_raw if f not in _ARTIFACTS]
                 if bad:
-                    out_node.fail(f"unknown formats {bad}; allowed: {list(_FORMATS)}", "formats")
+                    out_node.fail(f"unknown formats {bad}; allowed: {list(_ARTIFACTS)}", "formats")
                 formats = tuple(fmt_raw)
 
         return ScenarioConfig(
@@ -595,6 +596,10 @@ def _bind_field(cfg: ScenarioConfig):
     return functools.partial(hbft_field, p, s), None
 
 
+def _artifact_paths(cfg: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
+    return {fmt: out_dir / f"{cfg.name}{suffix}" for fmt, suffix in _ARTIFACTS.items()}
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioResult:
     """Integrate one scenario, run its checks, and write the artifacts.
 
@@ -605,11 +610,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "csv": out_dir / f"{cfg.name}.csv",
-        "report": out_dir / f"{cfg.name}.report.json",
-        "summary": out_dir / f"{cfg.name}.summary.txt",
-    }
+    paths = _artifact_paths(cfg, out_dir)
     field, reaction = _bind_field(cfg)
     initial = PhaseState(t=0.0, x=cfg.x0.copy(), v=cfg.v0.copy())
 
@@ -837,6 +838,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory '{out_dir}': {exc.strerror}") from None
         if args.command == "simulate":
+            for fmt, path in _artifact_paths(cfg, out_dir).items():
+                if fmt in cfg.formats and path.is_dir():
+                    raise ConfigError(f"cannot write '{path}': it is a directory")
             return run_scenario(cfg, out_dir, quiet=args.quiet).exit_code
         return run_sweep(cfg.raw, grid, out_dir, workers=args.workers, quiet=args.quiet,
                          source=args.config)

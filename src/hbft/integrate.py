@@ -34,14 +34,14 @@ result.
 Fast path. When ``field`` is ``functools.partial(hbft_field, p, s)`` for the
 ``p`` and ``s`` passed in, ``p`` has a float gradient form (every builtin
 potential at dim 1 and 2) and no reaction is given, the steppers run on
-Python floats (dim 1) or float pairs (dim 2) instead of numpy arrays. The
-arithmetic is the same operation by operation, so the trajectory is the same
-byte for byte. Each stage calls the float form, which never raises; the
-gradient at the end of a step is reused as the next step's first stage, and λ
-is checked at every stage as ``lambda_at`` checks it. Any other field, a custom
-potential, dim ≥ 3 and the full surface model take the generic array path. One
-loop in :func:`integrate` serves both: the stop rules, sampling and recording
-do not depend on the path. The recorder keeps the components of x, v and ∇Φ in
+Python floats (dim 1) or float pairs (dim 2) instead of numpy arrays, with the
+same arithmetic operation by operation, so the trajectory is the same byte for
+byte. Each stage calls the float form, which never raises; the gradient at the
+end of a step is reused as the next step's first stage, and λ is checked at
+every stage as ``lambda_at`` checks it. Any other field, a custom potential,
+dim ≥ 3 and the full surface model take the generic array path. rk4 at dim 1
+runs in :func:`_rk4_floats`, one frame per step; every other case shares the
+loop in :func:`integrate`. The recorder keeps the components of x, v and ∇Φ in
 flat buffers and builds every other column in one pass at the end, Φ through
 the potential's column form where it has one.
 """
@@ -200,6 +200,7 @@ class Trajectory:
 
 _stage = PhaseState._trusted
 _INF = math.inf
+_OUT_OF_STEPS = "step budget exhausted: {0.max_steps} steps before reaching t_max={0.t_max}"
 
 
 def _norm(a: Vector) -> float:
@@ -314,17 +315,7 @@ def _initial_step(f: FieldFn, t: float, x: Vector, v: Vector, cfg: IntegratorCon
 # error ratio and how a state is appended to the recorder's buffers.
 
 
-class _Cores:
-    """rk4 and dopri45 through the shared cores, on the field ``self.d``."""
-
-    def rk4(self, t: float, x, v, h: float, g):
-        return _rk4_core(self.d, t, x, v, h, g)
-
-    def dopri(self, t: float, x, v, h: float, g):
-        return _dopri_core(self.d, t, x, v, h, g)
-
-
-class _Arrays(_Cores):
+class _Arrays:
     """The generic path: (dim,) arrays through the caller's field."""
 
     finite, error_ratio = staticmethod(_finite), staticmethod(_error_ratio)
@@ -332,6 +323,12 @@ class _Arrays(_Cores):
 
     def __init__(self, field: FieldFn, p: Potential):
         self.field, self.grad = field, functools.partial(gradient, p)
+
+    def rk4(self, t: float, x, v, h: float, g):
+        return _rk4_core(self.d, t, x, v, h, g)
+
+    def dopri(self, t: float, x, v, h: float, g):
+        return _dopri_core(self.d, t, x, v, h, g)
 
     def d(self, t, x, v, g=None):
         return self.field(_stage(t, x, v))
@@ -345,40 +342,20 @@ class _Arrays(_Cores):
         buf.fromlist(a.tolist())  # array.extend would take a numpy scalar per entry
 
 
-class _Floats(_Cores):
+class _Floats:
     """The float kernel for dim 1: the reduced model on Python floats.
 
     It repeats the generic path's operations for ``functools.partial(
-    hbft_field, p, s)`` on floats, so it gives the same bytes: rk4 is the
-    shared core written out per stage. Each stage checks its one ``s.lam``
-    value as ``lambda_at`` does (stage times are never negative). ∇Φ is the
-    potential's float form itself.
+    hbft_field, p, s)`` on floats, so it gives the same bytes: dopri45 runs
+    the shared core on the field ``d``, and rk4 runs in :func:`_rk4_floats`.
+    Each stage checks its one ``s.lam`` value as ``lambda_at`` does (stage
+    times are never negative). ∇Φ is the potential's float form itself.
     """
 
-    put = staticmethod(array.append)
+    put, dopri = staticmethod(array.append), _Arrays.dopri
 
     def __init__(self, p: Potential, s: FrictionSchedule):
         self.s, self.grad = s, p.float_gradient_fn
-
-    def rk4(self, t: float, x: float, v: float, h: float, g: float) -> tuple:
-        s, lam_of, grad, c = self.s, self.s.lam, self.grad, 0.5 * h
-        lam = float(lam_of(t))
-        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t, lam)
-        k1 = -lam * v - g
-        x2, v2 = x + c * v, v + c * k1
-        lam = float(lam_of(t + c))
-        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + c, lam)
-        k2 = -lam * v2 - grad(x2)
-        x3, v3 = x + c * v2, v + c * k2
-        lam = float(lam_of(t + c))
-        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + c, lam)
-        k3 = -lam * v3 - grad(x3)
-        x4, v4 = x + h * v3, v + h * k3
-        lam = float(lam_of(t + h))
-        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + h, lam)
-        k4 = -lam * v4 - grad(x4)
-        w = h / 6.0
-        return x + w * (v + 2.0 * v2 + 2.0 * v3 + v4), v + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def d(self, t, x, v, g=None):
         lam = float(self.s.lam(t))
@@ -581,6 +558,95 @@ class _Recorder:
             step_stats=stats,
         )
 
+    def finish(self, reason: str, stats: StepStats, t: float, x, v, g) -> Trajectory:
+        self.record(t, x, v, g)
+        return self.build(reason, stats)
+
+    def abort(self, message: str, stats: StepStats) -> IntegrationError:
+        return IntegrationError(message, partial=self.build("aborted", stats))
+
+    def attach(self, exc: ScheduleConsistencyError, stats: StepStats) -> None:
+        """Give ``exc`` the run so far, unless λ is broken at a sample too."""
+        with contextlib.suppress(ScheduleConsistencyError):
+            exc.partial = self.build("aborted", stats)
+
+
+def _stats(accepted: int, rejected: int, h_small: float, h_big: float) -> StepStats:
+    return StepStats(accepted, rejected, *((h_small, h_big) if accepted else (0.0, 0.0)))
+
+
+def _rk4_floats(model: _Floats, rec: _Recorder, cfg: IntegratorConfig, x: float, v: float,
+                g: float, below_since: Optional[float]) -> Trajectory:
+    """integrate's loop around ``_rk4_core`` on ``_Floats.d``, the same operations
+    in the same order, in one frame: no call per step but λ and ∇Φ. Samples go
+    straight to the buffers, as t grows on every step (only the last may repeat)."""
+    s, lam_of, grad, isfinite, sqrt = model.s, model.s.lam, model.grad, math.isfinite, math.sqrt
+    tol, dwell, radius = cfg.stop.stationarity_tol, cfg.stop.dwell, cfg.stop.divergence_radius
+    t_max, max_steps, sample_dt, stride = cfg.t_max, cfg.max_steps, cfg.sample_dt, cfg.sample_stride
+    eps_t = 1e-12 * max(1.0, t_max)
+    put_t, put_x, put_v, put_g = rec.t.append, rec.x.append, rec.v.append, rec.g.append
+    h = float(cfg.step)
+    # remaining only shrinks, so the first step is the longest and the last the shortest
+    t, t_comp, next_sample, accepted, h_small, h_big = 0.0, 0.0, sample_dt, 0, _INF, min(h, t_max)
+    while (remaining := t_max - t) > eps_t:
+        if accepted >= max_steps:
+            raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, 0, h_small, h_big))
+        hs = h if h < remaining else remaining
+        c, tc, th = 0.5 * hs, t + 0.5 * hs, t + hs
+        try:
+            lam = float(lam_of(t))
+            lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t, lam)
+            k1 = -lam * v - g
+            x2, v2 = x + c * v, v + c * k1
+            lam = float(lam_of(tc))
+            lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, tc, lam)
+            k2 = -lam * v2 - grad(x2)
+            x3, v3 = x + c * v2, v + c * k2
+            lam = float(lam_of(tc))
+            lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, tc, lam)
+            k3 = -lam * v3 - grad(x3)
+            x4, v4 = x + hs * v3, v + hs * k3
+            lam = float(lam_of(th))
+            lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, th, lam)
+            k4 = -lam * v4 - grad(x4)
+        except DivergenceError:
+            return rec.finish("diverged", _stats(accepted, 0, h_small, h_big), t, x, v, g)
+        except ScheduleConsistencyError as exc:
+            rec.attach(exc, _stats(accepted, 0, h_small, h_big))
+            raise
+        w = hs / 6.0
+        x1, v1 = x + w * (v + 2.0 * v2 + 2.0 * v3 + v4), v + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (isfinite(x1) and isfinite(v1)):
+            return rec.finish("diverged", _stats(accepted, 0, h_small, h_big), t, x, v, g)
+        y = hs - t_comp
+        t_next = t + y
+        t, t_comp = t_next, (t_next - t) - y
+        x, v = x1, v1
+        accepted, h_small = accepted + 1, hs
+        g = grad(x)
+        # sizes as _Floats.size takes them
+        if sqrt(x * x) > radius:
+            return rec.finish("diverged", _stats(accepted, 0, h_small, h_big), t, x, v, g)
+        if sqrt(v * v) < tol and sqrt(g * g) < tol:
+            if below_since is None:
+                below_since = t
+            if t - below_since >= dwell:
+                return rec.finish("stationary", _stats(accepted, 0, h_small, h_big), t, x, v, g)
+        else:
+            below_since = None
+        if sample_dt is not None:
+            if t < next_sample - eps_t:
+                continue
+            while next_sample <= t + eps_t:
+                next_sample += sample_dt
+        elif accepted % stride:
+            continue
+        put_t(t)
+        put_x(x)
+        put_v(v)
+        put_g(g)
+    return rec.finish("t_max", _stats(accepted, 0, h_small, h_big), t, x, v, g)
+
 
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(
@@ -655,32 +721,16 @@ def integrate(
     if size(v, tol) < tol and size(g, tol) < tol:
         below_since = 0.0
 
-    next_sample = sample_dt
     adaptive = cfg.method == "dopri45"
+    if not adaptive and type(model) is _Floats:
+        return _rk4_floats(model, rec, cfg, x, v, g, below_since)
+    next_sample = sample_dt
     step = model.dopri if adaptive else model.rk4
     h = _initial_step(field, t, initial.x, initial.v, cfg) if adaptive else float(cfg.step)
 
-    def build_stats() -> StepStats:
-        return StepStats(
-            accepted=accepted,
-            rejected=rejected,
-            smallest_step=0.0 if accepted == 0 else h_small,
-            largest_step=h_big,
-        )
-
-    def abort(message: str) -> IntegrationError:
-        partial = rec.build("aborted", build_stats())
-        return IntegrationError(message, partial=partial)
-
-    while True:
-        remaining = t_max - t
-        if remaining <= eps_t:
-            record(t, x, v, g)
-            return rec.build("t_max", build_stats())
+    while (remaining := t_max - t) > eps_t:
         if accepted + rejected >= max_steps:
-            raise abort(
-                f"step budget exhausted: {max_steps} steps before reaching t_max={t_max}"
-            )
+            raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, rejected, h_small, h_big))
 
         h_try = h if h < remaining else remaining
         try:
@@ -688,8 +738,7 @@ def integrate(
         except DivergenceError:
             finite = False
         except ScheduleConsistencyError as exc:
-            with contextlib.suppress(ScheduleConsistencyError):
-                exc.partial = rec.build("aborted", build_stats())
+            rec.attach(exc, _stats(accepted, rejected, h_small, h_big))
             raise
         else:
             finite = is_finite(*result)
@@ -697,22 +746,21 @@ def integrate(
             ratio = model.error_ratio(x, v, *result, cfg.abs_tol, cfg.rel_tol) if finite else math.inf
             if not finite and h_try <= cfg.h_min:
                 # Cannot shrink further; treat as divergence at the last good state.
-                record(t, x, v, g)
-                return rec.build("diverged", build_stats())
+                return rec.finish("diverged", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
             if ratio > 1.0:
                 rejected += 1
                 shrink = 0.2 if not math.isfinite(ratio) else max(0.2, 0.9 * ratio ** -0.2)
                 h = h_try * shrink
                 if h < cfg.h_min:
-                    raise abort(
-                        f"adaptive step underflow: needed step below h_min={cfg.h_min} at t={t}"
+                    raise rec.abort(
+                        f"adaptive step underflow: needed step below h_min={cfg.h_min} at t={t}",
+                        _stats(accepted, rejected, h_small, h_big),
                     )
                 continue
             grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
             h = min(cfg.h_max, h_try * grow)
         elif not finite:
-            record(t, x, v, g)
-            return rec.build("diverged", build_stats())
+            return rec.finish("diverged", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
 
         # Kahan-compensated t += h_try, so 10⁵-step runs do not smear the grid
         y = h_try - t_comp
@@ -728,19 +776,16 @@ def integrate(
         g = grad(x)
 
         if size(x, radius) > radius:
-            record(t, x, v, g)
-            return rec.build("diverged", build_stats())
+            return rec.finish("diverged", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
 
         if halt and reaction(_stage(t, x, v)) <= 0.0:
-            record(t, x, v, g)
-            return rec.build("contact_lost", build_stats())
+            return rec.finish("contact_lost", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
 
         if size(v, tol) < tol and size(g, tol) < tol:
             if below_since is None:
                 below_since = t
             if t - below_since >= dwell:
-                record(t, x, v, g)
-                return rec.build("stationary", build_stats())
+                return rec.finish("stationary", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
         else:
             below_since = None
 
@@ -751,3 +796,4 @@ def integrate(
                     next_sample += sample_dt
         elif accepted % sample_stride == 0:
             record(t, x, v, g)
+    return rec.finish("t_max", _stats(accepted, rejected, h_small, h_big), t, x, v, g)

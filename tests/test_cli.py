@@ -702,6 +702,27 @@ def test_unusable_out_dir_is_a_config_error(tmp_path, scenario_file, capsys, com
     assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("artifact", ["unit.csv", "unit.report.json", "unit.summary.txt"])
+def test_directory_at_an_artifact_path_is_a_config_error(tmp_path, scenario_file, capsys,
+                                                         artifact):
+    out_dir = tmp_path / "out"
+    (out_dir / artifact).mkdir(parents=True)
+    assert main(["simulate", str(scenario_file), "--out-dir", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before anything ran
+    assert err == f"config error: cannot write '{out_dir / artifact}': it is a directory\n"
+    assert [p.name for p in out_dir.iterdir()] == [artifact]
+
+
+def test_directory_at_an_unrequested_artifact_path_is_left_alone(tmp_path, scenario_raw):
+    scenario_raw["outputs"] = {"formats": ["report"]}
+    out_dir = tmp_path / "out"
+    (out_dir / "unit.csv").mkdir(parents=True)
+    cfg_path = write_yaml(tmp_path / "unit.yaml", scenario_raw)
+    assert main(["simulate", str(cfg_path), "--out-dir", str(out_dir), "--quiet"]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["unit.csv", "unit.report.json"]
+
+
 def test_runs_are_byte_deterministic(tmp_path, scenario_file):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", str(scenario_file), "--out-dir", str(out_a), "--quiet"]) == 0
