@@ -600,6 +600,13 @@ def _artifact_paths(cfg: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
     return {fmt: out_dir / f"{cfg.name}{suffix}" for fmt, suffix in _ARTIFACTS.items()}
 
 
+def _refuse_directory_artifacts(cfg: ScenarioConfig, out_dir: Path) -> None:
+    """Refuse, before anything runs, a requested artifact path that is a directory."""
+    for fmt, path in _artifact_paths(cfg, out_dir).items():
+        if fmt in cfg.formats and path.is_dir():
+            raise ConfigError(f"cannot write '{path}': it is a directory")
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioResult:
     """Integrate one scenario, run its checks, and write the artifacts.
 
@@ -735,7 +742,8 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
               quiet: bool = False, source: str = "sweep") -> int:
     """Run every grid point, write per-point artifacts plus aggregate tables.
 
-    Points are validated up front (a bad axis name fails fast), then run
+    Points are validated up front (a bad axis name, or a directory where a
+    point's artifact goes, fails the sweep before any point runs), then run
     serially or on a pool of at most one process per point. Rows are in
     grid order regardless of completion order, so the aggregate files are
     deterministic. Returns the worst exit code across points.
@@ -750,6 +758,8 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
     cfgs = [ScenarioConfig.from_raw(merged, source=f"{source}[{point}]", default_name=point)
             for point, (_, merged) in zip(names, points)]
     jobs = (cfgs, names, [overrides for overrides, _ in points], [out_dir / n for n in names])
+    for cfg, point_dir in zip(cfgs, jobs[3]):
+        _refuse_directory_artifacts(cfg, point_dir)
     # a fork pool starts all its processes on the first submit
     workers = min(workers, len(points))
     if workers <= 1:
@@ -838,9 +848,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory '{out_dir}': {exc.strerror}") from None
         if args.command == "simulate":
-            for fmt, path in _artifact_paths(cfg, out_dir).items():
-                if fmt in cfg.formats and path.is_dir():
-                    raise ConfigError(f"cannot write '{path}': it is a directory")
+            _refuse_directory_artifacts(cfg, out_dir)
             return run_scenario(cfg, out_dir, quiet=args.quiet).exit_code
         return run_sweep(cfg.raw, grid, out_dir, workers=args.workers, quiet=args.quiet,
                          source=args.config)

@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import CapabilityError, ScheduleConsistencyError
 
+_INF, _NAN = math.inf, math.nan
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class FrictionSchedule:
@@ -41,6 +43,12 @@ class FrictionSchedule:
         claims_nonnegative: The schedule promises λ(t) ≥ 0; a negative
             evaluation then raises ScheduleConsistencyError.
         claims_bounded: The schedule promises an eventual upper bound.
+
+    ``checked`` is derived, not a field: t ↦ float(lam(t)), raising
+    ScheduleConsistencyError for a value outside [0, ∞) when the schedule
+    claims nonnegativity. It is built once, here, and every consumer reads λ
+    through it. Builtins whose values lie in the claim by construction set it
+    to ``lam`` itself, so their values are never re-checked.
     """
 
     name: str
@@ -50,56 +58,48 @@ class FrictionSchedule:
     claims_nonnegative: bool = True
     claims_bounded: bool = True
 
+    def __post_init__(self):
+        lam, name, claims = self.lam, self.name, self.claims_nonnegative
+
+        def checked(t):
+            val = float(lam(t))
+            if val >= 0.0 and val < _INF or not claims:
+                return val
+            raise ScheduleConsistencyError(
+                f"schedule '{name}' claims nonnegativity but produced {val} at t={t}"
+            )
+
+        object.__setattr__(self, "checked", checked)
+
 
 def lambda_at(s: FrictionSchedule, t: float) -> float:
-    """Evaluate λ(t) for t ≥ 0.
+    """Evaluate λ(t) for t ≥ 0, through ``s.checked``.
 
     Raises:
-        ValueError: for t < 0 (the dynamics run on [0, ∞)).
+        ValueError: for a t that is not >= 0, NaN included (the dynamics
+            run on [0, ∞)).
         ScheduleConsistencyError: if the value is negative or non-finite
             although the schedule claims nonnegativity.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"schedule '{s.name}' evaluated at t={t} < 0")
-    val = float(s.lam(t))
-    return val if val >= 0.0 and val < math.inf else outside_claim(s, t, val)
-
-
-def outside_claim(s: FrictionSchedule, t: float, val: float) -> float:
-    """λ(t) = ``val`` outside [0, inf): returned if ``s`` does not claim
-    nonnegativity, else :func:`lambda_at`'s ScheduleConsistencyError."""
-    if s.claims_nonnegative:
-        raise ScheduleConsistencyError(
-            f"schedule '{s.name}' claims nonnegativity but produced {val} at t={t}"
-        )
-    return val
+    return float(s.checked(t))
 
 
 def lambda_values(s: FrictionSchedule, t) -> np.ndarray:
     """λ at every time of the 1-d array ``t``, as :func:`lambda_at` gives it.
 
-    ``s.lam`` is called once per sample and :func:`lambda_at`'s checks run
-    once over the whole array, so the floats are the same. So are the
-    errors: the one :func:`lambda_at` raises at the first sample, in order,
-    where it would raise.
+    ``s.checked`` is called once per sample, in order, up to the first time
+    that is not >= 0, so the floats are the same and so are the errors: the
+    one :func:`lambda_at` raises at the first sample where it would raise.
     """
     ts = np.asarray(t, dtype=float)
-    negative = np.flatnonzero(ts < 0)
-    times = ts[: negative[0] if negative.size else ts.size].tolist()
-    lam, vals = s.lam, []
-    try:
-        for tk in times:
-            vals.append(float(lam(tk)))
-    finally:
-        # Checked even when s.lam raised: an inconsistent value before that
-        # sample is what lambda_at would have reported.
-        arr = np.array(vals, dtype=float)
-        bad = np.flatnonzero(~((arr >= 0) & np.isfinite(arr)))
-        if bad.size:  # raises if s claims nonnegativity
-            outside_claim(s, times[bad[0]], vals[bad[0]])
-    if negative.size:
-        raise ValueError(f"schedule '{s.name}' evaluated at t={float(ts[negative[0]])} < 0")
-    return arr
+    refused = np.flatnonzero(~(ts >= 0))
+    n = int(refused[0]) if refused.size else ts.size
+    vals = np.fromiter(map(s.checked, ts[:n].tolist()), float, n)
+    if refused.size:
+        raise ValueError(f"schedule '{s.name}' evaluated at t={float(ts[n])} < 0")
+    return vals
 
 
 def lambda_dot_at(s: FrictionSchedule, t: float) -> float:
@@ -217,32 +217,57 @@ def verify_friction_hypotheses(
 # --- builtin catalogue -----------------------------------------------------
 
 
+def _in_claim(s: FrictionSchedule) -> FrictionSchedule:
+    """``s`` with ``checked`` set to ``lam``: for a builtin whose every value
+    lies in [0, ∞) by construction, so there is nothing to check."""
+    object.__setattr__(s, "checked", s.lam)
+    return s
+
+
 def constant(value: float = 1.0) -> FrictionSchedule:
     """λ ≡ value with value ≥ 0."""
     if not (value >= 0 and math.isfinite(value)):
         raise ValueError(f"constant: value must be >= 0 and finite, got {value}")
     v = float(value)
-    return FrictionSchedule(
+    return _in_claim(FrictionSchedule(
         name=f"constant({v:g})",
         lam=lambda t: v,
         lam_dot=lambda t: 0.0,
         params={"value": v},
-    )
+    ))
 
 
 def power_decay(initial: float = 1.0, exponent: float = 1.0) -> FrictionSchedule:
-    """λ(t) = initial / (1 + t)^exponent, a vanishing-damping schedule."""
+    """λ(t) = initial / (1 + t)^exponent, a vanishing-damping schedule.
+
+    λ lies in [0, initial] for every t ≥ 0. Where (1 + t)^exponent overflows
+    a float, λ is 0.0 and λ' is -0.0, as numpy's float64 arithmetic gives
+    them.
+    """
     if not (initial >= 0 and math.isfinite(initial)):
         raise ValueError(f"power_decay: initial must be >= 0 and finite, got {initial}")
     if not (exponent > 0 and math.isfinite(exponent)):
         raise ValueError(f"power_decay: exponent must be positive and finite, got {exponent}")
     lam0, alpha = float(initial), float(exponent)
-    return FrictionSchedule(
+
+    def lam(t):
+        try:
+            return lam0 / (1.0 + t) ** alpha
+        except OverflowError:
+            return 0.0
+
+    def lam_dot(t):
+        try:
+            return -alpha * lam0 / (1.0 + t) ** (alpha + 1.0)
+        except OverflowError:
+            return -0.0
+
+    return _in_claim(FrictionSchedule(
         name=f"power_decay(initial={lam0:g}, exponent={alpha:g})",
-        lam=lambda t: lam0 / (1.0 + t) ** alpha,
-        lam_dot=lambda t: -alpha * lam0 / (1.0 + t) ** (alpha + 1.0),
+        lam=lam,
+        lam_dot=lam_dot,
         params={"initial": lam0, "exponent": alpha},
-    )
+    ))
 
 
 def oscillating(
@@ -251,7 +276,9 @@ def oscillating(
     """λ(t) = base + amplitude · sin(ω t) with base ≥ amplitude ≥ 0.
 
     The constraint keeps λ ≥ 0 everywhere; base == amplitude is allowed and
-    produces isolated zeros, which the hypothesis report flags.
+    produces isolated zeros, which the hypothesis report flags. Where ω t is
+    not finite, λ and λ' are NaN, as numpy's sin and cos give them, so a
+    claim check refuses them.
     """
     if not (amplitude >= 0 and math.isfinite(amplitude)):
         raise ValueError(f"oscillating: amplitude must be >= 0 and finite, got {amplitude}")
@@ -266,8 +293,8 @@ def oscillating(
     a, b, w = float(base), float(amplitude), float(angular_frequency)
     return FrictionSchedule(
         name=f"oscillating(base={a:g}, amplitude={b:g}, angular_frequency={w:g})",
-        lam=lambda t: a + b * math.sin(w * t),
-        lam_dot=lambda t: b * w * math.cos(w * t),
+        lam=lambda t: a + b * (math.sin(wt) if -_INF < (wt := w * t) < _INF else _NAN),
+        lam_dot=lambda t: b * w * (math.cos(wt) if -_INF < (wt := w * t) < _INF else _NAN),
         params={"base": a, "amplitude": b, "angular_frequency": w},
     )
 
@@ -290,12 +317,12 @@ def step(times=(10.0, 20.0), values=(1.0, 0.5, 2.0)) -> FrictionSchedule:
     if any(v < 0 or not math.isfinite(v) for v in vs):
         raise ValueError(f"step: values must be >= 0 and finite, got {vs}")
 
-    return FrictionSchedule(
+    return _in_claim(FrictionSchedule(
         name=f"step(times={ts}, values={vs})",
         lam=lambda t: vs[bisect.bisect_right(ts, t)],
         lam_dot=None,
         params={"times": ts, "values": vs},
-    )
+    ))
 
 
 def linear_growth(rate: float = 1.0) -> FrictionSchedule:

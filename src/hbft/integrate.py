@@ -37,13 +37,14 @@ potential at dim 1 and 2) and no reaction is given, the steppers run on
 Python floats (dim 1) or float pairs (dim 2) instead of numpy arrays, with the
 same arithmetic operation by operation, so the trajectory is the same byte for
 byte. Each stage calls the float form, which never raises; the gradient at the
-end of a step is reused as the next step's first stage, and λ is checked at
-every stage as ``lambda_at`` checks it. Any other field, a custom potential,
-dim ≥ 3 and the full surface model take the generic array path. rk4 at dim 1
-runs in :func:`_rk4_floats`, one frame per step; every other case shares the
-loop in :func:`integrate`. The recorder keeps the components of x, v and ∇Φ in
-flat buffers and builds every other column in one pass at the end, Φ through
-the potential's column form where it has one.
+end of a step is reused as the next step's first stage, and λ is read through
+the schedule's ``checked``, which owns the claim check: this module holds none.
+Any other field, a custom potential, dim ≥ 3 and the full surface model take
+the generic array path. rk4 at dim 1 runs in :func:`_rk4_floats`, one frame
+per step; every other case shares the loop in :func:`integrate`. The recorder
+keeps the components of x, v and ∇Φ in flat buffers and builds every other
+column in one pass at the end, Φ through the potential's column form where it
+has one.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import numpy as np
 
 from .dynamics import PhaseState, hbft_field
 from .errors import DivergenceError, IntegrationError, ScheduleConsistencyError
-from .friction import FrictionSchedule, lambda_values, outside_claim
+from .friction import FrictionSchedule, lambda_values
 from .potentials import Potential, Vector, gradient, row_dots, value
 
 FieldFn = Callable[[PhaseState], tuple[Vector, Vector]]
@@ -348,19 +349,18 @@ class _Floats:
     It repeats the generic path's operations for ``functools.partial(
     hbft_field, p, s)`` on floats, so it gives the same bytes: dopri45 runs
     the shared core on the field ``d``, and rk4 runs in :func:`_rk4_floats`.
-    Each stage checks its one ``s.lam`` value as ``lambda_at`` does (stage
-    times are never negative). ∇Φ is the potential's float form itself.
+    Each stage reads its one λ through ``s.checked``, as ``lambda_at`` does
+    (stage times are finite and never negative). ∇Φ is the potential's float
+    form itself.
     """
 
     put, dopri = staticmethod(array.append), _Arrays.dopri
 
     def __init__(self, p: Potential, s: FrictionSchedule):
-        self.s, self.grad = s, p.float_gradient_fn
+        self.lam_of, self.grad = s.checked, p.float_gradient_fn
 
     def d(self, t, x, v, g=None):
-        lam = float(self.s.lam(t))
-        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(self.s, t, lam)
-        return v, -lam * v - (self.grad(x) if g is None else g)
+        return v, -self.lam_of(t) * v - (self.grad(x) if g is None else g)
 
     @staticmethod
     def parts(a: float) -> tuple:
@@ -406,27 +406,23 @@ class _Pairs(_Floats):
     put = staticmethod(array.extend)
 
     def __init__(self, p: Potential, s: FrictionSchedule):
-        self.s, self.form, self._row = s, p.float_gradient_fn, np.empty(2)
+        self.lam_of, self.form, self._row = s.checked, p.float_gradient_fn, np.empty(2)
 
     def rk4(self, t: float, x: tuple, v: tuple, h: float, g: tuple) -> tuple:
-        s, lam_of, form, c = self.s, self.s.lam, self.form, 0.5 * h
+        lam_of, form, c = self.lam_of, self.form, 0.5 * h
         (xa, xb), (va, vb), (ga, gb) = x, v, g
-        lam = float(lam_of(t))
-        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t, lam)
+        lam = lam_of(t)
         k1a, k1b = -lam * va - ga, -lam * vb - gb
         x2a, x2b, v2a, v2b = xa + c * va, xb + c * vb, va + c * k1a, vb + c * k1b
-        lam = float(lam_of(t + c))
-        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + c, lam)
+        lam = lam_of(t + c)
         ga, gb = form(x2a, x2b)
         k2a, k2b = -lam * v2a - ga, -lam * v2b - gb
         x3a, x3b, v3a, v3b = xa + c * v2a, xb + c * v2b, va + c * k2a, vb + c * k2b
-        lam = float(lam_of(t + c))
-        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + c, lam)
+        lam = lam_of(t + c)
         ga, gb = form(x3a, x3b)
         k3a, k3b = -lam * v3a - ga, -lam * v3b - gb
         x4a, x4b, v4a, v4b = xa + h * v3a, xb + h * v3b, va + h * k3a, vb + h * k3b
-        lam = float(lam_of(t + h))
-        lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t + h, lam)
+        lam = lam_of(t + h)
         ga, gb = form(x4a, x4b)
         k4a, k4b = -lam * v4a - ga, -lam * v4b - gb
         w = h / 6.0
@@ -436,7 +432,7 @@ class _Pairs(_Floats):
         )
 
     def dopri(self, t: float, x: tuple, v: tuple, h: float, g: tuple) -> tuple:
-        s, lam_of, form = self.s, self.s.lam, self.form
+        lam_of, form = self.lam_of, self.form
         (xa0, xb0), (va0, vb0) = x, v
         kxa: list = []
         kxb: list = []
@@ -448,9 +444,7 @@ class _Pairs(_Floats):
                 c = h * a
                 xa, xb = xa + c * kxa[j], xb + c * kxb[j]
                 va, vb = va + c * kva[j], vb + c * kvb[j]
-            ti = t + _DP_C[i] * h
-            lam = float(lam_of(ti))
-            lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, ti, lam)
+            lam = lam_of(t + _DP_C[i] * h)
             ga, gb = g if i == 0 else form(xa, xb)
             kxa.append(va)
             kxb.append(vb)
@@ -580,7 +574,7 @@ def _rk4_floats(model: _Floats, rec: _Recorder, cfg: IntegratorConfig, x: float,
     """integrate's loop around ``_rk4_core`` on ``_Floats.d``, the same operations
     in the same order, in one frame: no call per step but λ and ∇Φ. Samples go
     straight to the buffers, as t grows on every step (only the last may repeat)."""
-    s, lam_of, grad, isfinite, sqrt = model.s, model.s.lam, model.grad, math.isfinite, math.sqrt
+    lam_of, grad, isfinite, sqrt = model.lam_of, model.grad, math.isfinite, math.sqrt
     tol, dwell, radius = cfg.stop.stationarity_tol, cfg.stop.dwell, cfg.stop.divergence_radius
     t_max, max_steps, sample_dt, stride = cfg.t_max, cfg.max_steps, cfg.sample_dt, cfg.sample_stride
     eps_t = 1e-12 * max(1.0, t_max)
@@ -594,21 +588,13 @@ def _rk4_floats(model: _Floats, rec: _Recorder, cfg: IntegratorConfig, x: float,
         hs = h if h < remaining else remaining
         c, tc, th = 0.5 * hs, t + 0.5 * hs, t + hs
         try:
-            lam = float(lam_of(t))
-            lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, t, lam)
-            k1 = -lam * v - g
+            k1 = -lam_of(t) * v - g
             x2, v2 = x + c * v, v + c * k1
-            lam = float(lam_of(tc))
-            lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, tc, lam)
-            k2 = -lam * v2 - grad(x2)
+            k2 = -lam_of(tc) * v2 - grad(x2)
             x3, v3 = x + c * v2, v + c * k2
-            lam = float(lam_of(tc))
-            lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, tc, lam)
-            k3 = -lam * v3 - grad(x3)
+            k3 = -lam_of(tc) * v3 - grad(x3)
             x4, v4 = x + hs * v3, v + hs * k3
-            lam = float(lam_of(th))
-            lam = lam if lam >= 0.0 and lam < _INF else outside_claim(s, th, lam)
-            k4 = -lam * v4 - grad(x4)
+            k4 = -lam_of(th) * v4 - grad(x4)
         except DivergenceError:
             return rec.finish("diverged", _stats(accepted, 0, h_small, h_big), t, x, v, g)
         except ScheduleConsistencyError as exc:

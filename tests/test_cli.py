@@ -156,6 +156,23 @@ def test_numeric_strings_coerced(tmp_path, scenario_raw):
     assert main(["validate", str(path)]) == 0
 
 
+def test_catalogue_params_are_not_coerced(tmp_path, capsys):
+    # the factory gets schedule.params as written: a bare 1e-1 is a string
+    path = tmp_path / "bare.yaml"
+    path.write_text("name: bare\n"
+                    "model: hbft\n"
+                    "potential: {name: quadratic, params: {dim: 1}}\n"
+                    "schedule: {name: constant, params: {value: 1e-1}}\n"
+                    "initial: {x0: [1.0], v0: [0.0]}\n"
+                    "integrator: {method: rk4, step: 1.0e-2, t_max: 1.0}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith(f"config error: {path}:4: schedule: bad parameters for schedule "
+                          "'constant': ") and err.count("\n") == 1
+
+
 def test_unbounded_potential_refused_for_certification(tmp_path, scenario_raw, capsys):
     scenario_raw["potential"] = {"name": "tilted_plane", "params": {"slope": [1.0]}}
     path = write_yaml(tmp_path / "tilted.yaml", scenario_raw)
@@ -654,6 +671,40 @@ def test_overflowing_run_ends_diverged_without_traceback(tmp_path, scenario_raw)
     assert report["trajectory"]["termination_reason"] == "diverged"
 
 
+def test_power_decay_whose_power_overflows_runs_without_traceback(tmp_path, scenario_raw):
+    # (1 + t)^1000 overflows a float from t = 0.995 on; lambda is 0.0 there
+    scenario_raw["name"] = "steep"
+    scenario_raw["schedule"] = {"name": "power_decay",
+                                "params": {"initial": 1.0, "exponent": 1000.0}}
+    scenario_raw["integrator"] = {"method": "rk4", "step": 1.0e-2, "t_max": 10.0}
+    path = write_yaml(tmp_path / "steep.yaml", scenario_raw)
+    out = tmp_path / "out"
+    proc = run_hbft("simulate", str(path), "--out-dir", str(out), "--quiet")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads((out / "steep.report.json").read_text())
+    assert report["trajectory"]["termination_reason"] == "t_max"
+    assert (out / "steep.csv").read_text().splitlines()[-1].split(",")[4] == "0.0"  # lambda
+
+
+def test_oscillating_with_a_non_finite_phase_exits_three(tmp_path, scenario_raw):
+    # omega * t overflows to inf at t = 1.8: lambda is NaN there, which breaks the claim
+    scenario_raw["name"] = "fast"
+    scenario_raw["schedule"] = {"name": "oscillating", "params": {
+        "base": 2.0, "amplitude": 1.0, "angular_frequency": 1.0e308}}
+    scenario_raw["integrator"] = {"method": "rk4", "step": 1.0e-2, "t_max": 10.0}
+    path = write_yaml(tmp_path / "fast.yaml", scenario_raw)
+    out = tmp_path / "out"
+    proc = run_hbft("simulate", str(path), "--out-dir", str(out), "--quiet")
+    message = ("schedule 'oscillating(base=2, amplitude=1, angular_frequency=1e+308)' "
+               "claims nonnegativity but produced nan at t=1.8")
+    assert (proc.returncode, proc.stderr) == (3, f"integration error: {message}\n")
+    report = json.loads((out / "fast.report.json").read_text())
+    assert report["error"] == message and report["trajectory"]["termination_reason"] == "aborted"
+    assert report["trajectory"]["t_final"] == 1.79
+    assert (out / "fast.csv").read_text().splitlines()[-1].startswith("1.79,")
+    assert (out / "fast.summary.txt").read_text().endswith("overall: ERROR\n")
+
+
 def test_contact_loss_halts_full_surface_run(tmp_path):
     raw = {
         "name": "launch",
@@ -721,6 +772,22 @@ def test_directory_at_an_unrequested_artifact_path_is_left_alone(tmp_path, scena
     cfg_path = write_yaml(tmp_path / "unit.yaml", scenario_raw)
     assert main(["simulate", str(cfg_path), "--out-dir", str(out_dir), "--quiet"]) == 0
     assert sorted(p.name for p in out_dir.iterdir()) == ["unit.csv", "unit.report.json"]
+
+
+def test_directory_at_a_sweep_point_artifact_path_fails_before_any_point_runs(
+        tmp_path, scenario_raw, capsys):
+    base_path = write_yaml(tmp_path / "base.yaml", _sweep_base(scenario_raw))
+    grid_path = write_yaml(tmp_path / "grid.yaml", {"grid": {"schedule.params.value": [0.5, 1.5]}})
+    out = tmp_path / "out"
+    blocker = out / "point_001" / "unit.report.json"
+    blocker.mkdir(parents=True)
+    code = main(["sweep", str(base_path), "--grid", str(grid_path), "--out-dir", str(out)])
+    assert code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""  # refused before any point ran
+    assert err == f"config error: cannot write '{blocker}': it is a directory\n"
+    assert sorted(p.name for p in out.iterdir()) == ["point_001"]
+    assert [p.name for p in (out / "point_001").iterdir()] == ["unit.report.json"]
 
 
 def test_runs_are_byte_deterministic(tmp_path, scenario_file):

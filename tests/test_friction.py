@@ -3,6 +3,8 @@ enforcement, and the grid-based hypothesis report."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,3 +199,74 @@ def test_power_decay_stays_in_declared_range(t: float):
 def test_oscillating_requires_nonnegative_range():
     with pytest.raises(ValueError):
         oscillating(base=1.0, amplitude=1.5)
+
+
+_in_claim_builtins = st.one_of(
+    st.builds(constant, st.floats(min_value=0.0, allow_infinity=False)),
+    st.builds(
+        power_decay,
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+    ),
+    st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), max_size=4, unique=True)
+    .map(sorted)
+    .flatmap(
+        lambda ts: st.builds(
+            step,
+            st.just(ts),
+            st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=len(ts) + 1,
+                     max_size=len(ts) + 1),
+        )
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_in_claim_builtins, t=st.floats(min_value=0.0, allow_nan=False))
+def test_in_claim_builtins_hand_out_lam_unchecked(s, t):
+    # constant, step and power_decay cannot leave [0, inf) at any t in
+    # [0, inf], inf included, so their checked is their lam itself
+    assert s.checked is s.lam
+    val = lambda_at(s, t)
+    assert type(val) is float and 0.0 <= val < math.inf
+
+
+@pytest.mark.parametrize("name", ["oscillating", "linear_growth"])
+def test_other_builtins_and_custom_schedules_keep_the_check(name):
+    for s in (make_schedule(name), FrictionSchedule(name="custom", lam=lambda t: 1.0)):
+        assert s.checked is not s.lam
+
+
+def test_power_decay_is_zero_where_its_power_overflows():
+    s = power_decay(initial=1.0, exponent=1000.0)
+    assert lambda_at(s, 10.0) == 0.0
+    assert math.copysign(1.0, lambda_dot_at(s, 10.0)) == -1.0 and lambda_dot_at(s, 10.0) == 0.0
+    # as numpy's float64 arithmetic gives them
+    with np.errstate(over="ignore"):
+        assert s.lam(np.float64(10.0)) == 0.0 and s.lam_dot(np.float64(10.0)) == 0.0
+    assert lambda_values(s, np.array([0.0, 10.0])).tolist() == [1.0, 0.0]
+
+
+def test_oscillating_with_a_non_finite_phase_breaks_its_claim():
+    s = oscillating(base=2.0, amplitude=1.0, angular_frequency=1e308)
+    assert math.isnan(s.lam(1.8)) and math.isnan(s.lam_dot(1.8))
+    message = ("schedule 'oscillating(base=2, amplitude=1, angular_frequency=1e+308)' "
+               "claims nonnegativity but produced nan at t=1.8")
+    with pytest.raises(ScheduleConsistencyError) as exc:
+        lambda_at(s, 1.8)
+    assert str(exc.value) == message
+    assert lambda_at(s, 1.0) == pytest.approx(2.0 + math.sin(1e308))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in builtin_schedules()])
+def test_nan_time_is_refused(name):
+    s = make_schedule(name)
+    with pytest.raises(ValueError, match="evaluated at t=nan"):
+        lambda_at(s, math.nan)
+    with pytest.raises(ValueError, match="evaluated at t=nan"):
+        lambda_values(s, np.array([0.0, 1.0, math.nan, -1.0]))
+
+
+def test_lambda_at_returns_a_python_float_for_a_numpy_time():
+    for name, _ in builtin_schedules():
+        assert type(lambda_at(make_schedule(name), np.float64(2.5))) is float
