@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import copy
 import csv
 import dataclasses
+import errno
 import functools
 import inspect
 import itertools
@@ -210,7 +212,8 @@ class _Node:
         self.fail(f"expected a number, got {val!r}", key)
 
     def raw(self, key: str, default=None):
-        val = self.data.get(key, default)
+        val = self.data.get(key)
+        val = default if val is None else val
         return strip_line_markers(val) if isinstance(val, (dict, list)) else val
 
 
@@ -326,6 +329,8 @@ class ScenarioConfig:
              "integrator", "checks", "outputs"}
         )
         name = root.get("name", "string", default_name)
+        if name in ("", ".", "..") or "/" in name or "\0" in name:
+            root.fail(f"must be a file name (not '', '.' or '..', no '/' or NUL), got {name!r}", "name")
         model = root.get("model", "string", "hbft")
         if model not in ("hbft", "full_surface"):
             root.fail(f"model must be 'hbft' or 'full_surface', got '{model}'", "model")
@@ -359,20 +364,14 @@ class ScenarioConfig:
         integrator = _parse_integrator(int_node, model)
 
         checks = _parse_checks(root, potential, integrator.t_max)
-        out_node = root.child("outputs", required=False)
-        out_dir = None
-        formats: tuple[str, ...] = tuple(_ARTIFACTS)
-        if out_node is not None:
-            out_node.require_known({"out_dir", "formats"})
-            out_dir = out_node.get("out_dir", "string", None)
-            fmt_raw = out_node.raw("formats")
-            if fmt_raw is not None:
-                if not isinstance(fmt_raw, list) or not fmt_raw:
-                    out_node.fail("expected a nonempty list of formats", "formats")
-                bad = [f for f in fmt_raw if f not in _ARTIFACTS]
-                if bad:
-                    out_node.fail(f"unknown formats {bad}; allowed: {list(_ARTIFACTS)}", "formats")
-                formats = tuple(fmt_raw)
+        out_node = root.child("outputs", required=False) or _Node({}, source, "outputs")
+        out_node.require_known({"out_dir", "formats"})
+        out_dir = out_node.get("out_dir", "string", None)
+        formats, allowed = out_node.raw("formats", list(_ARTIFACTS)), list(_ARTIFACTS)
+        if not isinstance(formats, list) or not formats:
+            out_node.fail("expected a nonempty list of formats", "formats")
+        if bad := [f for f in formats if f not in allowed]:  # a list: a format may be unhashable
+            out_node.fail(f"unknown formats {bad}; allowed: {allowed}", "formats")
 
         return ScenarioConfig(
             name=name,
@@ -385,7 +384,7 @@ class ScenarioConfig:
             integrator=integrator,
             checks=checks,
             out_dir=out_dir,
-            formats=formats,
+            formats=tuple(formats),
             raw=strip_line_markers(raw),
             source=source,
         )
@@ -597,14 +596,37 @@ def _bind_field(cfg: ScenarioConfig):
 
 
 def _artifact_paths(cfg: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
-    return {fmt: out_dir / f"{cfg.name}{suffix}" for fmt, suffix in _ARTIFACTS.items()}
+    """Format -> path of each requested artifact, in ``_ARTIFACTS`` order."""
+    return {fmt: out_dir / f"{cfg.name}{suffix}" for fmt, suffix in _ARTIFACTS.items()
+            if fmt in cfg.formats}
 
 
-def _refuse_directory_artifacts(cfg: ScenarioConfig, out_dir: Path) -> None:
-    """Refuse, before anything runs, a requested artifact path that is a directory."""
-    for fmt, path in _artifact_paths(cfg, out_dir).items():
-        if fmt in cfg.formats and path.is_dir():
-            raise ConfigError(f"cannot write '{path}': it is a directory")
+def _prepare_outputs(dirs: list[Path], files: list[Path]) -> None:
+    """Create the directories a command writes in, having refused first a
+    path in ``files`` that is a directory and a path in ``dirs`` that is a
+    file or lies under one, so a refused command creates nothing. A file
+    that fails for another reason fails when it is written (``_writing``)."""
+    for path in files:
+        with contextlib.suppress(OSError):  # a name too long, say: left to the write
+            if path.is_dir():
+                raise ConfigError(f"cannot write '{path}': it is a directory")
+    try:
+        for path in dirs:  # a parent comes before its children
+            if path.exists() and not path.is_dir():
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
+        for path in dirs:
+            path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory '{path}': {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Turn an OSError while writing ``path`` into a config error (exit 2)."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"cannot write '{path}': {exc.strerror}") from None
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioResult:
@@ -613,11 +635,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
     Returns a result whose ``exit_code`` follows the CLI contract: 0 all
     checks passed, 1 a check failed, 3 the integrator raised a hard error or
     the schedule broke its claim mid-run (whatever trajectory prefix exists
-    is still written).
+    is still written). Raises ConfigError for a path ``_prepare_outputs``
+    refuses, before integrating, and for an artifact that cannot be written.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = _artifact_paths(cfg, out_dir)
+    paths = _artifact_paths(cfg, Path(out_dir))
+    _prepare_outputs([Path(out_dir)], list(paths.values()))
     field, reaction = _bind_field(cfg)
     initial = PhaseState(t=0.0, x=cfg.x0.copy(), v=cfg.v0.copy())
 
@@ -640,12 +662,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
             error_report["trajectory"] = _json_safe(meta)
 
     summary = None if meta is None else render_summary(meta, report, error)
-    if traj is not None and "csv" in cfg.formats:
-        write_trajectory_csv(traj, paths["csv"])
-    if "report" in cfg.formats:
-        _write_report_json(paths["report"], error_report if report is None else report.to_dict())
-    if summary is not None and "summary" in cfg.formats:
-        paths["summary"].write_text(summary)
+    for fmt, path in paths.items():
+        with _writing(path):
+            if fmt == "csv" and traj is not None:
+                write_trajectory_csv(traj, path)
+            elif fmt == "report":
+                _write_report_json(path, error_report if report is None else report.to_dict())
+            elif fmt == "summary" and summary is not None:
+                path.write_text(summary)
     if summary is not None and not quiet:
         print(summary, end="")
     if error is not None:
@@ -700,26 +724,15 @@ def sweep_points(base_raw: dict, grid: dict[str, list]) -> list[tuple[dict, dict
 
 def _sweep_worker(cfg: ScenarioConfig, point: str, overrides: dict, out_dir: Path) -> dict:
     """Run one sweep point; always returns a row dict (never raises)."""
-    row = {
-        "point": point,
-        "overrides": overrides,
-        "status": "ok",
-        "termination": "",
-        "final_energy": math.nan,
-        "tail_sqrt_friction_speed_sup": math.nan,
-        "checks_passed": 0,
-        "checks_total": 0,
-        "exit_code": 0,
-        "error": "",
-    }
+    row = dict(point=point, overrides=overrides, status="ok", termination="", final_energy=math.nan,
+               tail_sqrt_friction_speed_sup=math.nan, checks_passed=0, checks_total=0, error="")
     try:
         result = run_scenario(cfg, out_dir, quiet=True)
         meta, report = result.meta, result.report
         row["exit_code"] = result.exit_code
         if meta is not None:
-            row["termination"] = meta["termination_reason"]
-            row["final_energy"] = meta["final_energy"]
-            row["tail_sqrt_friction_speed_sup"] = meta["tail_sqrt_friction_speed_sup"]
+            row.update(termination=meta["termination_reason"], final_energy=meta["final_energy"],
+                       tail_sqrt_friction_speed_sup=meta["tail_sqrt_friction_speed_sup"])
         if result.error is not None:
             row["status"] = "integration_error"
             row["error"] = result.error
@@ -742,14 +755,14 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
               quiet: bool = False, source: str = "sweep") -> int:
     """Run every grid point, write per-point artifacts plus aggregate tables.
 
-    Points are validated up front (a bad axis name, or a directory where a
-    point's artifact goes, fails the sweep before any point runs), then run
-    serially or on a pool of at most one process per point. Rows are in
-    grid order regardless of completion order, so the aggregate files are
-    deterministic. Returns the worst exit code across points.
+    Points and every output path are validated up front: a bad axis name or
+    a path ``_prepare_outputs`` refuses raises ConfigError before any point
+    runs. Points run serially or on a pool of at most one process per point.
+    Rows are in grid order regardless of completion order, so the aggregate
+    files are deterministic. Returns the worst exit code across points; a
+    summary file that cannot be written raises ConfigError.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     points = sweep_points(base_raw, grid)
     axes = sorted(grid)
 
@@ -757,9 +770,11 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
     # Validate before running anything: bad sweep axes fail the whole sweep.
     cfgs = [ScenarioConfig.from_raw(merged, source=f"{source}[{point}]", default_name=point)
             for point, (_, merged) in zip(names, points)]
-    jobs = (cfgs, names, [overrides for overrides, _ in points], [out_dir / n for n in names])
-    for cfg, point_dir in zip(cfgs, jobs[3]):
-        _refuse_directory_artifacts(cfg, point_dir)
+    dirs = [out_dir / n for n in names]
+    summaries = [out_dir / "sweep_summary.csv", out_dir / "sweep_summary.txt"]
+    _prepare_outputs([out_dir, *dirs], [*summaries, *(
+        path for cfg, d in zip(cfgs, dirs) for path in _artifact_paths(cfg, d).values())])
+    jobs = (cfgs, names, [overrides for overrides, _ in points], dirs)
     # a fork pool starts all its processes on the first submit
     workers = min(workers, len(points))
     if workers <= 1:
@@ -768,7 +783,7 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, *jobs))
 
-    with open(out_dir / "sweep_summary.csv", "w", newline="") as fh:
+    with _writing(summaries[0]) as path, open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["point", *axes, *_SWEEP_COLUMNS])
         for row in rows:
@@ -783,7 +798,8 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
             f"{row['final_energy']:>14.6g} {row['tail_sqrt_friction_speed_sup']:>18.6g}  "
             + ", ".join(f"{a}={row['overrides'][a]}" for a in axes)
         )
-    (out_dir / "sweep_summary.txt").write_text("\n".join(text_lines) + "\n")
+    with _writing(summaries[1]) as path:
+        path.write_text("\n".join(text_lines) + "\n")
     if not quiet:
         print("\n".join(text_lines))
 
@@ -839,19 +855,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                   f"schedule {cfg.schedule.name})")
             return 0
         out_dir = _resolve_out_dir(args.out_dir, cfg.out_dir)
-        if args.command == "sweep":
-            if args.workers < 1:
-                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-            grid = load_sweep_grid(args.grid)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory '{out_dir}': {exc.strerror}") from None
         if args.command == "simulate":
-            _refuse_directory_artifacts(cfg, out_dir)
             return run_scenario(cfg, out_dir, quiet=args.quiet).exit_code
-        return run_sweep(cfg.raw, grid, out_dir, workers=args.workers, quiet=args.quiet,
-                         source=args.config)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        return run_sweep(cfg.raw, load_sweep_grid(args.grid), out_dir, workers=args.workers,
+                         quiet=args.quiet, source=args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

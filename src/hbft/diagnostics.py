@@ -369,7 +369,9 @@ def barbalat_check(
     - sup premise: max|f| ≤ linf_budget.
     - derivative premise: max|ḟ| ≤ dot_budget, using the provided
       derivative samples or central differences on the grid.
-    - conclusion: max|f| over the tail window ≤ tail_threshold.
+    - conclusion: max|f| over the tail window ≤ tail_threshold; its budget
+      ratio is tail_sup / tail_threshold, and for a zero threshold 0 when
+      the tail vanishes exactly and inf otherwise.
 
     The record's residual is the worst of the four budget ratios (the
     ``not_established`` state contributes 1 + tail-mass-share, which always
@@ -410,7 +412,9 @@ def barbalat_check(
     tail_sup = float(np.max(np.abs(f.value[tail])))
     conclusion_status = "holds" if tail_sup <= tail_threshold else "violated"
 
-    residual = max(l2_ratio, sup_f / linf_budget, sup_df / dot_budget, tail_sup / tail_threshold)
+    # against a zero threshold only an exactly vanishing tail passes
+    tail_ratio = tail_sup / tail_threshold if tail_threshold else 0.0 if tail_sup == 0 else math.inf
+    residual = max(l2_ratio, sup_f / linf_budget, sup_df / dot_budget, tail_ratio)
     return _record(
         "barbalat",
         residual,

@@ -107,10 +107,11 @@ def lambda_dot_at(s: FrictionSchedule, t: float) -> float:
 
     Raises:
         CapabilityError: if the schedule carries no derivative.
+        ValueError: for a t that is not >= 0, NaN included.
     """
     if s.lam_dot is None:
         raise CapabilityError(f"schedule '{s.name}' has no derivative")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"schedule '{s.name}' derivative evaluated at t={t} < 0")
     return float(s.lam_dot(t))
 
@@ -237,12 +238,34 @@ def constant(value: float = 1.0) -> FrictionSchedule:
     ))
 
 
+def _power_quotient(c: float, t: float, k: float) -> tuple[float, int]:
+    """(m, e) with m · 2^e = c / (1 + t)^k to a few ulps, for c, t ≥ 0 and k > 0.
+
+    1 + t is split into its float and that float's rounding error, so a large
+    k does not magnify the rounding, and the power is taken an eighth at a
+    time, so nothing overflows where the quotient, times up to k, is normal.
+    """
+    if t == _INF:
+        return 0.0, 0
+    hi = 1.0 + t
+    b = hi - 1.0
+    lo = (1.0 - (hi - b)) + (t - b)  # 1 + t - hi, exactly
+    try:
+        q = hi ** (k / 8) * math.exp(k / 8 * math.log1p(lo / hi))
+    except OverflowError:  # so the quotient is below every normal float
+        return 0.0, 0
+    (mq, eq), (mc, ec) = math.frexp(q), math.frexp(c)
+    return mc / mq**8, ec - 8 * eq
+
+
 def power_decay(initial: float = 1.0, exponent: float = 1.0) -> FrictionSchedule:
     """λ(t) = initial / (1 + t)^exponent, a vanishing-damping schedule.
 
-    λ lies in [0, initial] for every t ≥ 0. Where (1 + t)^exponent overflows
-    a float, λ is 0.0 and λ' is -0.0, as numpy's float64 arithmetic gives
-    them.
+    λ lies in [0, initial] for every t ≥ 0. Where (1 + t)^exponent, or
+    exponent · initial, overflows a float, λ and λ' are taken through
+    ``_power_quotient``: to a few ulps where they are normal floats, and
+    0.0 and -0.0 where they underflow. For a numpy float64 t, whose power
+    does not raise on overflow, numpy's arithmetic gives 0.0 and -0.0 there.
     """
     if not (initial >= 0 and math.isfinite(initial)):
         raise ValueError(f"power_decay: initial must be >= 0 and finite, got {initial}")
@@ -254,13 +277,19 @@ def power_decay(initial: float = 1.0, exponent: float = 1.0) -> FrictionSchedule
         try:
             return lam0 / (1.0 + t) ** alpha
         except OverflowError:
-            return 0.0
+            return math.ldexp(*_power_quotient(lam0, t, alpha))
 
     def lam_dot(t):
         try:
-            return -alpha * lam0 / (1.0 + t) ** (alpha + 1.0)
+            if (val := -alpha * lam0 / (1.0 + t) ** (alpha + 1.0)) > -_INF:
+                return val
         except OverflowError:
-            return -0.0
+            pass
+        (m, e), (d, f) = _power_quotient(lam0, t, alpha), math.frexp(alpha / (1.0 + t))
+        try:
+            return -math.ldexp(m * d, e + f)
+        except OverflowError:
+            return -_INF
 
     return _in_claim(FrictionSchedule(
         name=f"power_decay(initial={lam0:g}, exponent={alpha:g})",

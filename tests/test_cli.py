@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -32,6 +33,7 @@ from hbft.cli import (
     main,
     run_scenario,
     run_sweep,
+    strip_line_markers,
     sweep_points,
     write_trajectory_csv,
 )
@@ -671,6 +673,21 @@ def test_overflowing_run_ends_diverged_without_traceback(tmp_path, scenario_raw)
     assert report["trajectory"]["termination_reason"] == "diverged"
 
 
+def test_barbalat_with_a_zero_tail_threshold_runs_without_traceback(tmp_path):
+    raw = strip_line_markers(load_config_file(SCENARIO_DIR / "damped_harmonic_tail.yaml"))
+    raw["integrator"]["t_max"] = 5.0
+    for check in raw["checks"]:
+        if check["name"] == "barbalat_sqrt_friction_speed":
+            check["tail_threshold"] = 0.0
+    path = write_yaml(tmp_path / "tail0.yaml", raw)
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out-dir", str(out), "--quiet"]) == 1
+    report = json.loads((out / "damped_harmonic_tail.report.json").read_text())
+    (record,) = [c for c in report["checks"] if c["check_name"] == "barbalat"]
+    assert record["passed"] is False and record["residual"] == "Infinity"
+    assert record["details"]["conclusion_status"] == "violated"
+
+
 def test_power_decay_whose_power_overflows_runs_without_traceback(tmp_path, scenario_raw):
     # (1 + t)^1000 overflows a float from t = 0.995 on; lambda is 0.0 there
     scenario_raw["name"] = "steep"
@@ -788,6 +805,151 @@ def test_directory_at_a_sweep_point_artifact_path_fails_before_any_point_runs(
     assert err == f"config error: cannot write '{blocker}': it is a directory\n"
     assert sorted(p.name for p in out.iterdir()) == ["point_001"]
     assert [p.name for p in (out / "point_001").iterdir()] == ["unit.report.json"]
+
+
+def _sweep_argv(tmp_path: Path, scenario_raw: dict, out: Path) -> list[str]:
+    base = write_yaml(tmp_path / "base.yaml", _sweep_base(scenario_raw))
+    grid = write_yaml(tmp_path / "grid.yaml", {"grid": {"schedule.params.value": [0.5, 1.5]}})
+    return ["sweep", str(base), "--grid", str(grid), "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("summary", ["sweep_summary.csv", "sweep_summary.txt"])
+def test_directory_at_a_sweep_summary_path_fails_before_any_point_runs(tmp_path, scenario_raw,
+                                                                      capsys, summary):
+    out = tmp_path / "out"
+    (out / summary).mkdir(parents=True)
+    assert main(_sweep_argv(tmp_path, scenario_raw, out)) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""  # refused before any point ran
+    assert err == f"config error: cannot write '{out / summary}': it is a directory\n"
+    assert [p.name for p in out.iterdir()] == [summary]
+
+
+def test_file_at_a_sweep_point_directory_fails_before_any_point_runs(tmp_path, scenario_raw,
+                                                                    capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "point_001").write_text("a file\n")
+    assert main(_sweep_argv(tmp_path, scenario_raw, out)) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""  # refused before any point ran
+    assert err == (f"config error: cannot create output directory '{out / 'point_001'}': "
+                   f"{os.strerror(errno.EEXIST)}\n")
+    assert [p.name for p in out.iterdir()] == ["point_001"]
+    assert (out / "point_001").read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("name", ["sub/run", "../escaped", "", ".", "..", "nul\0byte"],
+                         ids=["slash", "parent", "empty", "dot", "dotdot", "nul"])
+def test_name_that_is_not_a_file_name_is_refused(tmp_path, scenario_raw, capsys, name):
+    scenario_raw["name"] = name
+    path = write_yaml(tmp_path / "named.yaml", scenario_raw)
+    out = tmp_path / "work" / "out"
+    for argv in (["validate", str(path)], ["simulate", str(path), "--out-dir", str(out)]):
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"config error: {path}:1: name: must be a file name ")
+        assert err.endswith(f", got {name!r}\n")
+    # nothing written, inside the output directory or next to it
+    assert [p.name for p in tmp_path.rglob("*")] == ["named.yaml"]
+
+
+def test_grid_axis_naming_a_path_fails_before_any_point_runs(tmp_path, scenario_raw, capsys):
+    base = write_yaml(tmp_path / "base.yaml", _sweep_base(scenario_raw))
+    grid = write_yaml(tmp_path / "grid.yaml", {"grid": {"name": ["a/b"]}})
+    out = tmp_path / "out"
+    assert main(["sweep", str(base), "--grid", str(grid), "--out-dir", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"config error: {base}[point_000]: name: must be a file name ")
+    assert not out.exists()
+
+
+def test_run_scenario_refuses_a_directory_at_an_artifact_path_before_integrating(
+        tmp_path, scenario_raw, monkeypatch):
+    calls = []
+    monkeypatch.setattr(hbft.cli, "integrate", lambda *args, **kwargs: calls.append(args))
+    cfg = ScenarioConfig.from_raw(scenario_raw, source="unit")
+    (tmp_path / "unit.summary.txt").mkdir()
+    with pytest.raises(ConfigError, match="it is a directory"):
+        run_scenario(cfg, tmp_path, quiet=True)
+    assert calls == []
+
+
+def test_scenario_result_paths_are_the_requested_artifacts(tmp_path, scenario_raw):
+    scenario_raw["outputs"] = {"formats": ["summary", "csv"]}
+    cfg = ScenarioConfig.from_raw(scenario_raw, source="unit")
+    result = run_scenario(cfg, tmp_path, quiet=True)
+    assert list(result.paths.items()) == [("csv", tmp_path / "unit.csv"),
+                                          ("summary", tmp_path / "unit.summary.txt")]
+
+
+def test_format_that_is_not_a_name_is_a_config_error(tmp_path, scenario_raw, capsys):
+    scenario_raw["outputs"] = {"formats": [["csv"]]}
+    path = write_yaml(tmp_path / "unit.yaml", scenario_raw)
+    assert main(["validate", str(path)]) == 2
+    assert "outputs.formats: unknown formats [['csv']]" in capsys.readouterr().err
+
+
+def test_rerun_into_the_same_out_dir_writes_the_same_bytes(tmp_path, scenario_file, scenario_raw):
+    def files(root: Path) -> dict:
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    out = tmp_path / "out"
+    for argv in (["simulate", str(scenario_file), "--out-dir", str(out / "sim")],
+                 _sweep_argv(tmp_path, scenario_raw, out / "sweep")):
+        assert main([*argv, "--quiet"]) == 0
+        first = files(out)
+        assert main([*argv, "--quiet"]) == 0
+        assert files(out) == first
+
+
+def test_artifact_that_cannot_be_opened_is_a_config_error(tmp_path, scenario_file, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    link = out / "unit.csv"
+    link.symlink_to(tmp_path / "missing" / "x.csv")
+    assert main(["simulate", str(scenario_file), "--out-dir", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"config error: cannot write '{link}': {os.strerror(errno.ENOENT)}\n"
+
+
+def test_name_too_long_for_the_file_system_is_a_config_error(tmp_path, scenario_raw, capsys):
+    scenario_raw["name"] = "n" * 300
+    path = write_yaml(tmp_path / "long.yaml", scenario_raw)
+    out = tmp_path / "out"
+    assert main(["validate", str(path)]) == 0  # a file name; too long only for this file system
+    capsys.readouterr()
+    assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == (f"config error: cannot write '{out / ('n' * 300 + '.csv')}': "
+                   f"{os.strerror(errno.ENAMETOOLONG)}\n")
+
+
+def test_sweep_point_whose_artifact_cannot_be_written_is_an_error_row(tmp_path, scenario_raw):
+    out = tmp_path / "out"
+    (out / "point_000").mkdir(parents=True)
+    link = out / "point_000" / "unit.csv"
+    link.symlink_to(tmp_path / "missing" / "x.csv")
+    grid = {"schedule.params.value": [0.5, 1.5]}
+    assert run_sweep(_sweep_base(scenario_raw), grid, out, quiet=True, source="t") == 3
+    rows = list(csv.DictReader((out / "sweep_summary.csv").open()))
+    assert [r["status"] for r in rows] == ["error", "ok"]
+    assert rows[0]["error"] == f"ConfigError: cannot write '{link}': {os.strerror(errno.ENOENT)}"
+
+
+def test_sweep_summary_that_cannot_be_written_is_a_config_error(tmp_path, scenario_raw, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    link = out / "sweep_summary.txt"
+    link.symlink_to(tmp_path / "missing" / "x.txt")
+    assert main([*_sweep_argv(tmp_path, scenario_raw, out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot write '{link}': "
+                                       f"{os.strerror(errno.ENOENT)}\n")
+    assert (out / "point_001" / "unit.csv").exists()  # the points ran first
 
 
 def test_runs_are_byte_deterministic(tmp_path, scenario_file):

@@ -298,6 +298,16 @@ def test_barbalat_finite_difference_fallback_matches_analytic():
     assert with_d.passed and without_d.passed
 
 
+def test_barbalat_with_a_zero_tail_threshold_demands_a_vanishing_tail():
+    t = _grid()
+    vanishing = np.where(t < 10.0, np.exp(-t), 0.0)
+    rec = barbalat_check(SampledFunction(t=t, value=vanishing), **BUDGETS, tail_threshold=0.0)
+    assert rec.passed and rec.details["conclusion_status"] == "holds"
+    rec = barbalat_check(SampledFunction(t=t, value=np.exp(-t)), **BUDGETS, tail_threshold=0.0)
+    assert not rec.passed and rec.details["conclusion_status"] == "violated"
+    assert rec.residual == math.inf
+
+
 def test_sqrt_friction_speed_samples(damped_run: Trajectory):
     sf = sqrt_friction_speed(damped_run)
     speeds = np.linalg.norm(damped_run.v, axis=1)

@@ -4,6 +4,7 @@ enforcement, and the grid-based hypothesis report."""
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -245,6 +246,63 @@ def test_power_decay_is_zero_where_its_power_overflows():
     with np.errstate(over="ignore"):
         assert s.lam(np.float64(10.0)) == 0.0 and s.lam_dot(np.float64(10.0)) == 0.0
     assert lambda_values(s, np.array([0.0, 10.0])).tolist() == [1.0, 0.0]
+
+
+def _exact_power_decay(initial: float, exponent: float, t: float, derivative: bool) -> Decimal:
+    """λ or λ' of power_decay at the float t, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c, a, base = Decimal(initial), Decimal(exponent), 1 + Decimal(t)
+        return -a * c / base ** (a + 1) if derivative else c / base**a
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _overflows(fn) -> bool:
+    try:
+        return not math.isfinite(fn())
+    except OverflowError:
+        return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    initial=st.floats(min_value=1e-300, max_value=1.7e308),
+    exponent=st.floats(min_value=1e-3, max_value=1e12),
+    log_power=st.floats(min_value=1.0, max_value=2200.0),
+)
+def test_power_decay_is_accurate_where_its_power_overflows(initial, exponent, log_power):
+    # t with (1 + t)^exponent near exp(log_power): past the float range from
+    # about 709.8 on; below it, exponent * initial may still overflow
+    t = math.expm1(min(log_power / exponent, 700.0))
+    s = power_decay(initial, exponent)
+    for derivative, fn, direct in (
+        (False, s.lam, lambda: initial / (1.0 + t) ** exponent),
+        (True, s.lam_dot, lambda: -exponent * initial / (1.0 + t) ** (exponent + 1.0)),
+    ):
+        if not _overflows(direct):
+            continue
+        exact = _exact_power_decay(initial, exponent, t, derivative)
+        got = fn(t)
+        if _SMALLEST_NORMAL <= abs(exact) <= Decimal(1.7976931348623157e308):
+            assert abs(Decimal(got) - exact) <= Decimal(1e-12) * abs(exact), (derivative, got, exact)
+        else:
+            assert abs(got) in (0.0, math.inf) or abs(got) < 2 * _SMALLEST_NORMAL
+
+
+def test_power_decay_examples_past_the_float_range():
+    s = power_decay(1e308, 1000.0)
+    # the power overflows between these two times; lambda stays continuous
+    assert lambda_at(s, 1.03) == pytest.approx(3.1912592511169, rel=1e-12)
+    assert lambda_at(s, 1.04) == pytest.approx(0.023433252602701890, rel=1e-12)
+    assert lambda_dot_at(power_decay(1e308, 10.0), 1.0) == pytest.approx(-4.8828125e305, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0])
+def test_lambda_dot_at_refuses_a_time_that_is_not_at_least_zero(t):
+    with pytest.raises(ValueError, match=f"evaluated at t={t}"):
+        lambda_dot_at(constant(1.0), t)
 
 
 def test_oscillating_with_a_non_finite_phase_breaks_its_claim():
