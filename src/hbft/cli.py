@@ -90,11 +90,21 @@ class _LineLoader(yaml.SafeLoader):
 
 
 def _construct_mapping(loader, node, deep=False):
+    # the keys the mapping writes itself: a << merge prepends its pairs, which
+    # an explicit key may override
+    own = [key_node for key_node, _ in node.value if key_node.tag != "tag:yaml.org,2002:merge"]
     mapping = yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
     for key_node, _ in node.value:
         if not isinstance(key := loader.construct_object(key_node), str):
             raise yaml.constructor.ConstructorError(
                 None, None, f"config keys must be strings, got {key!r}", key_node.start_mark)
+    seen = set()
+    for key_node in own:
+        if (key := loader.construct_object(key_node)) in seen or key == "__line__":
+            problem = "is reserved" if key == "__line__" else "is repeated in this mapping"
+            raise yaml.constructor.ConstructorError(
+                None, None, f"config key '{key}' {problem}", key_node.start_mark)
+        seen.add(key)
     mapping["__line__"] = node.start_mark.line + 1
     return mapping
 

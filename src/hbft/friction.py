@@ -73,7 +73,8 @@ class FrictionSchedule:
 
 
 def lambda_at(s: FrictionSchedule, t: float) -> float:
-    """Evaluate λ(t) for t ≥ 0, through ``s.checked``.
+    """Evaluate λ(t) for t ≥ 0, through ``s.checked`` at ``float(t)``, so a
+    numpy float64 t gives the value its Python float does.
 
     Raises:
         ValueError: for a t that is not >= 0, NaN included (the dynamics
@@ -83,7 +84,7 @@ def lambda_at(s: FrictionSchedule, t: float) -> float:
     """
     if not t >= 0:
         raise ValueError(f"schedule '{s.name}' evaluated at t={t} < 0")
-    return float(s.checked(t))
+    return float(s.checked(float(t)))
 
 
 def lambda_values(s: FrictionSchedule, t) -> np.ndarray:
@@ -103,7 +104,7 @@ def lambda_values(s: FrictionSchedule, t) -> np.ndarray:
 
 
 def lambda_dot_at(s: FrictionSchedule, t: float) -> float:
-    """Evaluate dλ/dt at t ≥ 0.
+    """Evaluate dλ/dt at t ≥ 0, at ``float(t)`` as :func:`lambda_at` does.
 
     Raises:
         CapabilityError: if the schedule carries no derivative.
@@ -113,7 +114,7 @@ def lambda_dot_at(s: FrictionSchedule, t: float) -> float:
         raise CapabilityError(f"schedule '{s.name}' has no derivative")
     if not t >= 0:
         raise ValueError(f"schedule '{s.name}' derivative evaluated at t={t} < 0")
-    return float(s.lam_dot(t))
+    return float(s.lam_dot(float(t)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -264,8 +265,10 @@ def power_decay(initial: float = 1.0, exponent: float = 1.0) -> FrictionSchedule
     λ lies in [0, initial] for every t ≥ 0. Where (1 + t)^exponent, or
     exponent · initial, overflows a float, λ and λ' are taken through
     ``_power_quotient``: to a few ulps where they are normal floats, and
-    0.0 and -0.0 where they underflow. For a numpy float64 t, whose power
-    does not raise on overflow, numpy's arithmetic gives 0.0 and -0.0 there.
+    0.0 and -0.0 where they underflow. :func:`lambda_at` and
+    :func:`lambda_dot_at` pass a Python float; called directly on a numpy
+    float64 t, whose power does not raise on overflow, ``lam`` and
+    ``lam_dot`` give numpy's 0.0 and -0.0 there.
     """
     if not (initial >= 0 and math.isfinite(initial)):
         raise ValueError(f"power_decay: initial must be >= 0 and finite, got {initial}")

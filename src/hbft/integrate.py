@@ -33,18 +33,19 @@ result.
 
 Fast path. When ``field`` is ``functools.partial(hbft_field, p, s)`` for the
 ``p`` and ``s`` passed in, ``p`` has a float gradient form (every builtin
-potential at dim 1 and 2) and no reaction is given, the steppers run on
-Python floats (dim 1) or float pairs (dim 2) instead of numpy arrays, with the
-same arithmetic operation by operation, so the trajectory is the same byte for
-byte. Each stage calls the float form, which never raises; the gradient at the
-end of a step is reused as the next step's first stage, and λ is read through
-the schedule's ``checked``, which owns the claim check: this module holds none.
-Any other field, a custom potential, dim ≥ 3 and the full surface model take
-the generic array path. rk4 at dim 1 runs in :func:`_rk4_floats`, one frame
-per step; every other case shares the loop in :func:`integrate`. The recorder
-keeps the components of x, v and ∇Φ in flat buffers and builds every other
-column in one pass at the end, Φ through the potential's column form where it
-has one.
+potential at dim 1 and 2) and no reaction is given, the run takes the float
+kernel: one loop per dim and method, generated from the stepper's tableau
+(:func:`_kernel_source`) and compiled on first use. It holds the stages, the
+stop rules, the clock, the sampling and dopri45's step control in one frame,
+on Python floats, with the array path's operations in the same order, so the
+trajectory is the same byte for byte. λ is read through the schedule's
+``checked``, which owns the claim check. The stages call the potential's raw
+float form; where that raises, the step is computed once more through the
+form that gives numpy's value there. Any other field, a custom potential,
+dim ≥ 3 and the full surface model take the generic array path, the loop in
+:func:`integrate`. The recorder keeps the components of x, v and ∇Φ in flat
+buffers and builds every other column in one pass at the end, Φ through the
+potential's column form where it has one.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import linecache
 import math
 import sys
 from array import array
@@ -194,14 +196,14 @@ class Trajectory:
 
 # --- steppers ---------------------------------------------------------------
 #
-# The cores step any state type with +, - and scalar *: (dim,) float arrays on
-# the generic path, floats on the dim-1 kernel. d(t, x, v, g) is the field,
-# (ẋ, v̇) at (t, x, v); the kernel takes g = ∇Φ(x) when it is known.
+# The cores step (dim,) float arrays on the generic path. d(t, x, v, g) is the
+# field, (ẋ, v̇) at (t, x, v), given g = ∇Φ(x) when it is known.
 
 
 _stage = PhaseState._trusted
 _INF = math.inf
 _OUT_OF_STEPS = "step budget exhausted: {0.max_steps} steps before reaching t_max={0.t_max}"
+_UNDERFLOW = "adaptive step underflow: needed step below h_min={0.h_min} at t={1}"
 
 
 def _norm(a: Vector) -> float:
@@ -256,9 +258,8 @@ _DP_E = _nonzero((
 
 
 def _weighted(weights: tuple, ks: list):
-    """Σ w·ks[j] over the (j, w) entries of ``weights``."""
-    # Left to right from 0.0, never sum(): from Python 3.12 sum() of floats is
-    # compensated and would round differently from the array path.
+    """Σ w·ks[j] over the (j, w) entries of ``weights``, left to right from
+    0.0, the sum the float kernel spells out."""
     acc = 0.0
     for j, w in weights:
         acc = acc + w * ks[j]
@@ -302,192 +303,44 @@ def _initial_step(f: FieldFn, t: float, x: Vector, v: Vector, cfg: IntegratorCon
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((dy / scale) ** 2)))
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     return min(max(h0, cfg.h_min), cfg.h_max, cfg.t_max)
 
 
 # --- state representations --------------------------------------------------
 #
-# integrate's loop sees the state through one of these: the two steppers, ∇Φ,
-# the size of a state against a threshold, the finiteness test, the dopri
-# error ratio and how a state is appended to the recorder's buffers.
+# _Arrays, stepped by the cores above in integrate's loop, or _Kernel, the
+# generated float loop below.
 
 
 class _Arrays:
     """The generic path: (dim,) arrays through the caller's field."""
 
-    finite, error_ratio = staticmethod(_finite), staticmethod(_error_ratio)
-    load = staticmethod(np.copy)
-
-    def __init__(self, field: FieldFn, p: Potential):
-        self.field, self.grad = field, functools.partial(gradient, p)
-
-    def rk4(self, t: float, x, v, h: float, g):
-        return _rk4_core(self.d, t, x, v, h, g)
-
-    def dopri(self, t: float, x, v, h: float, g):
-        return _dopri_core(self.d, t, x, v, h, g)
+    def __init__(self, field: FieldFn):
+        self.field = field
 
     def d(self, t, x, v, g=None):
         return self.field(_stage(t, x, v))
-
-    @staticmethod
-    def size(a: Vector, r: float) -> float:
-        return _norm(a)  # only ever compared with r (see _Pairs.size)
 
     @staticmethod
     def put(buf: array, a: Vector) -> None:
         buf.fromlist(a.tolist())  # array.extend would take a numpy scalar per entry
 
 
-class _Floats:
-    """The float kernel for dim 1: the reduced model on Python floats.
-
-    It repeats the generic path's operations for ``functools.partial(
-    hbft_field, p, s)`` on floats, so it gives the same bytes: dopri45 runs
-    the shared core on the field ``d``, and rk4 runs in :func:`_rk4_floats`.
-    Each stage reads its one λ through ``s.checked``, as ``lambda_at`` does
-    (stage times are finite and never negative). ∇Φ is the potential's float
-    form itself.
-    """
-
-    put, dopri = staticmethod(array.append), _Arrays.dopri
+class _Kernel:
+    """The float kernel: the reduced model on ``p`` and ``s``, stepped by the
+    loop :func:`_kernel` generates for ``p.dim`` and the method."""
 
     def __init__(self, p: Potential, s: FrictionSchedule):
-        self.lam_of, self.grad = s.checked, p.float_gradient_fn
+        self.p, self.s = p, s
 
-    def d(self, t, x, v, g=None):
-        return v, -self.lam_of(t) * v - (self.grad(x) if g is None else g)
-
-    @staticmethod
-    def parts(a: float) -> tuple:
-        return (a,)
-
-    @staticmethod
-    def size(a: float, r: float) -> float:
-        # a*a, not abs(a): they differ where a*a overflows or underflows
-        return math.sqrt(a * a)
-
-    @staticmethod
-    def finite(*states: float) -> bool:
-        return all(map(math.isfinite, states))
-
-    def error_ratio(self, x, v, x1, v1, ex, ev, atol: float, rtol: float) -> float:
-        parts = self.parts
-        y0, y1 = parts(x) + parts(v), parts(x1) + parts(v1)
-        total = 0.0
-        for e, a, b in zip(parts(ex) + parts(ev), y0, y1):
-            q = e / (atol + rtol * max(abs(a), abs(b)))
-            # numpy's mean of arr**2 on at most 4 entries: q*q summed left to right
-            total = total + q * q
-        return math.sqrt(total / len(y0))
-
-    @staticmethod
-    def load(a: Vector) -> float:
-        return a.tolist()[0]
-
-
-# Where a0*a0 + a1*a1 neither overflows nor loses precision to subnormals.
-_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
-
-
-class _Pairs(_Floats):
-    """The float kernel for dim 2, on (a, b) tuples.
-
-    Its steppers are the shared cores written out per component: the same
-    operations in the same order, without an object per operation. A step
-    makes no numpy call unless a size lies within rounding of a threshold
-    or the form falls back to numpy.
-    """
-
-    put = staticmethod(array.extend)
-
-    def __init__(self, p: Potential, s: FrictionSchedule):
-        self.lam_of, self.form, self._row = s.checked, p.float_gradient_fn, np.empty(2)
-
-    def rk4(self, t: float, x: tuple, v: tuple, h: float, g: tuple) -> tuple:
-        lam_of, form, c = self.lam_of, self.form, 0.5 * h
-        (xa, xb), (va, vb), (ga, gb) = x, v, g
-        lam = lam_of(t)
-        k1a, k1b = -lam * va - ga, -lam * vb - gb
-        x2a, x2b, v2a, v2b = xa + c * va, xb + c * vb, va + c * k1a, vb + c * k1b
-        lam = lam_of(t + c)
-        ga, gb = form(x2a, x2b)
-        k2a, k2b = -lam * v2a - ga, -lam * v2b - gb
-        x3a, x3b, v3a, v3b = xa + c * v2a, xb + c * v2b, va + c * k2a, vb + c * k2b
-        lam = lam_of(t + c)
-        ga, gb = form(x3a, x3b)
-        k3a, k3b = -lam * v3a - ga, -lam * v3b - gb
-        x4a, x4b, v4a, v4b = xa + h * v3a, xb + h * v3b, va + h * k3a, vb + h * k3b
-        lam = lam_of(t + h)
-        ga, gb = form(x4a, x4b)
-        k4a, k4b = -lam * v4a - ga, -lam * v4b - gb
-        w = h / 6.0
-        return (
-            (xa + w * (va + 2.0 * v2a + 2.0 * v3a + v4a), xb + w * (vb + 2.0 * v2b + 2.0 * v3b + v4b)),
-            (va + w * (k1a + 2.0 * k2a + 2.0 * k3a + k4a), vb + w * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)),
+    def run(self, field: FieldFn, initial: PhaseState, cfg: IntegratorConfig) -> Trajectory:
+        form = self.p.float_gradient_fn
+        first_step = functools.partial(_initial_step, field, 0.0, initial.x, initial.v, cfg)
+        return _kernel(self.p.dim, cfg.method)(
+            _Recorder(self.p, self.s, array.extend), cfg, self.s.checked,
+            getattr(form, "__wrapped__", form), form, first_step, *initial.x.tolist(), *initial.v.tolist(),
         )
-
-    def dopri(self, t: float, x: tuple, v: tuple, h: float, g: tuple) -> tuple:
-        lam_of, form = self.lam_of, self.form
-        (xa0, xb0), (va0, vb0) = x, v
-        kxa: list = []
-        kxb: list = []
-        kva: list = []
-        kvb: list = []
-        for i, row in enumerate(_DP_A):
-            xa, xb, va, vb = xa0, xb0, va0, vb0
-            for j, a in row:
-                c = h * a
-                xa, xb = xa + c * kxa[j], xb + c * kxb[j]
-                va, vb = va + c * kva[j], vb + c * kvb[j]
-            lam = lam_of(t + _DP_C[i] * h)
-            ga, gb = g if i == 0 else form(xa, xb)
-            kxa.append(va)
-            kxb.append(vb)
-            kva.append(-lam * va - ga)
-            kvb.append(-lam * vb - gb)
-        return (
-            (xa0 + h * _weighted(_DP_B5, kxa), xb0 + h * _weighted(_DP_B5, kxb)),
-            (va0 + h * _weighted(_DP_B5, kva), vb0 + h * _weighted(_DP_B5, kvb)),
-            (h * _weighted(_DP_E, kxa), h * _weighted(_DP_E, kxb)),
-            (h * _weighted(_DP_E, kva), h * _weighted(_DP_E, kvb)),
-        )
-
-    def grad(self, x: tuple) -> tuple:
-        return self.form(*x)
-
-    @staticmethod
-    def parts(a: tuple) -> tuple:
-        return a
-
-    def size(self, a: tuple, r: float) -> float:
-        """|a| for comparing with r: through numpy's dot near r, else without.
-
-        a0*a0 + a1*a1 differs from numpy's dot (on 3,530 of 50,000 random
-        rows) by a few ulps at most in the normal range, so outside 1e-14
-        (about 45 ulps) of r*r it lies on the same side of r.
-        """
-        a0, a1 = a
-        q = a0 * a0 + a1 * a1
-        r2 = r * r
-        if _NORMAL_MIN < q < _NORMAL_MAX and abs(q - r2) > 1e-14 * r2:
-            return math.sqrt(q)
-        row = self._row
-        row[0], row[1] = a0, a1
-        return math.sqrt(row.dot(row))
-
-    @staticmethod
-    def finite(x: tuple, v: tuple, ex: tuple = (0.0, 0.0), ev: tuple = (0.0, 0.0)) -> bool:
-        (xa, xb), (va, vb), (ea, eb), (fa, fb), ok = x, v, ex, ev, math.isfinite
-        return ok(xa) and ok(xb) and ok(va) and ok(vb) and ok(ea) and ok(eb) and ok(fa) and ok(fb)
-
-    @staticmethod
-    def load(a: Vector) -> tuple:
-        return tuple(a.tolist())
 
 
 def _representation(field, p: Potential, s: FrictionSchedule, reaction):
@@ -504,8 +357,8 @@ def _representation(field, p: Potential, s: FrictionSchedule, reaction):
         and p.float_gradient_fn is not None
         and p.dim <= 2
     ):
-        return (_Floats if p.dim == 1 else _Pairs)(p, s)
-    return _Arrays(field, p)
+        return _Kernel(p, s)
+    return _Arrays(field)
 
 
 class _Recorder:
@@ -569,55 +422,93 @@ def _stats(accepted: int, rejected: int, h_small: float, h_big: float) -> StepSt
     return StepStats(accepted, rejected, *((h_small, h_big) if accepted else (0.0, 0.0)))
 
 
-def _rk4_floats(model: _Floats, rec: _Recorder, cfg: IntegratorConfig, x: float, v: float,
-                g: float, below_since: Optional[float]) -> Trajectory:
-    """integrate's loop around ``_rk4_core`` on ``_Floats.d``, the same operations
-    in the same order, in one frame: no call per step but λ and ∇Φ. Samples go
-    straight to the buffers, as t grows on every step (only the last may repeat)."""
-    lam_of, grad, isfinite, sqrt = model.lam_of, model.grad, math.isfinite, math.sqrt
-    tol, dwell, radius = cfg.stop.stationarity_tol, cfg.stop.dwell, cfg.stop.divergence_radius
+# --- the float kernel -----------------------------------------------------------
+#
+# One loop per (dim, method), generated from the stepper's tableau as straight
+# lines per component: the stages, the stop rules, the Kahan clock, the
+# sampling and dopri45's step control run in one frame, with no call per step
+# but λ and ∇Φ. The text spells out the array cores' expression trees operation
+# by operation, so the doubles are theirs. Only tableau constants become
+# literals, through repr, which round-trips; the config, λ and the gradient
+# forms enter as arguments. The stages call the raw gradient form; where it
+# raises (x ** k overflowing, sin(inf)), the step, and likewise the gradient
+# at its end, is computed once more through the checked form, which gives
+# numpy's value there and the raw form's everywhere else.
+
+# Where a*a + b*b neither overflows nor loses precision to subnormals.
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
+
+
+def _size2(a: float, b: float, r: float) -> float:
+    """|(a, b)| for comparing with r: through numpy's dot near r, else without.
+
+    a*a + b*b differs from numpy's dot (on 3,530 of 50,000 random rows) by a
+    few ulps at most in the normal range, so outside 1e-14 (about 45 ulps) of
+    r*r it lies on the same side of r.
+    """
+    q = a * a + b * b
+    r2 = r * r
+    if _NORMAL_MIN < q < _NORMAL_MAX and abs(q - r2) > 1e-14 * r2:
+        return math.sqrt(q)
+    return _norm(np.array((a, b)))
+
+
+# RK4 in the form of _DP_A and _DP_C; _RK4_B holds 6 times its weights, the
+# sum _rk4_core multiplies by h / 6.
+_RK4_A = ((), ((0, 0.5),), ((1, 0.5),), ((2, 1.0),))
+_RK4_C = (0.0, 0.5, 0.5, 1.0)
+_RK4_B = ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0))
+
+_KERNEL = """\
+def kernel(rec, cfg, lam_of, raw, checked, first_step, {x}, {v}):
+    isfinite, sqrt, size2 = math.isfinite, math.sqrt, _size2
+    stop = cfg.stop
+    tol, dwell, radius = stop.stationarity_tol, stop.dwell, stop.divergence_radius
     t_max, max_steps, sample_dt, stride = cfg.t_max, cfg.max_steps, cfg.sample_dt, cfg.sample_stride
+    atol, rtol, h_min, h_max = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.h_max
     eps_t = 1e-12 * max(1.0, t_max)
     put_t, put_x, put_v, put_g = rec.t.append, rec.x.append, rec.v.append, rec.g.append
-    h = float(cfg.step)
-    # remaining only shrinks, so the first step is the longest and the last the shortest
-    t, t_comp, next_sample, accepted, h_small, h_big = 0.0, 0.0, sample_dt, 0, _INF, min(h, t_max)
+    try:
+        {g} = raw({x})
+    except (OverflowError, ValueError):
+        {g} = checked({x})
+    rec.record(0.0, ({x},), ({v},), ({g},))
+    below_since = 0.0 if {v_below} and {g_below} else None
+    h = {h}
+    t, t_comp, next_sample, accepted, rejected, h_small, h_big = 0.0, 0.0, sample_dt, 0, 0, _INF, {h_big}
     while (remaining := t_max - t) > eps_t:
-        if accepted >= max_steps:
-            raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, 0, h_small, h_big))
+        if {spent} >= max_steps:
+            raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, rejected, h_small, h_big))
         hs = h if h < remaining else remaining
-        c, tc, th = 0.5 * hs, t + 0.5 * hs, t + hs
         try:
-            k1 = -lam_of(t) * v - g
-            x2, v2 = x + c * v, v + c * k1
-            k2 = -lam_of(tc) * v2 - grad(x2)
-            x3, v3 = x + c * v2, v + c * k2
-            k3 = -lam_of(tc) * v3 - grad(x3)
-            x4, v4 = x + hs * v3, v + hs * k3
-            k4 = -lam_of(th) * v4 - grad(x4)
+            try:
+{stages_raw}
+            except (OverflowError, ValueError):
+{stages_checked}
         except DivergenceError:
-            return rec.finish("diverged", _stats(accepted, 0, h_small, h_big), t, x, v, g)
+            {diverged}
         except ScheduleConsistencyError as exc:
-            rec.attach(exc, _stats(accepted, 0, h_small, h_big))
+            rec.attach(exc, _stats(accepted, rejected, h_small, h_big))
             raise
-        w = hs / 6.0
-        x1, v1 = x + w * (v + 2.0 * v2 + 2.0 * v3 + v4), v + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (isfinite(x1) and isfinite(v1)):
-            return rec.finish("diverged", _stats(accepted, 0, h_small, h_big), t, x, v, g)
+        else:
+{update}{control}
         y = hs - t_comp
         t_next = t + y
         t, t_comp = t_next, (t_next - t) - y
-        x, v = x1, v1
-        accepted, h_small = accepted + 1, hs
-        g = grad(x)
-        # sizes as _Floats.size takes them
-        if sqrt(x * x) > radius:
-            return rec.finish("diverged", _stats(accepted, 0, h_small, h_big), t, x, v, g)
-        if sqrt(v * v) < tol and sqrt(g * g) < tol:
+        {x}, {v} = {new}
+        accepted += 1
+{h_range}
+        try:
+            {g} = raw({x})
+        except (OverflowError, ValueError):
+            {g} = checked({x})
+        if {x_beyond}:
+            return rec.finish("diverged", {end})
+        if {v_below} and {g_below}:
             if below_since is None:
                 below_since = t
             if t - below_since >= dwell:
-                return rec.finish("stationary", _stats(accepted, 0, h_small, h_big), t, x, v, g)
+                return rec.finish("stationary", {end})
         else:
             below_since = None
         if sample_dt is not None:
@@ -626,12 +517,111 @@ def _rk4_floats(model: _Floats, rec: _Recorder, cfg: IntegratorConfig, x: float,
             while next_sample <= t + eps_t:
                 next_sample += sample_dt
         elif accepted % stride:
-            continue
+            continue{repeat}
         put_t(t)
-        put_x(x)
-        put_v(v)
-        put_g(g)
-    return rec.finish("t_max", _stats(accepted, 0, h_small, h_big), t, x, v, g)
+{puts}
+    return rec.finish("t_max", {end})
+"""
+
+# integrate's dopri45 branch after the stages: the error ratio as numpy's mean
+# of squares on at most 4 entries (q * q summed left to right), then shrink or grow.
+_DOPRI_CONTROL = """
+        if finite:
+{ratio}
+        elif hs <= h_min:
+            return rec.finish("diverged", {end})
+        else:
+            ratio = _INF
+        if ratio > 1.0:
+            rejected += 1
+            h = hs * (0.2 if not isfinite(ratio) else max(0.2, 0.9 * ratio ** -0.2))
+            if h < h_min:
+                raise rec.abort(_UNDERFLOW.format(cfg, t), _stats(accepted, rejected, h_small, h_big))
+            continue
+        h = min(h_max, hs * (5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))))"""
+
+
+def _kernel_source(dim: int, method: str) -> str:
+    """The text of the float kernel for ``dim`` (1 or 2) and ``method``."""
+    comps, adaptive = "ab"[:dim], method == "dopri45"
+    rows, times = (_DP_A, _DP_C) if adaptive else (_RK4_A, _RK4_C)
+    pairs = [(p, c) for p in "xv" for c in comps]
+    # hs * a and t + c * hs once per step each; hs * 1.0 is hs
+    coeff = {a: f"c{n}" for n, a in enumerate(dict.fromkeys(a for row in rows for _, a in row))}
+    clock = {c: f"tc{n}" for n, c in enumerate(dict.fromkeys(times[1:]))}
+    coeff[1.0], clock[0.0] = "hs", "t"
+
+    def each(fmt: str) -> str:
+        return ", ".join(fmt.format(c) for c in comps)
+
+    def lines(indent: int, *rows: str) -> str:
+        return "\n".join(" " * indent + row for row in rows)
+
+    def size(a: str, r: str) -> str:
+        return f"sqrt({a}a * {a}a)" if dim == 1 else f"size2({a}a, {a}b, {r})"
+
+    def k(j: int, p: str, c: str) -> str:  # component c of stage j's ẋ (p = "x") or v̇
+        return (f"v{c}" if j == 0 else f"V{j}{c}") if p == "x" else f"K{j}{c}"
+
+    def dot(weights: tuple, p: str, c: str) -> str:
+        return " + ".join(k(j, p, c) if w == 1.0 else f"{w!r} * {k(j, p, c)}" for j, w in weights)
+
+    def stages(form: str) -> str:
+        out = [f"{name} = hs * {a!r}" for a, name in coeff.items() if a != 1.0]
+        out += [f"{name} = t + {'' if c == 1.0 else f'{c!r} * '}hs" for c, name in clock.items() if c]
+        for i, row in enumerate(rows):
+            out += [f"{p.upper()}{i}{c} = {p}{c}" + "".join(f" + {coeff[a]} * {k(j, p, c)}" for j, a in row)
+                    for c in (comps if i else ()) for p in "xv"]
+            lam, grad = f"lam_of({clock[times[i]]})", f"{form}({each(f'X{i}{{}}')})" if i else "ga"
+            if dim == 1:  # λ before ∇Φ, as in hbft_field
+                out.append(f"K{i}a = -{lam} * {k(i, 'x', 'a')} - {grad}")
+            else:
+                out += [f"lam = {lam}"] + ([f"Ga, Gb = {grad}"] if i else [])
+                out += [f"K{i}{c} = -lam * {k(i, 'x', c)} - {'G' if i else 'g'}{c}" for c in comps]
+        return lines(16, *out)
+
+    x, v, g = each("x{}"), each("v{}"), each("g{}")
+    end = f"_stats(accepted, rejected, h_small, h_big), t, ({x},), ({v},), ({g},)"
+    diverged = f'return rec.finish("diverged", {end})'
+    new, errs = [f"n{p}{c}" for p, c in pairs], [f"e{p}{c}" for p, c in pairs] if adaptive else []
+    finite = " and ".join(f"isfinite({name})" for name in new + errs)
+    if adaptive:
+        update = [f"n{p}{c} = {p}{c} + hs * (0.0 + {dot(_DP_B5, p, c)})" for p, c in pairs]
+        update += [f"e{p}{c} = hs * (0.0 + {dot(_DP_E, p, c)})" for p, c in pairs] + [f"finite = {finite}"]
+        ratio = [f"q{n} = e{p}{c} / (atol + rtol * max(abs({p}{c}), abs(n{p}{c})))"
+                 for n, (p, c) in enumerate(pairs)]
+        squares = " + ".join(f"q{n} * q{n}" for n in range(len(pairs)))
+        ratio.append(f"ratio = sqrt((0.0 + {squares}) / {len(pairs)})")
+        control = _DOPRI_CONTROL.format(ratio=lines(12, *ratio), end=end)
+        h_range = ["if hs < h_small:", "    h_small = hs", "if hs > h_big:", "    h_big = hs"]
+    else:
+        update = ["w = hs / 6.0"] + [f"n{p}{c} = {p}{c} + w * ({dot(_RK4_B, p, c)})" for p, c in pairs]
+        update += [f"if not ({finite}):", "    " + diverged]
+        # remaining only shrinks, so the first step is the longest and the last the shortest
+        control, h_range = "", ["h_small = hs"]
+    return _KERNEL.format(
+        x=x, v=v, g=g, end=end, control=control, new=", ".join(new),
+        stages_raw=stages("raw"), stages_checked=stages("checked"),
+        diverged="finite = False" if adaptive else diverged,
+        update=lines(12, *update), h_range=lines(8, *h_range),
+        h="first_step()" if adaptive else "float(cfg.step)",
+        h_big="0.0" if adaptive else "min(h, t_max)",
+        spent="accepted + rejected" if adaptive else "accepted",
+        repeat="\n" + lines(8, "if rec.t[-1] == t:", "    continue") if adaptive else "",
+        puts=lines(8, *(f"put_{p}({p}{c})" for p in "xvg" for c in comps)),
+        x_beyond=f"{size('x', 'radius')} > radius", v_below=f"{size('v', 'tol')} < tol",
+        g_below=f"{size('g', 'tol')} < tol",
+    )
+
+
+@functools.cache
+def _kernel(dim: int, method: str) -> Callable:
+    """The float kernel for ``dim`` and ``method``, compiled on first use."""
+    source, name = _kernel_source(dim, method), f"<hbft {method} kernel, dim {dim}>"
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)  # for tracebacks
+    scope = dict(globals())
+    exec(compile(source, name, "exec"), scope)
+    return scope["kernel"]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -687,8 +677,10 @@ def integrate(
         raise ValueError("halt_on_contact_loss requires a reaction callable")
 
     model = _representation(field, p, s, reaction)
-    rec = _Recorder(p, s, model.put)
-    record, grad, size, is_finite = rec.record, model.grad, model.size, model.finite
+    if type(model) is _Kernel:
+        return model.run(field, initial, cfg)
+    rec = _Recorder(p, s, _Arrays.put)
+    record, d = rec.record, model.d
     stop = cfg.stop
     tol, dwell, radius = stop.stationarity_tol, stop.dwell, stop.divergence_radius
     halt, t_max, max_steps = stop.halt_on_contact_loss, cfg.t_max, cfg.max_steps
@@ -696,40 +688,32 @@ def integrate(
     eps_t = 1e-12 * max(1.0, t_max)
 
     t, t_comp = 0.0, 0.0
-    x, v = model.load(initial.x), model.load(initial.v)
-    g = grad(x)
+    x, v = initial.x.copy(), initial.v.copy()
+    g = gradient(p, x)
     record(t, x, v, g)
-
     accepted, rejected, h_small, h_big = 0, 0, math.inf, 0.0
-
     # Stationarity dwell clock; may start at t=0.
-    below_since: Optional[float] = None
-    if size(v, tol) < tol and size(g, tol) < tol:
-        below_since = 0.0
-
+    below_since = 0.0 if _norm(v) < tol and _norm(g) < tol else None
     adaptive = cfg.method == "dopri45"
-    if not adaptive and type(model) is _Floats:
-        return _rk4_floats(model, rec, cfg, x, v, g, below_since)
     next_sample = sample_dt
-    step = model.dopri if adaptive else model.rk4
+    step = _dopri_core if adaptive else _rk4_core
     h = _initial_step(field, t, initial.x, initial.v, cfg) if adaptive else float(cfg.step)
 
     while (remaining := t_max - t) > eps_t:
         if accepted + rejected >= max_steps:
             raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, rejected, h_small, h_big))
-
         h_try = h if h < remaining else remaining
         try:
-            result = step(t, x, v, h_try, g)
+            result = step(d, t, x, v, h_try, g)
         except DivergenceError:
             finite = False
         except ScheduleConsistencyError as exc:
             rec.attach(exc, _stats(accepted, rejected, h_small, h_big))
             raise
         else:
-            finite = is_finite(*result)
+            finite = _finite(*result)
         if adaptive:
-            ratio = model.error_ratio(x, v, *result, cfg.abs_tol, cfg.rel_tol) if finite else math.inf
+            ratio = _error_ratio(x, v, *result, cfg.abs_tol, cfg.rel_tol) if finite else math.inf
             if not finite and h_try <= cfg.h_min:
                 # Cannot shrink further; treat as divergence at the last good state.
                 return rec.finish("diverged", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
@@ -738,10 +722,7 @@ def integrate(
                 shrink = 0.2 if not math.isfinite(ratio) else max(0.2, 0.9 * ratio ** -0.2)
                 h = h_try * shrink
                 if h < cfg.h_min:
-                    raise rec.abort(
-                        f"adaptive step underflow: needed step below h_min={cfg.h_min} at t={t}",
-                        _stats(accepted, rejected, h_small, h_big),
-                    )
+                    raise rec.abort(_UNDERFLOW.format(cfg, t), _stats(accepted, rejected, h_small, h_big))
                 continue
             grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
             h = min(cfg.h_max, h_try * grow)
@@ -754,27 +735,19 @@ def integrate(
         t, t_comp = t_next, (t_next - t) - y
         x, v = result[0], result[1]
         accepted += 1
-        if h_try < h_small:
-            h_small = h_try
-        if h_try > h_big:
-            h_big = h_try
-
-        g = grad(x)
-
-        if size(x, radius) > radius:
+        h_small, h_big = min(h_small, h_try), max(h_big, h_try)
+        g = gradient(p, x)
+        if _norm(x) > radius:
             return rec.finish("diverged", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
-
         if halt and reaction(_stage(t, x, v)) <= 0.0:
             return rec.finish("contact_lost", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
-
-        if size(v, tol) < tol and size(g, tol) < tol:
+        if _norm(v) < tol and _norm(g) < tol:
             if below_since is None:
                 below_since = t
             if t - below_since >= dwell:
                 return rec.finish("stationary", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
         else:
             below_since = None
-
         if sample_dt is not None:
             if t >= next_sample - eps_t:
                 record(t, x, v, g)

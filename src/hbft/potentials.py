@@ -58,8 +58,12 @@ class Potential:
         float_gradient_fn: ∇Φ on Python floats, for dim 1 and 2 only: x ↦ g
             for dim 1, (x₀, x₁) ↦ (g₀, g₁) for dim 2. It must give the doubles
             ``gradient_fn`` gives, inf and nan included, and must not raise.
-            With it, ``integrate`` steps the reduced model on floats (see
-            :mod:`hbft.integrate`) and :func:`gradient_rows` runs per row.
+            Its ``__wrapped__``, where it has one, is a raw form that gives
+            the same doubles wherever it does not raise: ``integrate``'s float
+            stages call that and compute a step once more through this form
+            when it raises. With it, ``integrate`` steps the reduced model on
+            floats (see :mod:`hbft.integrate`) and :func:`gradient_rows` runs
+            per row.
         column_value_fn: Φ over the rows of an (N, dim) array, (N, dim) →
             (N,), for dim 1 and 2 only. It must give the doubles ``value``
             gives row by row. With it, ``integrate`` builds the energy
@@ -104,10 +108,9 @@ def _as_point(p: Potential, x, name: str = "x") -> Vector:
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a·b per row of (N, dim) arrays (or of one and a (dim,) row), in one
-    batched matmul that takes numpy's dot per row, as ``a @ b`` on rows does;
-    at dim 1, the product plus 0.0, as the dot's ``0 + a*b`` (-0.0 -> +0.0)."""
-    if a.shape[-1] == 1:
-        return a[..., 0] * b[..., 0] + 0.0
+    batched matmul that takes numpy's dot per row, as ``a @ b`` on rows does,
+    at every dim: at dim 1 it is the dot's ``0 + a*b`` (-0.0 -> +0.0), NaN
+    sign bits included."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
@@ -353,7 +356,8 @@ def _whole_dim(name: str, dim) -> int:
 def _or_numpy(p: Potential) -> Potential:
     """``p`` with a float form that gives ``gradient_fn``'s doubles where its
     own raises: x ** k overflowing and math.sin(inf) raise on floats where
-    numpy gives inf or nan, and numpy's value is the reference."""
+    numpy gives inf or nan, and numpy's value is the reference. The form's
+    ``__wrapped__`` is the raw one, which the float kernel calls first."""
     form, numpy_form = p.float_gradient_fn, p.gradient_fn
 
     def checked(*x):
@@ -363,6 +367,7 @@ def _or_numpy(p: Potential) -> Potential:
             g = numpy_form(np.array(x)).tolist()
             return g[0] if len(x) == 1 else tuple(g)
 
+    checked.__wrapped__ = form
     return p if form is None else dataclasses.replace(p, float_gradient_fn=checked)
 
 

@@ -27,6 +27,7 @@ from hbft.cli import (
     _CSV_BLOCK_ROWS,
     OUT_DIR_ENV,
     ScenarioConfig,
+    _run_check,
     csv_header,
     load_config_file,
     load_sweep_grid,
@@ -39,6 +40,8 @@ from hbft.cli import (
 )
 from hbft.errors import ConfigError
 from hbft.friction import FrictionSchedule
+from hbft.integrate import _Arrays, _Recorder
+from hbft.potentials import gradient_rows
 
 from conftest import REPO_ROOT, SCENARIO_DIR, SWEEP_DIR, bundled_scenario_paths
 
@@ -1112,6 +1115,58 @@ def test_bundled_artifacts_have_their_recorded_digests(bundle_runs):
     assert checked == 3 * len(bundle_runs)
 
 
+# --- the bundled verdicts on an independent integrator ------------------------------
+
+
+def _dop853_run(run) -> Trajectory:
+    """The run's samples recomputed by scipy's DOP853 at rtol = atol = 1e-12,
+    with the run's termination and step stats, as integrate would build them."""
+    integ = pytest.importorskip("scipy.integrate")
+    cfg, traj = run.cfg, run.result.trajectory
+    p, s, dim = cfg.potential, cfg.schedule, cfg.potential.dim
+
+    def rhs(t, y):
+        x, v = y[:dim], y[dim:]
+        return np.concatenate([v, -s.lam(t) * v - p.gradient_fn(x)])
+
+    sol = integ.solve_ivp(rhs, (0.0, traj.t_final), np.concatenate([cfg.x0, cfg.v0]),
+                          method="DOP853", t_eval=traj.t, rtol=1e-12, atol=1e-12)
+    assert sol.success and sol.t.tobytes() == traj.t.tobytes()
+    rec = _Recorder(p, s, _Arrays.put)
+    x, v = sol.y[:dim].T.copy(), sol.y[dim:].T.copy()
+    for buf, column in ((rec.t, sol.t), (rec.x, x), (rec.v, v), (rec.g, gradient_rows(p, x))):
+        rec.put(buf, column.ravel())
+    return rec.build(traj.termination_reason, traj.step_stats)
+
+
+# Checks whose residual lies within a factor of 2 of their threshold on the
+# DOP853 samples (residual / threshold in [0.5, 2]): the verdicts nearest to
+# flipping. Every other residual is more than 2x away from its threshold.
+_CLOSE_CALLS = {
+    ("damped_harmonic", "acceleration_bound"),  # 1.0 / 2.0
+    ("damped_harmonic_tail", "acceleration_bound"),  # 1.0 / 2.0
+    ("damped_harmonic_tail", "barbalat"),  # 0.666 / 1.0
+    ("oscillating_friction", "friction_bounded"),  # 3.0 / 3.5
+    ("pure_damping", "acceleration_bound"),  # 1.0 / 1.5
+    ("rosenbrock_descent", "acceleration_bound"),  # 7.34 / 10.0
+}
+
+
+def test_bundled_verdicts_survive_an_independent_integrator(bundle_runs):
+    close, n_verdicts = set(), 0
+    for name, run in bundle_runs.items():
+        oracle = _dop853_run(run)
+        cfg = run.cfg
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = [_run_check(check, oracle, cfg.potential, cfg.schedule) for check in cfg.checks]
+        for got, want in zip(records, run.result.report.checks, strict=True):
+            assert (got.check_name, got.passed) == (want.check_name, want.passed), name
+            n_verdicts += 1
+            if 0.5 <= got.residual / got.threshold <= 2.0:
+                close.add((name, got.check_name))
+    assert n_verdicts == 35 and close == _CLOSE_CALLS
+
+
 def test_bundled_sweep_grid_loads():
     grid = load_sweep_grid(SWEEP_DIR / "constant_damping_grid.yaml")
     assert grid == {"schedule.params.value": [0.1, 1.0, 10.0]}
@@ -1161,3 +1216,45 @@ def test_seed_flag_is_a_usage_error(scenario_file):
 def test_missing_file_is_config_error(capsys):
     assert main(["simulate", "/nonexistent/nowhere.yaml"]) == 2
     assert "nowhere.yaml" in capsys.readouterr().err
+
+
+def _pure_damping_with(extra: str, after: str = "  t_max: 5.0\n") -> str:
+    text = (SCENARIO_DIR / "pure_damping.yaml").read_text()
+    assert after in text
+    return text.replace(after, after + extra, 1)
+
+
+@pytest.mark.parametrize("extra, key, offset", [
+    ("  stop:\n    dwell: 1.0\n  stop:\n    dwell: 2.0\n", "stop", 3),
+    ("  step: 2.0e-3\n", "step", 1),
+    ("  __line__: 7\n", "__line__", 1),
+], ids=["block", "scalar", "reserved"])
+def test_repeated_or_reserved_key_is_a_config_error(tmp_path, capsys, extra, key, offset):
+    # two stop blocks used to load as the second alone, and a __line__ key
+    # was overwritten by the line marker
+    text = _pure_damping_with(extra)
+    line = text[: text.index(extra)].count("\n") + offset
+    path = tmp_path / "keys.yaml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"keys.yaml:{line}:" in err and f"config key '{key}'" in err
+
+
+def test_repeated_grid_axis_is_a_config_error(tmp_path, scenario_raw, capsys):
+    base = write_yaml(tmp_path / "base.yaml", scenario_raw)
+    grid = tmp_path / "grid.yaml"
+    grid.write_text("grid:\n  schedule.params.value: [1.0]\n  schedule.params.value: [2.0]\n")
+    assert main(["sweep", str(base), "--grid", str(grid), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "grid.yaml:3:" in err and "is repeated" in err
+
+
+def test_a_key_may_override_a_merged_one(tmp_path, capsys):
+    # YAML's << merge: the explicit step replaces the merged one
+    text = _pure_damping_with("  <<: {step: 5.0e-3, t_max: 5.0}\n", after="integrator:\n")
+    path = tmp_path / "merge.yaml"
+    path.write_text(text.replace("  t_max: 5.0\n", "", 1))
+    assert main(["validate", str(path)]) == 0
+    integrator = strip_line_markers(load_config_file(path))["integrator"]
+    assert integrator == {"method": "rk4", "step": 1.0e-3, "t_max": 5.0}

@@ -4,6 +4,7 @@ enforcement, and the grid-based hypothesis report."""
 from __future__ import annotations
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -328,3 +329,19 @@ def test_nan_time_is_refused(name):
 def test_lambda_at_returns_a_python_float_for_a_numpy_time():
     for name, _ in builtin_schedules():
         assert type(lambda_at(make_schedule(name), np.float64(2.5))) is float
+
+
+@pytest.mark.parametrize(
+    "s, t",
+    [(make_schedule(name), 2.5) for name, _ in builtin_schedules()]
+    # the power raises on a float past the float range and takes the exact
+    # fallback, but overflows to inf on an np.float64 (λ = 0.0234, not 0.0)
+    + [(power_decay(1e308, 1000.0), 1.04)],
+    ids=lambda case: getattr(case, "name", None),
+)
+def test_lambda_at_gives_a_numpy_time_the_value_of_its_python_float(s, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lambda_at(s, np.float64(t)) == lambda_at(s, t)
+        if s.lam_dot is not None:
+            assert lambda_dot_at(s, np.float64(t)) == lambda_dot_at(s, t)

@@ -3,8 +3,13 @@ adaptive/fixed agreement, stop conditions, and sampling contracts."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,8 +40,10 @@ from hbft.friction import (
     step,
 )
 from hbft.integrate import _Arrays, _norm, _Recorder, _representation
+from hbft.integrate import _kernel, _kernel_source
 from hbft.potentials import (
     Potential,
+    _or_numpy,
     anisotropic_quadratic,
     double_well,
     eggcrate,
@@ -49,6 +56,7 @@ from hbft.potentials import (
 )
 
 from conftest import damped_v, damped_x
+from conftest import REPO_ROOT
 
 
 def _field(p, s):
@@ -418,6 +426,101 @@ def test_kernel_matches_generic_path_when_the_step_budget_runs_out(method):
         assert str(kernel) == str(generic)
         _assert_same_run(kernel.partial, generic.partial)
         assert kernel.partial.termination_reason == "aborted"
+
+
+# --- the generated kernels and the per-step overflow retry -------------------------
+#
+# The float stages call the potential's raw gradient form; where it raises, the
+# step (or the gradient at its end) is computed once more through the checked
+# form. Runs that take the retry must still match the generic path bit for bit.
+
+
+@pytest.mark.parametrize("method", ["rk4", "dopri45"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_kernel_variant_compiles_once(dim, method):
+    compile(_kernel_source(dim, method), "<kernel>", "exec")
+    assert callable(_kernel(dim, method)) and _kernel(dim, method) is _kernel(dim, method)
+
+
+def test_no_kernel_is_compiled_at_import():
+    code = "import hbft.cli; from hbft.integrate import _kernel; print(_kernel.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert out.stdout.strip() == "0"
+
+
+def _logged(p):
+    """``p`` with its raw and checked float forms wrapped to log each call, in
+    order, as "raw", "raised" or "checked"; and the log."""
+    form, log = p.float_gradient_fn, []
+    raw = form.__wrapped__
+
+    def logged_raw(*x):
+        try:
+            out = raw(*x)
+        except (OverflowError, ValueError):
+            log.append("raised")
+            raise
+        log.append("raw")
+        return out
+
+    def logged_checked(*x):
+        log.append("checked")
+        return form(*x)
+
+    logged_checked.__wrapped__ = logged_raw
+    return dataclasses.replace(p, float_gradient_fn=logged_checked), log
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.01},
+                                    {"method": "dopri45", "h_max": 0.01}], ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("p, x0, v0", [
+    (double_well(), [1e100], [1e104]),  # x**3 overflows at the third stage of the first step
+    (rosenbrock(), [1e70, 0.0], [1e74, 0.0]),  # and x0**2 here
+], ids=["double_well", "rosenbrock"])
+def test_kernel_retries_a_step_whose_later_stage_overflows(method, p, x0, v0):
+    q, log = _logged(p)
+    kernel, generic = _both(q, constant(1.0), x0, v0, t_max=1.0,
+                            stop=StopCondition(divergence_radius=1e308), **method)
+    _assert_same_run(kernel, generic)
+    assert kernel.termination_reason == "diverged"
+    # not the gradient at the start nor the first float stage: a later one
+    assert log.index("raised") == 2 and log[3] == "checked"
+
+
+@pytest.mark.parametrize("method", ["rk4", "dopri45"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("failing_call", [1, 3, 5, 8, 11])
+def test_kernel_retry_gives_the_doubles_of_the_generic_path(dim, method, failing_call):
+    # A raw form that raises at one call only: the initial gradient (1), a
+    # stage of the first step (3), the gradient at its end for rk4 or a stage
+    # for dopri45 (5), and later stages or ends of step (8, 11). The retried
+    # step takes the checked form, which gives the same doubles here.
+    p, calls = quadratic(dim=dim, scale=2.0), itertools.count(1)
+    raw = p.float_gradient_fn
+
+    def flaky(*x):
+        if next(calls) == failing_call:
+            raise OverflowError("flaky")
+        return raw(*x)
+
+    q = _or_numpy(dataclasses.replace(p, float_gradient_fn=flaky))
+    kernel, generic = _both(q, power_decay(1.0, 0.5), [1.0, -0.5][:dim], [0.3, 0.2][:dim],
+                            t_max=0.5, method=method, step=0.05, h_max=0.05)
+    _assert_same_run(kernel, generic)
+    assert kernel.termination_reason == "t_max" and next(calls) > failing_call + 1
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.01}, {"method": "dopri45"}],
+                         ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("case", [_BUILTINS_1D[2], _BUILTINS_1D[3], _BUILTINS_2D[2], _BUILTINS_2D[3]],
+                         ids=lambda c: c[0].name)
+def test_kernel_never_calls_the_checked_form_on_a_run_that_never_overflows(method, case):
+    p, s, x0, v0 = case
+    q, log = _logged(p)
+    kernel, generic = _both(q, s, x0, v0, t_max=1.5, **method)
+    _assert_same_run(kernel, generic)
+    assert log and set(log) == {"raw"}
 
 
 _KERNEL_CASES = _BUILTINS_1D + _BUILTINS_2D
