@@ -41,6 +41,9 @@ from .errors import CapabilityError
 # Share of the last samples that makes up a run's tail, unless a check is
 # given its own.
 TAIL_FRACTION = 0.2
+# The terminations of a run that was not stopped early; any other
+# (diverged, contact_lost) leaves part of its horizon unexamined.
+COMPLETE_RUNS = ("t_max", "stationary")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,7 +326,7 @@ def tail_asymptotics(
         ValueError: if the run ended by divergence or contact loss, or the
             tail window is empty.
     """
-    if traj.termination_reason not in ("t_max", "stationary"):
+    if traj.termination_reason not in COMPLETE_RUNS:
         raise ValueError(
             f"tail asymptotics need a run ending at the horizon or stationary, "
             f"got termination_reason='{traj.termination_reason}'"

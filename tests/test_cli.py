@@ -3,6 +3,8 @@ output files, exit codes, sweeps, and the two deliberate refusals."""
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import copy
 import csv
 import errno
@@ -11,8 +13,10 @@ import json
 import math
 import os
 import platform
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +535,190 @@ def test_csv_matches_per_row_csv_writer_on_block_constant_columns(tmp_path, rows
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+# --- the trajectory CSV formatted on two processes ----------------------------------
+
+_SPLIT_ROWS = 64  # the split threshold these tests set
+
+
+def _split_traj(rows: int, dim: int = 1, same: float = 0.0, odd_one: int = 0,
+                seed: int = 0) -> Trajectory:
+    """Rows of varied floats with NaN and +-inf cells; lambda is ``same`` on
+    every row but ``odd_one``, where it is -0.0."""
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: rng.choice(np.array(_AWKWARD_FLOATS + [2.5, 1 / 3]), size=shape)  # noqa: E731
+    lam = np.full(rows, same)
+    lam[odd_one:odd_one + 1] = -0.0
+    return Trajectory(
+        t=np.arange(rows) * 0.1, x=draw(rows, dim), v=draw(rows, dim), energy=draw(rows),
+        lam=lam, grad_norm=draw(rows), dissipation=draw(rows), termination_reason="t_max",
+        step_stats=StepStats(accepted=rows, rejected=0, smallest_step=0.1, largest_step=0.1),
+    )
+
+
+def _serial_csv(traj: Trajectory, path: Path) -> bytes:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hbft.cli, "_CSV_SPLIT_ROWS", traj.n_samples + 1)
+        write_trajectory_csv(traj, path)
+    return path.read_bytes()
+
+
+def _allow_two_cpus(mp: pytest.MonkeyPatch) -> list[int]:
+    """Split from _SPLIT_ROWS rows on, whatever CPUs this host allows; the
+    list receives the pid of each child forked."""
+    mp.setattr(hbft.cli, "_CSV_SPLIT_ROWS", _SPLIT_ROWS)
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail, instead of hanging, if the block takes longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.one_of(st.sampled_from([_SPLIT_ROWS - 1, _SPLIT_ROWS, _SPLIT_ROWS + 1]),
+                   st.integers(_SPLIT_ROWS, 3 * _CSV_BLOCK_ROWS).map(lambda r: r | 1)),
+    dim=st.integers(1, 2),
+    same=st.sampled_from([0.0, 1.5, math.nan, math.inf, -math.inf]),
+    where=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_csv_has_the_bytes_of_the_serial_one(tmp_path_factory, rows, dim, same, where,
+                                                    seed):
+    traj = _split_traj(rows, dim, same, min(int(where * rows), rows - 1), seed)
+    out = tmp_path_factory.mktemp("split")
+    with pytest.MonkeyPatch.context() as mp:
+        forks = _allow_two_cpus(mp)
+        write_trajectory_csv(traj, out / "split.csv")
+    assert len(forks) == (rows >= _SPLIT_ROWS)
+    assert (out / "split.csv").read_bytes() == _serial_csv(traj, out / "serial.csv")
+    _assert_no_child_left()
+
+
+def test_split_csv_falls_back_when_fork_fails(tmp_path, monkeypatch):
+    traj = _split_traj(3 * _SPLIT_ROWS)
+    _allow_two_cpus(monkeypatch)
+    fds = os.listdir("/dev/fd")
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_trajectory_csv(traj, tmp_path / "split.csv")
+    assert os.listdir("/dev/fd") == fds  # the pipe is closed
+    _assert_no_child_left()
+    monkeypatch.undo()
+    assert (tmp_path / "split.csv").read_bytes() == _serial_csv(traj, tmp_path / "serial.csv")
+
+
+def test_split_csv_falls_back_when_the_child_fails(tmp_path, monkeypatch):
+    traj = _split_traj(9 * _CSV_BLOCK_ROWS + 3, dim=2)
+    forks = _allow_two_cpus(monkeypatch)
+    parent, write_block = os.getpid(), hbft.cli._write_csv_block
+
+    def dying_in_the_child(fh, columns):
+        if os.getpid() != parent:
+            os._exit(3)
+        write_block(fh, columns)
+
+    monkeypatch.setattr(hbft.cli, "_write_csv_block", dying_in_the_child)
+    fds = os.listdir("/dev/fd")
+    with _deadline(60):
+        write_trajectory_csv(traj, tmp_path / "split.csv")
+    assert len(forks) == 1 and os.listdir("/dev/fd") == fds
+    _assert_no_child_left()
+    monkeypatch.undo()
+    assert (tmp_path / "split.csv").read_bytes() == _serial_csv(traj, tmp_path / "serial.csv")
+
+
+def test_split_csv_whose_parent_write_fails_is_a_config_error(tmp_path, scenario_raw,
+                                                              monkeypatch, capsys):
+    # 3,001 rows: the child's half outgrows a pipe's buffer, so it blocks
+    # until the parent closes its end
+    scenario_raw["integrator"]["t_max"] = 3.0
+    path = write_yaml(tmp_path / "unit.yaml", scenario_raw)
+    forks = _allow_two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def full_disk_in_the_parent(fh, columns):
+        if os.getpid() == parent:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_block(fh, columns)
+
+    write_block = hbft.cli._write_csv_block
+    monkeypatch.setattr(hbft.cli, "_write_csv_block", full_disk_in_the_parent)
+    out = tmp_path / "out"
+    with _deadline(60):
+        assert main(["simulate", str(path), "--out-dir", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write '{out / 'unit.csv'}': " \
+        f"{os.strerror(errno.ENOSPC)}\n"
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_split_csv_streams_into_a_named_pipe(tmp_path, monkeypatch):
+    # a pipe has no position: the split writer must not ask it for one
+    traj = _split_traj(3 * _SPLIT_ROWS)
+    forks = _allow_two_cpus(monkeypatch)
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    with _deadline(60), concurrent.futures.ThreadPoolExecutor(1) as pool:
+        read = pool.submit(fifo.read_bytes)
+        write_trajectory_csv(traj, fifo)
+        got = read.result()
+    assert len(forks) == 1
+    _assert_no_child_left()
+    monkeypatch.undo()
+    assert got == _serial_csv(traj, tmp_path / "serial.csv")
+
+
+def test_csv_on_one_cpu_never_forks(tmp_path, monkeypatch):
+    traj = _split_traj(3 * _SPLIT_ROWS)
+    forks = _allow_two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    write_trajectory_csv(traj, tmp_path / "serial.csv")
+    assert forks == []
+
+
+def test_split_csv_lets_no_warning_escape(tmp_path, monkeypatch):
+    # From Python 3.12 a fork in a process with threads warns, and numpy starts
+    # one. os.fork does not raise that warning under an "error" filter, so
+    # every warning is recorded instead.
+    traj = _split_traj(3 * _SPLIT_ROWS)
+    forks = _allow_two_cpus(monkeypatch)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        write_trajectory_csv(traj, tmp_path / "split.csv")
+    assert [str(w.message) for w in seen] == [] and len(forks) == 1
+    _assert_no_child_left()
+    monkeypatch.undo()
+    assert (tmp_path / "split.csv").read_bytes() == _serial_csv(traj, tmp_path / "serial.csv")
+
+
 def test_check_failure_exits_one(tmp_path, scenario_raw, capsys):
     # unbounded friction growth against a finite cap must fail the run
     scenario_raw["name"] = "growth"
@@ -655,6 +843,29 @@ def test_raising_barbalat_check_keeps_its_record_name(tmp_path, scenario_raw):
     assert record["details"]["error"] == "barbalat check needs at least 2 samples"
     summary = (out / "diverged.summary.txt").read_text()
     assert "[FAIL] barbalat                 residual=nan threshold=0\n" in summary
+
+
+def test_a_run_that_stops_early_passes_no_check_on_its_trajectory(tmp_path, capsys):
+    # two samples, inside every bound: the checks would pass on them
+    raw = strip_line_markers(load_config_file(SCENARIO_DIR / "pure_damping.yaml"))
+    raw["integrator"].update(step=2.0e-3, stop={"divergence_radius": 1.0e-3})
+    raw["checks"].append({"name": "friction_bounded", "bound_guess": 2.0})
+    path = write_yaml(tmp_path / "early.yaml", raw)
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out-dir", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "termination: diverged at t=0.002 (2 samples, 1 accepted / 0 rejected steps)" in lines
+    assert [line[:6] for line in lines if line.startswith("[")] == ["[FAIL]"] * 4 + ["[PASS]"]
+    assert lines[-1] == "overall: FAIL"
+    report = json.loads((out / "pure_damping.report.json").read_text())
+    by_name = {c["check_name"]: c for c in report["checks"]}
+    balance = by_name["energy_balance"]
+    assert balance["threshold"] == "NaN" and 0.0 < balance["residual"] < 1.0e-6
+    assert balance["details"]["termination_reason"] == "diverged"
+    assert balance["details"]["configured_threshold"] == 1.0e-6
+    # the schedule alone decides friction_bounded, however the run ended
+    assert by_name["friction_bounded"]["passed"] is True
+    assert "termination_reason" not in by_name["friction_bounded"]["details"]
 
 
 def test_overflowing_run_ends_diverged_without_traceback(tmp_path, scenario_raw):
