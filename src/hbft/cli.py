@@ -138,6 +138,8 @@ def load_config_file(path) -> dict:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
         raise ConfigError(f"{where}: not valid YAML: {exc}") from None
+    except RecursionError:  # the parser recurses once per level of nesting
+        raise ConfigError(f"{path}: nested deeper than the YAML parser can read") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
     return data
@@ -312,7 +314,7 @@ def _run_check(check: dict, traj: Trajectory, p: Potential, s: FrictionSchedule)
             run = {"traj": traj, "p": p, "s": s}
             args = [sqrt_friction_speed(traj) if i == "f" else run[i] for i in inputs]
             record = globals()[fn](*args, **params)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         return _record(_RECORD_NAMES.get(name, name), math.nan, 0.0, error=str(exc))
     stopped_early = traj.termination_reason not in COMPLETE_RUNS
     if record.passed and stopped_early and {"traj", "f"} & set(inputs):
@@ -427,6 +429,8 @@ def _from_catalogue(node: _Node, factory):
         return name, factory(name, **params)
     except ValueError as exc:
         node.fail(str(exc))
+    except MemoryError as exc:
+        node.fail(f"{name}: out of memory: {exc}")
 
 
 def _build(node: _Node, cls, **given):

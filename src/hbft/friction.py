@@ -42,7 +42,6 @@ class FrictionSchedule:
         params: The constructor parameters, kept for report serialization.
         claims_nonnegative: The schedule promises λ(t) ≥ 0; a negative
             evaluation then raises ScheduleConsistencyError.
-        claims_bounded: The schedule promises an eventual upper bound.
 
     ``checked`` is derived, not a field: t ↦ float(lam(t)), raising
     ScheduleConsistencyError for a value outside [0, ∞) when the schedule
@@ -56,7 +55,6 @@ class FrictionSchedule:
     lam_dot: Optional[Callable[[float], float]] = dataclasses.field(default=None, repr=False)
     params: dict = dataclasses.field(default_factory=dict)
     claims_nonnegative: bool = True
-    claims_bounded: bool = True
 
     def __post_init__(self):
         lam, name, claims = self.lam, self.name, self.claims_nonnegative
@@ -367,7 +365,6 @@ def linear_growth(rate: float = 1.0) -> FrictionSchedule:
         lam=lambda t: c * t,
         lam_dot=lambda t: c,
         params={"rate": c},
-        claims_bounded=False,
     )
 
 

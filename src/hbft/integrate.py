@@ -31,21 +31,22 @@ states handed to the field are built unchecked from float arithmetic on
 validated arrays, and finiteness is tested once per attempted step, on its
 result.
 
-Fast path. When ``field`` is ``functools.partial(hbft_field, p, s)`` for the
-``p`` and ``s`` passed in, ``p`` has a float gradient form (every builtin
-potential at dim 1 and 2) and no reaction is given, the run takes the float
-kernel: one loop per dim and method, generated from the stepper's tableau
-(:func:`_kernel_source`) and compiled on first use. It holds the stages, the
-stop rules, the clock, the sampling and dopri45's step control in one frame,
-on Python floats, with the array path's operations in the same order, so the
-trajectory is the same byte for byte. λ is read through the schedule's
-``checked``, which owns the claim check. The stages call the potential's raw
-float form; where that raises, the step is computed once more through the
-form that gives numpy's value there. Any other field, a custom potential,
-dim ≥ 3 and the full surface model take the generic array path, the loop in
-:func:`integrate`. The recorder keeps the components of x, v and ∇Φ in flat
-buffers and builds every other column in one pass at the end, Φ through the
-potential's column form where it has one.
+Fast path. :func:`_on_floats` picks the path. When ``field`` is
+``functools.partial(hbft_field, p, s)`` for the ``p`` and ``s`` passed in,
+``p`` has a float gradient form (every builtin potential at dim 1 and 2) and
+no reaction is given, the run takes the float kernel: one loop per dim and
+method, generated from the stepper's tableau (:func:`_kernel_source`) and
+compiled on first use. It holds the stages, the stop rules, the clock, the
+sampling and dopri45's step control in one frame, on Python floats, with the
+array path's operations in the same order, so the trajectory is the same byte
+for byte. λ is read through the schedule's ``checked``, which owns the claim
+check. The stages call the potential's raw float form; where that raises, the
+step is computed once more through the form that gives numpy's value there.
+Any other field, a custom potential, dim ≥ 3 and the full surface model take
+the generic array path, the loop in :func:`integrate`, whose cores call
+``field`` at each stage. The recorder keeps the components of x, v and ∇Φ in
+flat buffers and builds every other column in one pass at the end, Φ through
+the potential's column form where it has one.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ class Trajectory:
 
 # --- steppers ---------------------------------------------------------------
 #
-# The cores step (dim,) float arrays on the generic path. d(t, x, v, g) is the
-# field, (ẋ, v̇) at (t, x, v), given g = ∇Φ(x) when it is known.
+# The cores step (dim,) float arrays on the generic path, through the caller's
+# field on stage states built unchecked.
 
 
 _stage = PhaseState._trusted
@@ -218,11 +219,11 @@ def _finite(*arrays: Vector) -> bool:
     return all(all(np.isfinite(a).tolist()) for a in arrays)
 
 
-def _rk4_core(d, t: float, x, v, h: float, g):
-    k1x, k1v = d(t, x, v, g)
-    k2x, k2v = d(t + 0.5 * h, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-    k3x, k3v = d(t + 0.5 * h, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-    k4x, k4v = d(t + h, x + h * k3x, v + h * k3v)
+def _rk4_core(field: FieldFn, t: float, x, v, h: float):
+    k1x, k1v = field(_stage(t, x, v))
+    k2x, k2v = field(_stage(t + 0.5 * h, x + 0.5 * h * k1x, v + 0.5 * h * k1v))
+    k3x, k3v = field(_stage(t + 0.5 * h, x + 0.5 * h * k2x, v + 0.5 * h * k2v))
+    k4x, k4v = field(_stage(t + h, x + h * k3x, v + h * k3v))
     x1 = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     v1 = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return x1, v1
@@ -266,7 +267,7 @@ def _weighted(weights: tuple, ks: list):
     return acc
 
 
-def _dopri_core(d, t: float, x, v, h: float, g):
+def _dopri_core(field: FieldFn, t: float, x, v, h: float):
     """One Dormand-Prince attempt: (x5, v5, err_x, err_v)."""
     kx: list = []
     kv: list = []
@@ -275,7 +276,7 @@ def _dopri_core(d, t: float, x, v, h: float, g):
         for j, a in row:
             xi = xi + (h * a) * kx[j]
             vi = vi + (h * a) * kv[j]
-        dx, dv = d(t + _DP_C[i] * h, xi, vi, g if i == 0 else None)
+        dx, dv = field(_stage(t + _DP_C[i] * h, xi, vi))
         kx.append(dx)
         kv.append(dv)
     return (
@@ -307,58 +308,11 @@ def _initial_step(f: FieldFn, t: float, x: Vector, v: Vector, cfg: IntegratorCon
     return min(max(h0, cfg.h_min), cfg.h_max, cfg.t_max)
 
 
-# --- state representations --------------------------------------------------
-#
-# _Arrays, stepped by the cores above in integrate's loop, or _Kernel, the
-# generated float loop below.
+# --- recording --------------------------------------------------------------
 
 
-class _Arrays:
-    """The generic path: (dim,) arrays through the caller's field."""
-
-    def __init__(self, field: FieldFn):
-        self.field = field
-
-    def d(self, t, x, v, g=None):
-        return self.field(_stage(t, x, v))
-
-    @staticmethod
-    def put(buf: array, a: Vector) -> None:
-        buf.fromlist(a.tolist())  # array.extend would take a numpy scalar per entry
-
-
-class _Kernel:
-    """The float kernel: the reduced model on ``p`` and ``s``, stepped by the
-    loop :func:`_kernel` generates for ``p.dim`` and the method."""
-
-    def __init__(self, p: Potential, s: FrictionSchedule):
-        self.p, self.s = p, s
-
-    def run(self, field: FieldFn, initial: PhaseState, cfg: IntegratorConfig) -> Trajectory:
-        form = self.p.float_gradient_fn
-        first_step = functools.partial(_initial_step, field, 0.0, initial.x, initial.v, cfg)
-        return _kernel(self.p.dim, cfg.method)(
-            _Recorder(self.p, self.s, array.extend), cfg, self.s.checked,
-            getattr(form, "__wrapped__", form), form, first_step, *initial.x.tolist(), *initial.v.tolist(),
-        )
-
-
-def _representation(field, p: Potential, s: FrictionSchedule, reaction):
-    """The float kernel when ``field`` is the documented binding of the reduced
-    model to ``p`` and ``s`` and ``p`` has a float gradient form; else arrays."""
-    if (
-        reaction is None
-        and type(field) is functools.partial
-        and field.func is hbft_field
-        and len(field.args) == 2
-        and field.args[0] is p
-        and field.args[1] is s
-        and not field.keywords
-        and p.float_gradient_fn is not None
-        and p.dim <= 2
-    ):
-        return _Kernel(p, s)
-    return _Arrays(field)
+def _put(buf: array, a: Vector) -> None:  # the generic path's put
+    buf.fromlist(a.tolist())  # array.extend would take a numpy scalar per entry
 
 
 class _Recorder:
@@ -614,6 +568,22 @@ def _kernel_source(dim: int, method: str) -> str:
     )
 
 
+def _on_floats(field, p: Potential, s: FrictionSchedule, reaction) -> bool:
+    """Whether the float kernel runs: ``field`` is the documented binding of the
+    reduced model to ``p`` and ``s``, and ``p`` has a float gradient form."""
+    return (
+        reaction is None
+        and type(field) is functools.partial
+        and field.func is hbft_field
+        and len(field.args) == 2
+        and field.args[0] is p
+        and field.args[1] is s
+        and not field.keywords
+        and p.float_gradient_fn is not None
+        and p.dim <= 2
+    )
+
+
 @functools.cache
 def _kernel(dim: int, method: str) -> Callable:
     """The float kernel for ``dim`` and ``method``, compiled on first use."""
@@ -676,11 +646,15 @@ def integrate(
     if cfg.stop.halt_on_contact_loss and reaction is None:
         raise ValueError("halt_on_contact_loss requires a reaction callable")
 
-    model = _representation(field, p, s, reaction)
-    if type(model) is _Kernel:
-        return model.run(field, initial, cfg)
-    rec = _Recorder(p, s, _Arrays.put)
-    record, d = rec.record, model.d
+    if _on_floats(field, p, s, reaction):
+        form = p.float_gradient_fn
+        return _kernel(p.dim, cfg.method)(
+            _Recorder(p, s, array.extend), cfg, s.checked, getattr(form, "__wrapped__", form), form,
+            functools.partial(_initial_step, field, 0.0, initial.x, initial.v, cfg),
+            *initial.x.tolist(), *initial.v.tolist(),
+        )
+    rec = _Recorder(p, s, _put)
+    record = rec.record
     stop = cfg.stop
     tol, dwell, radius = stop.stationarity_tol, stop.dwell, stop.divergence_radius
     halt, t_max, max_steps = stop.halt_on_contact_loss, cfg.t_max, cfg.max_steps
@@ -704,7 +678,7 @@ def integrate(
             raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, rejected, h_small, h_big))
         h_try = h if h < remaining else remaining
         try:
-            result = step(d, t, x, v, h_try, g)
+            result = step(field, t, x, v, h_try)
         except DivergenceError:
             finite = False
         except ScheduleConsistencyError as exc:

@@ -44,7 +44,7 @@ from hbft.cli import (
 )
 from hbft.errors import ConfigError
 from hbft.friction import FrictionSchedule
-from hbft.integrate import _Arrays, _Recorder
+from hbft.integrate import _put, _Recorder
 from hbft.potentials import gradient_rows
 
 from conftest import REPO_ROOT, SCENARIO_DIR, SWEEP_DIR, bundled_scenario_paths
@@ -158,6 +158,21 @@ def test_yaml_syntax_error_reports_line(tmp_path, capsys):
     assert "broken.yaml" in err
 
 
+@pytest.mark.parametrize("which", ["config", "grid"])
+def test_yaml_nested_past_the_parser_recursion_is_a_config_error(tmp_path, scenario_raw, which):
+    # the parser recurses once per level: 3,000 levels pass any default recursion limit
+    deep = "[" * 3000 + "1" + "]" * 3000
+    scenario_raw["potential"]["params"]["dim"] = "DEEP" if which == "config" else 1
+    base = tmp_path / "base.yaml"
+    base.write_text(yaml.safe_dump(scenario_raw, sort_keys=False).replace("DEEP", deep))
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(f"grid:\n  potential.params.dim: [{deep if which == 'grid' else 2}]\n")
+    proc = run_hbft("sweep", str(base), "--grid", str(grid), "--out-dir", str(tmp_path / "out"))
+    bad = base if which == "config" else grid
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr == f"config error: {bad}: nested deeper than the YAML parser can read\n"
+
+
 def test_numeric_strings_coerced(tmp_path, scenario_raw):
     # pyyaml parses a bare 1e-3 as a string; the loader must still accept it
     scenario_raw["integrator"]["step"] = "1e-3"
@@ -180,6 +195,15 @@ def test_catalogue_params_are_not_coerced(tmp_path, capsys):
     assert stdout == "" and not out.exists()
     assert err.startswith(f"config error: {path}:4: schedule: bad parameters for schedule "
                           "'constant': ") and err.count("\n") == 1
+
+
+def test_potential_too_large_to_allocate_is_a_config_error(tmp_path, scenario_raw):
+    # quadratic allocates its critical point, np.zeros(dim): 72.8 TiB here
+    scenario_raw["potential"]["params"]["dim"] = 10_000_000_000_000
+    path = write_yaml(tmp_path / "huge.yaml", scenario_raw)
+    proc = run_hbft("validate", str(path))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"config error: {path}:4: potential: quadratic: out of memory: ")
 
 
 def test_unbounded_potential_refused_for_certification(tmp_path, scenario_raw, capsys):
@@ -827,6 +851,20 @@ def test_raising_check_becomes_a_failed_record(tmp_path, scenario_file, monkeypa
     assert record["details"]["error"] == "broken check"
 
 
+def test_check_too_large_to_allocate_becomes_a_failed_record(tmp_path, scenario_raw):
+    # the friction_bounded surrogates sample λ on a grid of grid_points: 72.8 TiB here
+    scenario_raw["checks"].append({"name": "friction_bounded", "grid_points": 10_000_000_000_000})
+    path = write_yaml(tmp_path / "huge.yaml", scenario_raw)
+    out = tmp_path / "out"
+    proc = run_hbft("simulate", str(path), "--out-dir", str(out), "--quiet")
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert sorted(f.name for f in out.iterdir()) == ["unit.csv", "unit.report.json", "unit.summary.txt"]
+    energy, bounded = json.loads((out / "unit.report.json").read_text())["checks"]
+    assert energy["passed"] is True
+    assert bounded["check_name"] == "friction_bounded" and bounded["passed"] is False
+    assert bounded["details"]["error"].startswith("Unable to allocate ")
+
+
 def test_raising_barbalat_check_keeps_its_record_name(tmp_path, scenario_raw):
     # diverged at t=0: one sample, on which the check raises
     scenario_raw["name"] = "diverged"
@@ -1343,7 +1381,7 @@ def _dop853_run(run) -> Trajectory:
     sol = integ.solve_ivp(rhs, (0.0, traj.t_final), np.concatenate([cfg.x0, cfg.v0]),
                           method="DOP853", t_eval=traj.t, rtol=1e-12, atol=1e-12)
     assert sol.success and sol.t.tobytes() == traj.t.tobytes()
-    rec = _Recorder(p, s, _Arrays.put)
+    rec = _Recorder(p, s, _put)
     x, v = sol.y[:dim].T.copy(), sol.y[dim:].T.copy()
     for buf, column in ((rec.t, sol.t), (rec.x, x), (rec.v, v), (rec.g, gradient_rows(p, x))):
         rec.put(buf, column.ravel())

@@ -39,7 +39,7 @@ from hbft.friction import (
     power_decay,
     step,
 )
-from hbft.integrate import _Arrays, _norm, _Recorder, _representation
+from hbft.integrate import _norm, _on_floats, _put, _Recorder
 from hbft.integrate import _kernel, _kernel_source
 from hbft.potentials import (
     Potential,
@@ -341,7 +341,7 @@ def _both(p, s, x0, v0, **kw):
     Returns the two trajectories, or for a run that raises, the two
     exceptions."""
     kernel_field = functools.partial(hbft_field, p, s)
-    assert not isinstance(_representation(kernel_field, p, s, None), _Arrays)
+    assert _on_floats(kernel_field, p, s, None)
     cfg = IntegratorConfig(**kw)
     out = []
     for field in (kernel_field, _field(p, s)):
@@ -676,18 +676,34 @@ def test_power_decay_on_the_bowl_converges_at_fourth_order(a):
 
 def test_wrapped_and_custom_fields_take_the_generic_path():
     p, s = quadratic(dim=1), constant(1.0)
-    assert isinstance(_representation(_field(p, s), p, s, None), _Arrays)
+    assert not _on_floats(_field(p, s), p, s, None)
     # bound to another potential, or with a reaction, or a custom potential
     other = quadratic(dim=1)
-    assert isinstance(_representation(functools.partial(hbft_field, other, s), p, s, None), _Arrays)
-    assert isinstance(_representation(functools.partial(hbft_field, p, s), p, s, lambda st: 1.0),
-                      _Arrays)
+    assert not _on_floats(functools.partial(hbft_field, other, s), p, s, None)
+    assert not _on_floats(functools.partial(hbft_field, p, s), p, s, lambda st: 1.0)
     custom = Potential(name="bowl", dim=1, value_fn=lambda x: 0.5 * float(x @ x),
                        gradient_fn=lambda x: 1.0 * x)
-    assert isinstance(_representation(functools.partial(hbft_field, custom, s), custom, s, None),
-                      _Arrays)
+    assert not _on_floats(functools.partial(hbft_field, custom, s), custom, s, None)
     wide = quadratic(dim=3)
-    assert isinstance(_representation(functools.partial(hbft_field, wide, s), wide, s, None), _Arrays)
+    assert not _on_floats(functools.partial(hbft_field, wide, s), wide, s, None)
+
+
+@pytest.mark.parametrize("method, calls, stats", [
+    ({"method": "rk4", "step": 0.01, "t_max": 1.0}, 400, (100, 0)),
+    ({"method": "dopri45", "abs_tol": 1e-10, "rel_tol": 1e-10, "t_max": 5.0}, 1282, (180, 3)),
+], ids=["rk4", "dopri45"])
+def test_generic_path_calls_the_field_once_per_stage(method, calls, stats):
+    # rk4: 4 calls per step; dopri45: 1 for the initial step, then 7 per attempt
+    p, s = double_well(), constant(0.5)
+    seen = []
+
+    def counted(st):
+        seen.append(st.t)
+        return hbft_field(p, s, st)
+
+    traj = integrate(counted, p, s, _init([2.0], [0.0]), IntegratorConfig(**method))
+    assert (traj.step_stats.accepted, traj.step_stats.rejected) == stats
+    assert len(seen) == calls
 
 
 # --- columns built at the end of a run ------------------------------------------
@@ -737,7 +753,7 @@ def test_grad_norm_column_equals_the_per_row_norm(dim, rows):
     # huge rows overflow |g|², subnormal ones underflow it: the column must do
     # what _norm does per row, and at dim 1 what the kernel's sqrt(g*g) does
     g = np.array(rows)[:, :dim].copy()
-    rec = _Recorder(quadratic(dim=dim), constant(1.0), _Arrays.put)
+    rec = _Recorder(quadratic(dim=dim), constant(1.0), _put)
     for k, gk in enumerate(g):
         rec.record(float(k), np.zeros(dim), np.zeros(dim), gk)
     with np.errstate(over="ignore", invalid="ignore"):
