@@ -954,7 +954,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return run_sweep(cfg.raw, load_sweep_grid(args.grid), out_dir, workers=args.workers,
                          quiet=args.quiet, source=args.config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # a message may quote the offending value, which a config can make as long as it likes
+        message, width = str(exc), 500
+        if len(message) > width:
+            message = f"{message[:width]}... ({len(message) - width} more characters)"
+        print(f"config error: {message}", file=sys.stderr)
         return 2
 
 

@@ -39,7 +39,6 @@ class FrictionSchedule:
             (piecewise-constant schedules). Several asymptotic guarantees
             have a differentiability premise; without ``lam_dot`` those
             checks report premise_unverified instead of a verdict.
-        params: The constructor parameters, kept for report serialization.
         claims_nonnegative: The schedule promises λ(t) ≥ 0; a negative
             evaluation then raises ScheduleConsistencyError.
 
@@ -53,7 +52,6 @@ class FrictionSchedule:
     name: str
     lam: Callable[[float], float] = dataclasses.field(repr=False)
     lam_dot: Optional[Callable[[float], float]] = dataclasses.field(default=None, repr=False)
-    params: dict = dataclasses.field(default_factory=dict)
     claims_nonnegative: bool = True
 
     def __post_init__(self):
@@ -233,7 +231,6 @@ def constant(value: float = 1.0) -> FrictionSchedule:
         name=f"constant({v:g})",
         lam=lambda t: v,
         lam_dot=lambda t: 0.0,
-        params={"value": v},
     ))
 
 
@@ -296,7 +293,6 @@ def power_decay(initial: float = 1.0, exponent: float = 1.0) -> FrictionSchedule
         name=f"power_decay(initial={lam0:g}, exponent={alpha:g})",
         lam=lam,
         lam_dot=lam_dot,
-        params={"initial": lam0, "exponent": alpha},
     ))
 
 
@@ -325,7 +321,6 @@ def oscillating(
         name=f"oscillating(base={a:g}, amplitude={b:g}, angular_frequency={w:g})",
         lam=lambda t: a + b * (math.sin(wt) if -_INF < (wt := w * t) < _INF else _NAN),
         lam_dot=lambda t: b * w * (math.cos(wt) if -_INF < (wt := w * t) < _INF else _NAN),
-        params={"base": a, "amplitude": b, "angular_frequency": w},
     )
 
 
@@ -351,7 +346,6 @@ def step(times=(10.0, 20.0), values=(1.0, 0.5, 2.0)) -> FrictionSchedule:
         name=f"step(times={ts}, values={vs})",
         lam=lambda t: vs[bisect.bisect_right(ts, t)],
         lam_dot=None,
-        params={"times": ts, "values": vs},
     ))
 
 
@@ -364,7 +358,6 @@ def linear_growth(rate: float = 1.0) -> FrictionSchedule:
         name=f"linear_growth(rate={c:g})",
         lam=lambda t: c * t,
         lam_dot=lambda t: c,
-        params={"rate": c},
     )
 
 

@@ -43,10 +43,11 @@ for byte. λ is read through the schedule's ``checked``, which owns the claim
 check. The stages call the potential's raw float form; where that raises, the
 step is computed once more through the form that gives numpy's value there.
 Any other field, a custom potential, dim ≥ 3 and the full surface model take
-the generic array path, the loop in :func:`integrate`, whose cores call
-``field`` at each stage. The recorder keeps the components of x, v and ∇Φ in
-flat buffers and builds every other column in one pass at the end, Φ through
-the potential's column form where it has one.
+the generic array path, the loop in :func:`integrate`. It steps (x, v) as one
+(2, dim) array, rows x and v, and its cores call ``field`` at each stage,
+which returns (ẋ, v̇) as two (dim,) sequences. The recorder keeps the
+components of x, v and ∇Φ in flat buffers and builds every other column in
+one pass at the end, Φ through the potential's column form where it has one.
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ class Trajectory:
 
 # --- steppers ---------------------------------------------------------------
 #
-# The cores step (dim,) float arrays on the generic path, through the caller's
-# field on stage states built unchecked.
+# The cores step the generic path's (2, dim) float array, rows x and v,
+# through the caller's field on stage states built unchecked.
 
 
 _stage = PhaseState._trusted
@@ -213,20 +214,25 @@ def _norm(a: Vector) -> float:
     return math.sqrt(a.dot(a))
 
 
-def _finite(*arrays: Vector) -> bool:
+def _finite(a) -> bool:
+    """Whether every entry of ``a`` (an array, or a tuple of arrays of one
+    shape) is finite."""
     # tolist() + all() skips the reduction machinery of ndarray.all(), which
-    # costs more than the test itself on the short vectors stepped here.
-    return all(all(np.isfinite(a).tolist()) for a in arrays)
+    # costs more than the test itself on the short arrays stepped here.
+    return all(np.isfinite(a).ravel().tolist())
 
 
-def _rk4_core(field: FieldFn, t: float, x, v, h: float):
-    k1x, k1v = field(_stage(t, x, v))
-    k2x, k2v = field(_stage(t + 0.5 * h, x + 0.5 * h * k1x, v + 0.5 * h * k1v))
-    k3x, k3v = field(_stage(t + 0.5 * h, x + 0.5 * h * k2x, v + 0.5 * h * k2v))
-    k4x, k4v = field(_stage(t + h, x + h * k3x, v + h * k3v))
-    x1 = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    v1 = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return x1, v1
+def _slope(field: FieldFn, t: float, y):
+    """The field at (t, y) as one array of y's shape: rows ẋ and v̇."""
+    return np.array(field(_stage(t, y[0], y[1]))).reshape(y.shape)
+
+
+def _rk4_core(field: FieldFn, t: float, y, h: float):
+    k1 = _slope(field, t, y)
+    k2 = _slope(field, t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = _slope(field, t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = _slope(field, t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _nonzero(row: tuple) -> tuple:
@@ -267,43 +273,26 @@ def _weighted(weights: tuple, ks: list):
     return acc
 
 
-def _dopri_core(field: FieldFn, t: float, x, v, h: float):
-    """One Dormand-Prince attempt: (x5, v5, err_x, err_v)."""
-    kx: list = []
-    kv: list = []
+def _dopri_core(field: FieldFn, t: float, y, h: float):
+    """One Dormand-Prince attempt: (y5, err)."""
+    k: list = []
     for i, row in enumerate(_DP_A):
-        xi, vi = x, v
+        yi = y
         for j, a in row:
-            xi = xi + (h * a) * kx[j]
-            vi = vi + (h * a) * kv[j]
-        dx, dv = field(_stage(t + _DP_C[i] * h, xi, vi))
-        kx.append(dx)
-        kv.append(dv)
-    return (
-        x + h * _weighted(_DP_B5, kx),
-        v + h * _weighted(_DP_B5, kv),
-        h * _weighted(_DP_E, kx),
-        h * _weighted(_DP_E, kv),
-    )
+            yi = yi + (h * a) * k[j]
+        k.append(_slope(field, t + _DP_C[i] * h, yi))
+    return y + h * _weighted(_DP_B5, k), h * _weighted(_DP_E, k)
 
 
-def _error_ratio(
-    x: Vector, v: Vector, x1: Vector, v1: Vector, ex: Vector, ev: Vector, atol: float, rtol: float
-) -> float:
-    y0 = np.concatenate([x, v])
-    y1 = np.concatenate([x1, v1])
-    err = np.concatenate([ex, ev])
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _error_ratio(y, y1, err, atol: float, rtol: float) -> float:
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
+    return float(np.sqrt(np.mean((err / scale).ravel() ** 2)))
 
 
-def _initial_step(f: FieldFn, t: float, x: Vector, v: Vector, cfg: IntegratorConfig) -> float:
-    dx, dv = f(_stage(t, x, v))
-    y = np.concatenate([x, v])
-    dy = np.concatenate([dx, dv])
+def _initial_step(f: FieldFn, t: float, y, cfg: IntegratorConfig) -> float:
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y)
-    d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((dy / scale) ** 2)))
+    d0 = float(np.sqrt(np.mean((y / scale).ravel() ** 2)))
+    d1 = float(np.sqrt(np.mean((_slope(f, t, y) / scale).ravel() ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     return min(max(h0, cfg.h_min), cfg.h_max, cfg.t_max)
 
@@ -646,12 +635,12 @@ def integrate(
     if cfg.stop.halt_on_contact_loss and reaction is None:
         raise ValueError("halt_on_contact_loss requires a reaction callable")
 
+    y = np.array((initial.x, initial.v))  # rows x and v
     if _on_floats(field, p, s, reaction):
         form = p.float_gradient_fn
         return _kernel(p.dim, cfg.method)(
             _Recorder(p, s, array.extend), cfg, s.checked, getattr(form, "__wrapped__", form), form,
-            functools.partial(_initial_step, field, 0.0, initial.x, initial.v, cfg),
-            *initial.x.tolist(), *initial.v.tolist(),
+            functools.partial(_initial_step, field, 0.0, y, cfg), *y.ravel().tolist(),
         )
     rec = _Recorder(p, s, _put)
     record = rec.record
@@ -662,7 +651,7 @@ def integrate(
     eps_t = 1e-12 * max(1.0, t_max)
 
     t, t_comp = 0.0, 0.0
-    x, v = initial.x.copy(), initial.v.copy()
+    x, v = y
     g = gradient(p, x)
     record(t, x, v, g)
     accepted, rejected, h_small, h_big = 0, 0, math.inf, 0.0
@@ -671,23 +660,23 @@ def integrate(
     adaptive = cfg.method == "dopri45"
     next_sample = sample_dt
     step = _dopri_core if adaptive else _rk4_core
-    h = _initial_step(field, t, initial.x, initial.v, cfg) if adaptive else float(cfg.step)
+    h = _initial_step(field, t, y, cfg) if adaptive else float(cfg.step)
 
     while (remaining := t_max - t) > eps_t:
         if accepted + rejected >= max_steps:
             raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, rejected, h_small, h_big))
         h_try = h if h < remaining else remaining
         try:
-            result = step(field, t, x, v, h_try)
+            result = step(field, t, y, h_try)
         except DivergenceError:
             finite = False
         except ScheduleConsistencyError as exc:
             rec.attach(exc, _stats(accepted, rejected, h_small, h_big))
             raise
         else:
-            finite = _finite(*result)
+            finite = _finite(result)
         if adaptive:
-            ratio = _error_ratio(x, v, *result, cfg.abs_tol, cfg.rel_tol) if finite else math.inf
+            ratio = _error_ratio(y, *result, cfg.abs_tol, cfg.rel_tol) if finite else math.inf
             if not finite and h_try <= cfg.h_min:
                 # Cannot shrink further; treat as divergence at the last good state.
                 return rec.finish("diverged", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
@@ -704,10 +693,11 @@ def integrate(
             return rec.finish("diverged", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
 
         # Kahan-compensated t += h_try, so 10⁵-step runs do not smear the grid
-        y = h_try - t_comp
-        t_next = t + y
-        t, t_comp = t_next, (t_next - t) - y
-        x, v = result[0], result[1]
+        dt = h_try - t_comp
+        t_next = t + dt
+        t, t_comp = t_next, (t_next - t) - dt
+        y = result[0] if adaptive else result
+        x, v = y
         accepted += 1
         h_small, h_big = min(h_small, h_try), max(h_big, h_try)
         g = gradient(p, x)

@@ -39,12 +39,15 @@ from conftest import damped_x
 
 @contextmanager
 def verdict(num: int, label: str):
+    """Print the verdict line of one criterion; what the test appends to the
+    yielded list (a measured margin) ends the line."""
+    notes = []
     try:
-        yield
+        yield notes
     except BaseException:
-        print(f"[FAIL] acceptance {num:02d}: {label}")
+        print(f"[FAIL] acceptance {num:02d}: {label}{''.join(notes)}")
         raise
-    print(f"[PASS] acceptance {num:02d}: {label}")
+    print(f"[PASS] acceptance {num:02d}: {label}{''.join(notes)}")
 
 
 def _integrate(p, s, x0, v0, **kw):
@@ -53,7 +56,7 @@ def _integrate(p, s, x0, v0, **kw):
 
 
 def test_01_closed_form_oracle_accuracy_and_speed():
-    with verdict(1, "fixed-step run matches the closed form to 1e-6 in under 1 s"):
+    with verdict(1, "fixed-step run matches the closed form to 1e-6 in under 1 s") as notes:
         p, s = quadratic(dim=1), constant(1.0)
         init = PhaseState(t=0.0, x=np.array([1.0]), v=np.array([0.0]))
         cfg = IntegratorConfig(method="rk4", step=1e-3, t_max=10.0)
@@ -61,6 +64,7 @@ def test_01_closed_form_oracle_accuracy_and_speed():
         start = time.perf_counter()
         traj = integrate(field, p, s, init, cfg)
         elapsed = time.perf_counter() - start
+        notes.append(f" (took {elapsed:.3f} s)")
         err = max(abs(traj.x[i, 0] - damped_x(traj.t[i])) for i in range(traj.n_samples))
         assert err <= 1e-6
         assert elapsed < 1.0

@@ -206,6 +206,20 @@ def test_potential_too_large_to_allocate_is_a_config_error(tmp_path, scenario_ra
     assert proc.stderr.startswith(f"config error: {path}:4: potential: quadratic: out of memory: ")
 
 
+@pytest.mark.parametrize("old, new, says", [
+    ("params: {dim: 1}", "params: {dim: " + "[" * 400 + "1" + "]" * 400 + "}",
+     "potential: flat: dim must be a whole number >= 1, got [[["),
+    ("name: flat", "name: " + "a" * 5000, "potential: unknown potential 'aaa"),
+], ids=["nested_dim", "long_name"])
+def test_config_error_quotes_a_long_value_to_a_fixed_width(tmp_path, capsys, old, new, says):
+    path = tmp_path / "long.yaml"
+    path.write_text((SCENARIO_DIR / "pure_damping.yaml").read_text().replace(old, new))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:8: {says}") and err.count("\n") == 1
+    assert len(err) <= 600 and err.endswith(" more characters)\n")
+
+
 def test_unbounded_potential_refused_for_certification(tmp_path, scenario_raw, capsys):
     scenario_raw["potential"] = {"name": "tilted_plane", "params": {"slope": [1.0]}}
     path = write_yaml(tmp_path / "tilted.yaml", scenario_raw)

@@ -706,6 +706,41 @@ def test_generic_path_calls_the_field_once_per_stage(method, calls, stats):
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.01}, {"method": "dopri45"}],
+                         ids=["rk4", "dopri45"])
+def test_generic_path_takes_a_dim_one_field_of_two_floats(method):
+    p, s = double_well(), constant(0.5)
+    cfg = IntegratorConfig(t_max=2.0, **method)
+
+    def floats(st):
+        dx, dv = hbft_field(p, s, st)
+        return float(dx[0]), float(dv[0])
+
+    arrays = integrate(_field(p, s), p, s, _init([2.0], [0.0]), cfg)
+    _assert_same_run(integrate(floats, p, s, _init([2.0], [0.0]), cfg), arrays)
+
+
+@pytest.mark.parametrize("s", [constant(0.7), oscillating(1.0, 0.5, 3.0), power_decay(2.0, 0.5)],
+                         ids=["constant", "oscillating", "power_decay"])
+def test_generic_path_at_dim_three_steps_each_component_as_the_kernel_at_dim_one(s):
+    # a diagonal bowl decouples: each component of the dim-3 run (generic
+    # path) is the dim-1 run of its own diagonal entry (float kernel)
+    diag, x0, v0 = (1.0, 4.0, 9.0), [1.0, -0.5, 0.25], [0.0, 0.3, -0.2]
+    cfg = IntegratorConfig(method="rk4", step=0.01, t_max=3.0,
+                           stop=StopCondition(stationarity_tol=1e-300))
+    p = anisotropic_quadratic(diag=diag)
+    assert not _on_floats(functools.partial(hbft_field, p, s), p, s, None)
+    wide = integrate(functools.partial(hbft_field, p, s), p, s, _init(x0, v0), cfg)
+    assert wide.termination_reason == "t_max"
+    for i, d in enumerate(diag):
+        q = anisotropic_quadratic(diag=(d,))
+        assert _on_floats(functools.partial(hbft_field, q, s), q, s, None)
+        alone = integrate(functools.partial(hbft_field, q, s), q, s, _init([x0[i]], [v0[i]]), cfg)
+        assert wide.t.tobytes() == alone.t.tobytes()
+        assert wide.x[:, i].tobytes() == alone.x[:, 0].tobytes()
+        assert wide.v[:, i].tobytes() == alone.v[:, 0].tobytes()
+
+
 # --- columns built at the end of a run ------------------------------------------
 
 _ROWS = st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
