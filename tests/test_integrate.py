@@ -417,6 +417,37 @@ def test_kernel_matches_generic_path_on_overflowing_starts(method, p, x0):
         assert kernel.n_samples == 1
 
 
+def _assert_same_abort(kernel, generic, message: str) -> Trajectory:
+    """Both paths raised the same IntegrationError; its partial run."""
+    assert type(kernel) is type(generic) is IntegrationError
+    assert str(kernel) == str(generic) and str(generic).startswith(message)
+    _assert_same_run(kernel.partial, generic.partial)
+    assert kernel.partial.termination_reason == "aborted"
+    return kernel.partial
+
+
+@pytest.mark.parametrize("p, x0, rejected", [(double_well(), [1e100], 20),
+                                             (rosenbrock(), [1e60, 0.0], 12)],
+                         ids=["double_well", "rosenbrock"])
+def test_kernel_matches_generic_path_rejecting_non_finite_steps_above_h_min(p, x0, rejected):
+    # The stages of the first attempts overflow: each is rejected with an
+    # infinite error ratio and a fifth of the step, until the step is short
+    # enough; the run then crawls until the step budget runs out.
+    kernel, generic = _both(p, constant(1.0), x0, [0.0] * p.dim, method="dopri45", h_min=1e-200,
+                            max_steps=400, stop=StopCondition(divergence_radius=1e308))
+    partial = _assert_same_abort(kernel, generic, "step budget exhausted")
+    assert partial.step_stats.rejected == rejected
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_matches_generic_path_when_the_adaptive_step_underflows(dim):
+    # a stiff bowl at a tight tolerance needs steps far below h_min
+    kernel, generic = _both(quadratic(dim=dim, scale=1e6), constant(1.0), [1.0] * dim, [0.0] * dim,
+                            method="dopri45", abs_tol=1e-12, rel_tol=1e-12, h_min=1e-3, h_max=1e-2)
+    partial = _assert_same_abort(kernel, generic, "adaptive step underflow")
+    assert partial.n_samples == 1 and partial.step_stats.rejected == 1
+
+
 @pytest.mark.parametrize("method", [{"method": "rk4", "step": 1e-3},
                                     {"method": "dopri45", "h_max": 1e-3}], ids=["rk4", "dopri45"])
 def test_kernel_matches_generic_path_when_the_step_budget_runs_out(method):
@@ -625,6 +656,22 @@ def test_schedule_raising_divergence_mid_run_ends_diverged_on_both_paths(p, x0):
     _assert_same_run(kernel, generic)
     assert kernel.termination_reason == "diverged" and kernel.n_samples == 51
     assert kernel.t[-1] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_schedule_raising_divergence_mid_run_shrinks_the_adaptive_step_on_both_paths(dim):
+    # dopri45 rejects every attempt past t = 0.5 and shrinks the step until
+    # it would fall below h_min
+    def lam(t):
+        if t > 0.5:
+            raise DivergenceError(f"lambda blew up at t={t}")
+        return 1.0
+
+    s = FrictionSchedule(name="blows_up", lam=lam)
+    kernel, generic = _both(quadratic(dim=dim), s, [1.0] * dim, [0.0] * dim, method="dopri45",
+                            t_max=1.0)
+    partial = _assert_same_abort(kernel, generic, "adaptive step underflow")
+    assert partial.t[-1] < 0.5 and partial.step_stats.rejected > 0
 
 
 # --- a closed form with time-varying friction -----------------------------------
