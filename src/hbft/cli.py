@@ -85,6 +85,11 @@ _CSV_BLOCK_ROWS = 256
 # and wait take about 3.4 ms with numpy loaded; on 2 CPUs the split writer tied
 # the serial one at 1,024 rows and was 14-20% faster at 2,048 (dim 1 and 2).
 _CSV_SPLIT_ROWS = 2048
+# Values a file's aliases may repeat beyond those it writes out: every reader
+# after the loader takes each use in full, and aliases of aliases double per
+# level (a 522-byte `diag` of 19 levels took 4 s and 224 MB to validate). This
+# many cost about 0.1 s and 5 MB; a `<<` merge or a shared `x0` repeats a few.
+_ALIAS_SURPLUS_MAX = 100_000
 # list command -> the catalogue it prints
 _CATALOGUES = {"list-potentials": builtin_potentials, "list-schedules": builtin_schedules}
 
@@ -134,15 +139,36 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"{path}:{line}: not valid UTF-8: {exc}") from None
     try:
         data = yaml.load(text, Loader=_LineLoader)
+        surplus = _alias_surplus(data)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
         raise ConfigError(f"{where}: not valid YAML: {exc}") from None
-    except RecursionError:  # the parser recurses once per level of nesting
+    except RecursionError:  # the parser and the walk recurse once per level of nesting
         raise ConfigError(f"{path}: nested deeper than the YAML parser can read") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
+    if surplus > _ALIAS_SURPLUS_MAX:
+        raise ConfigError(f"{path}: YAML aliases repeat more than {_ALIAS_SURPLUS_MAX:,} values; "
+                          "write the values out")
     return data
+
+
+def _alias_surplus(data) -> float:
+    """How many more values ``data`` holds read as a tree, each alias in full,
+    than as built, each list and mapping once; inf for a list that holds itself."""
+    sizes, built = {}, []
+
+    def size(node) -> float:
+        if not isinstance(node, (dict, list)):
+            return 1
+        if id(node) not in sizes:
+            sizes[id(node)] = math.inf  # until summed: a list that holds itself
+            built.append(len(node))
+            sizes[id(node)] = 1 + sum(map(size, node.values() if isinstance(node, dict) else node))
+        return sizes[id(node)]
+
+    return size(data) - 1 - sum(built)
 
 
 def strip_line_markers(data):
@@ -224,10 +250,8 @@ class _Node:
         if isinstance(val, (int, float)):
             return float(val)
         if isinstance(val, str):
-            try:
+            with contextlib.suppress(ValueError):
                 return float(val)
-            except ValueError:
-                pass
         self.fail(f"expected a number, got {val!r}", key)
 
     def raw(self, key: str, default=None):
@@ -497,12 +521,6 @@ def _parse_checks(root: _Node, potential: Potential, t_max: float) -> list[dict]
         root.fail(
             f"certification refused: potential '{potential.name}' is unbounded below; "
             "remove the checks list to simulate without certification",
-            "checks",
-        )
-    if any(c["name"] == "velocity_bound" for c in checks) and potential.lower_bound is None:
-        root.fail(
-            f"check 'velocity_bound' needs a potential with a known lower bound; "
-            f"'{potential.name}' declares none",
             "checks",
         )
     return checks
@@ -901,10 +919,6 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
 # --- command line ------------------------------------------------------------
 
 
-def _resolve_out_dir(flag_value: Optional[str], cfg_value: Optional[str]) -> Path:
-    return Path(flag_value or cfg_value or os.environ.get(OUT_DIR_ENV) or "hbft_out")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hbft",
@@ -946,7 +960,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"config OK: scenario '{cfg.name}' ({cfg.model}, potential {cfg.potential.name}, "
                   f"schedule {cfg.schedule.name})")
             return 0
-        out_dir = _resolve_out_dir(args.out_dir, cfg.out_dir)
+        out_dir = Path(args.out_dir or cfg.out_dir or os.environ.get(OUT_DIR_ENV) or "hbft_out")
         if args.command == "simulate":
             return run_scenario(cfg, out_dir, quiet=args.quiet).exit_code
         if args.workers < 1:

@@ -40,8 +40,9 @@ compiled on first use. It holds the stages, the stop rules, the clock, the
 sampling and dopri45's step control in one frame, on Python floats, with the
 array path's operations in the same order, so the trajectory is the same byte
 for byte. λ is read through the schedule's ``checked``, which owns the claim
-check. The stages call the potential's raw float form; where that raises, the
-step is computed once more through the form that gives numpy's value there.
+check. Where the potential's float gradient form raises (x ** k overflowing,
+sin(inf)), the reference core (:func:`_rk4_core`, :func:`_dopri_core`) takes
+that step through ``field``, and :func:`gradient` the gradient at its end.
 Any other field, a custom potential, dim ≥ 3 and the full surface model take
 the generic array path, the loop in :func:`integrate`. It steps (x, v) as one
 (2, dim) array, rows x and v, and its cores call ``field`` at each stage,
@@ -361,6 +362,13 @@ class _Recorder:
             exc.partial = self.build("aborted", stats)
 
 
+def _next_tick(t: float, sample_dt: float, eps_t: float) -> float:
+    """The first tick k·sample_dt above t + eps_t, in one step: below the float
+    spacing of t it rounds to at most t + eps_t, and every step is sampled.
+    The min keeps the quotient of a subnormal sample_dt finite."""
+    return (math.floor(min((t + eps_t) / sample_dt, sys.float_info.max)) + 1) * sample_dt
+
+
 def _stats(accepted: int, rejected: int, h_small: float, h_big: float) -> StepStats:
     return StepStats(accepted, rejected, *((h_small, h_big) if accepted else (0.0, 0.0)))
 
@@ -372,11 +380,10 @@ def _stats(accepted: int, rejected: int, h_small: float, h_big: float) -> StepSt
 # sampling and dopri45's step control run in one frame, with no call per step
 # but λ and ∇Φ. The text spells out the array cores' expression trees operation
 # by operation, so the doubles are theirs. Only tableau constants become
-# literals, through repr, which round-trips; the config, λ and the gradient
-# forms enter as arguments. The stages call the raw gradient form; where it
-# raises (x ** k overflowing, sin(inf)), the step, and likewise the gradient
-# at its end, is computed once more through the checked form, which gives
-# numpy's value there and the raw form's everywhere else.
+# literals, through repr, which round-trips; the config, λ, the gradient form
+# and the field enter as arguments. Where the form raises (x ** k overflowing,
+# sin(inf)), the reference core takes the step through the field, and
+# gradient() the gradient at its end: numpy's values there.
 
 # Where a*a + b*b neither overflows nor loses precision to subnormals.
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
@@ -403,8 +410,9 @@ _RK4_C = (0.0, 0.5, 0.5, 1.0)
 _RK4_B = ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0))
 
 _KERNEL = """\
-def kernel(rec, cfg, lam_of, raw, checked, first_step, {x}, {v}):
+def kernel(rec, cfg, lam_of, form, field, {x}, {v}):
     isfinite, sqrt, size2 = math.isfinite, math.sqrt, _size2
+    p = field.args[0]  # field is partial(hbft_field, p, s)
     stop = cfg.stop
     tol, dwell, radius = stop.stationarity_tol, stop.dwell, stop.divergence_radius
     t_max, max_steps, sample_dt, stride = cfg.t_max, cfg.max_steps, cfg.sample_dt, cfg.sample_stride
@@ -412,9 +420,9 @@ def kernel(rec, cfg, lam_of, raw, checked, first_step, {x}, {v}):
     eps_t = 1e-12 * max(1.0, t_max)
     put_t, put_x, put_v, put_g = rec.t.append, rec.x.append, rec.v.append, rec.g.append
     try:
-        {g} = raw({x})
+        {g} = form({x})
     except (OverflowError, ValueError):
-        {g} = checked({x})
+        {g}, = gradient(p, ({x},)).tolist()
     rec.record(0.0, ({x},), ({v},), ({g},))
     below_since = 0.0 if {v_below} and {g_below} else None
     h = {h}
@@ -425,16 +433,16 @@ def kernel(rec, cfg, lam_of, raw, checked, first_step, {x}, {v}):
         hs = h if h < remaining else remaining
         try:
             try:
-{stages_raw}
+{stages}
             except (OverflowError, ValueError):
-{stages_checked}
+                {results} = np.array({core}(field, t, np.array((({x},), ({v},))), hs)).ravel().tolist()
         except DivergenceError:
             {diverged}
         except ScheduleConsistencyError as exc:
             rec.attach(exc, _stats(accepted, rejected, h_small, h_big))
             raise
         else:
-{update}{control}
+{check}{control}
         y = hs - t_comp
         t_next = t + y
         t, t_comp = t_next, (t_next - t) - y
@@ -442,9 +450,9 @@ def kernel(rec, cfg, lam_of, raw, checked, first_step, {x}, {v}):
         accepted += 1
 {h_range}
         try:
-            {g} = raw({x})
+            {g} = form({x})
         except (OverflowError, ValueError):
-            {g} = checked({x})
+            {g}, = gradient(p, ({x},)).tolist()
         if {x_beyond}:
             return rec.finish("diverged", {end})
         if {v_below} and {g_below}:
@@ -457,8 +465,7 @@ def kernel(rec, cfg, lam_of, raw, checked, first_step, {x}, {v}):
         if sample_dt is not None:
             if t < next_sample - eps_t:
                 continue
-            while next_sample <= t + eps_t:
-                next_sample += sample_dt
+            next_sample = _next_tick(t, sample_dt, eps_t)
         elif accepted % stride:
             continue{repeat}
         put_t(t)
@@ -509,19 +516,17 @@ def _kernel_source(dim: int, method: str) -> str:
     def dot(weights: tuple, p: str, c: str) -> str:
         return " + ".join(k(j, p, c) if w == 1.0 else f"{w!r} * {k(j, p, c)}" for j, w in weights)
 
-    def stages(form: str) -> str:
-        out = [f"{name} = hs * {a!r}" for a, name in coeff.items() if a != 1.0]
-        out += [f"{name} = t + {'' if c == 1.0 else f'{c!r} * '}hs" for c, name in clock.items() if c]
-        for i, row in enumerate(rows):
-            out += [f"{p.upper()}{i}{c} = {p}{c}" + "".join(f" + {coeff[a]} * {k(j, p, c)}" for j, a in row)
-                    for c in (comps if i else ()) for p in "xv"]
-            lam, grad = f"lam_of({clock[times[i]]})", f"{form}({each(f'X{i}{{}}')})" if i else "ga"
-            if dim == 1:  # λ before ∇Φ, as in hbft_field
-                out.append(f"K{i}a = -{lam} * {k(i, 'x', 'a')} - {grad}")
-            else:
-                out += [f"lam = {lam}"] + ([f"Ga, Gb = {grad}"] if i else [])
-                out += [f"K{i}{c} = -lam * {k(i, 'x', c)} - {'G' if i else 'g'}{c}" for c in comps]
-        return lines(16, *out)
+    stages = [f"{name} = hs * {a!r}" for a, name in coeff.items() if a != 1.0]
+    stages += [f"{name} = t + {'' if c == 1.0 else f'{c!r} * '}hs" for c, name in clock.items() if c]
+    for i, row in enumerate(rows):
+        stages += [f"{p.upper()}{i}{c} = {p}{c}" + "".join(f" + {coeff[a]} * {k(j, p, c)}" for j, a in row)
+                   for c in (comps if i else ()) for p in "xv"]
+        lam, grad = f"lam_of({clock[times[i]]})", f"form({each(f'X{i}{{}}')})" if i else "ga"
+        if dim == 1:  # λ before ∇Φ, as in hbft_field
+            stages.append(f"K{i}a = -{lam} * {k(i, 'x', 'a')} - {grad}")
+        else:
+            stages += [f"lam = {lam}"] + ([f"Ga, Gb = {grad}"] if i else [])
+            stages += [f"K{i}{c} = -lam * {k(i, 'x', c)} - {'G' if i else 'g'}{c}" for c in comps]
 
     x, v, g = each("x{}"), each("v{}"), each("g{}")
     end = f"_stats(accepted, rejected, h_small, h_big), t, ({x},), ({v},), ({g},)"
@@ -530,7 +535,8 @@ def _kernel_source(dim: int, method: str) -> str:
     finite = " and ".join(f"isfinite({name})" for name in new + errs)
     if adaptive:
         update = [f"n{p}{c} = {p}{c} + hs * (0.0 + {dot(_DP_B5, p, c)})" for p, c in pairs]
-        update += [f"e{p}{c} = hs * (0.0 + {dot(_DP_E, p, c)})" for p, c in pairs] + [f"finite = {finite}"]
+        update += [f"e{p}{c} = hs * (0.0 + {dot(_DP_E, p, c)})" for p, c in pairs]
+        check = [f"finite = {finite}"]
         ratio = [f"q{n} = e{p}{c} / (atol + rtol * max(abs({p}{c}), abs(n{p}{c})))"
                  for n, (p, c) in enumerate(pairs)]
         squares = " + ".join(f"q{n} * q{n}" for n in range(len(pairs)))
@@ -539,15 +545,15 @@ def _kernel_source(dim: int, method: str) -> str:
         h_range = ["if hs < h_small:", "    h_small = hs", "if hs > h_big:", "    h_big = hs"]
     else:
         update = ["w = hs / 6.0"] + [f"n{p}{c} = {p}{c} + w * ({dot(_RK4_B, p, c)})" for p, c in pairs]
-        update += [f"if not ({finite}):", "    " + diverged]
+        check = [f"if not ({finite}):", "    " + diverged]
         # remaining only shrinks, so the first step is the longest and the last the shortest
         control, h_range = "", ["h_small = hs"]
     return _KERNEL.format(
-        x=x, v=v, g=g, end=end, control=control, new=", ".join(new),
-        stages_raw=stages("raw"), stages_checked=stages("checked"),
+        x=x, v=v, g=g, end=end, control=control, new=", ".join(new), stages=lines(16, *stages, *update),
+        results=", ".join(new + errs), core="_dopri_core" if adaptive else "_rk4_core",
         diverged="finite = False" if adaptive else diverged,
-        update=lines(12, *update), h_range=lines(8, *h_range),
-        h="first_step()" if adaptive else "float(cfg.step)",
+        check=lines(12, *check), h_range=lines(8, *h_range),
+        h=f"_initial_step(field, 0.0, np.array((({x},), ({v},))), cfg)" if adaptive else "float(cfg.step)",
         h_big="0.0" if adaptive else "min(h, t_max)",
         spent="accepted + rejected" if adaptive else "accepted",
         repeat="\n" + lines(8, "if rec.t[-1] == t:", "    continue") if adaptive else "",
@@ -637,10 +643,8 @@ def integrate(
 
     y = np.array((initial.x, initial.v))  # rows x and v
     if _on_floats(field, p, s, reaction):
-        form = p.float_gradient_fn
         return _kernel(p.dim, cfg.method)(
-            _Recorder(p, s, array.extend), cfg, s.checked, getattr(form, "__wrapped__", form), form,
-            functools.partial(_initial_step, field, 0.0, y, cfg), *y.ravel().tolist(),
+            _Recorder(p, s, array.extend), cfg, s.checked, p.float_gradient_fn, field, *y.ravel().tolist()
         )
     rec = _Recorder(p, s, _put)
     record = rec.record
@@ -715,8 +719,7 @@ def integrate(
         if sample_dt is not None:
             if t >= next_sample - eps_t:
                 record(t, x, v, g)
-                while next_sample <= t + eps_t:
-                    next_sample += sample_dt
+                next_sample = _next_tick(t, sample_dt, eps_t)
         elif accepted % sample_stride == 0:
             record(t, x, v, g)
     return rec.finish("t_max", _stats(accepted, rejected, h_small, h_big), t, x, v, g)

@@ -24,6 +24,7 @@ Builtin catalogue (see :func:`builtin_potentials` / :func:`make_potential`):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -56,14 +57,12 @@ class Potential:
         unbounded_below: True when the landscape is known to have no lower
             bound. Such landscapes can be simulated but never certified.
         float_gradient_fn: ∇Φ on Python floats, for dim 1 and 2 only: x ↦ g
-            for dim 1, (x₀, x₁) ↦ (g₀, g₁) for dim 2. It must give the doubles
-            ``gradient_fn`` gives, inf and nan included, and must not raise.
-            Its ``__wrapped__``, where it has one, is a raw form that gives
-            the same doubles wherever it does not raise: ``integrate``'s float
-            stages call that and compute a step once more through this form
-            when it raises. With it, ``integrate`` steps the reduced model on
-            floats (see :mod:`hbft.integrate`) and :func:`gradient_rows` runs
-            per row.
+            for dim 1, (x₀, x₁) ↦ (g₀, g₁) for dim 2, giving the doubles
+            ``gradient_fn`` gives wherever it returns. It may raise
+            ``OverflowError`` or ``ValueError`` only where ``gradient_fn``'s
+            value is not finite. With it, ``integrate`` steps the reduced model
+            on floats (see :mod:`hbft.integrate`) and :func:`gradient_rows`
+            runs per row; where it raises, they take ``gradient``'s value.
         column_value_fn: Φ over the rows of an (N, dim) array, (N, dim) →
             (N,), for dim 1 and 2 only. It must give the doubles ``value``
             gives row by row. With it, ``integrate`` builds the energy
@@ -124,14 +123,15 @@ def float_rows(x: np.ndarray):
 
 def gradient_rows(p: Potential, x: np.ndarray) -> np.ndarray:
     """∇Φ at each row of the (N, dim) array ``x``, the rows ``gradient`` gives:
-    through the float form where ``p`` has one."""
+    through the float form where ``p`` has one and it does not raise."""
     form = p.float_gradient_fn
-    if form is None or p.dim > 2 or x.shape[1] != p.dim:
-        return np.fromiter((gradient(p, xk) for xk in x), (float, (p.dim,)), len(x))
-    rows = itertools.starmap(form, float_rows(x))
-    if p.dim == 2:
-        rows = itertools.chain.from_iterable(rows)
-    return np.fromiter(rows, float, x.size).reshape(x.shape)
+    if form is not None and p.dim <= 2 and x.shape[1] == p.dim:
+        rows = itertools.starmap(form, float_rows(x))
+        if p.dim == 2:
+            rows = itertools.chain.from_iterable(rows)
+        with contextlib.suppress(OverflowError, ValueError):
+            return np.fromiter(rows, float, x.size).reshape(x.shape)
+    return np.fromiter((gradient(p, xk) for xk in x), (float, (p.dim,)), len(x))
 
 
 def value(p: Potential, x) -> float:
@@ -353,24 +353,6 @@ def _whole_dim(name: str, dim) -> int:
     return int(dim)
 
 
-def _or_numpy(p: Potential) -> Potential:
-    """``p`` with a float form that gives ``gradient_fn``'s doubles where its
-    own raises: x ** k overflowing and math.sin(inf) raise on floats where
-    numpy gives inf or nan, and numpy's value is the reference. The form's
-    ``__wrapped__`` is the raw one, which the float kernel calls first."""
-    form, numpy_form = p.float_gradient_fn, p.gradient_fn
-
-    def checked(*x):
-        try:
-            return form(*x)
-        except (OverflowError, ValueError):
-            g = numpy_form(np.array(x)).tolist()
-            return g[0] if len(x) == 1 else tuple(g)
-
-    checked.__wrapped__ = form
-    return p if form is None else dataclasses.replace(p, float_gradient_fn=checked)
-
-
 def _by_rows(form: Callable) -> Callable:
     """The column form of ``form``(x0, ...), which ``value_fn`` calls on a
     row's np.float64 scalars: it runs on each row's Python floats, and on
@@ -447,7 +429,7 @@ def rosenbrock(a: float = 1.0, b: float = 100.0) -> Potential:
         pyy = 2.0 * b
         return pxx * v[0] ** 2 + 2.0 * pxy * v[0] * v[1] + pyy * v[1] ** 2
 
-    return _or_numpy(Potential(
+    return Potential(
         name=f"rosenbrock(a={a:g}, b={b:g})",
         dim=2,
         value_fn=lambda x: phi(x[0], x[1]),
@@ -457,7 +439,7 @@ def rosenbrock(a: float = 1.0, b: float = 100.0) -> Potential:
         known_critical_points=(np.array([a, a * a]),),
         float_gradient_fn=dphi,
         column_value_fn=_by_rows(phi),
-    ))
+    )
 
 
 def double_well() -> Potential:
@@ -466,7 +448,7 @@ def double_well() -> Potential:
     def phi(x0):  # on an np.float64 scalar in value_fn, on a float in the column form
         return 0.25 * x0 ** 4 - 0.5 * x0 ** 2
 
-    return _or_numpy(Potential(
+    return Potential(
         name="double_well",
         dim=1,
         value_fn=lambda x: phi(x[0]),
@@ -476,7 +458,7 @@ def double_well() -> Potential:
         known_critical_points=(np.array([-1.0]), np.array([0.0]), np.array([1.0])),
         float_gradient_fn=lambda x: x ** 3 - x,
         column_value_fn=_by_rows(phi),
-    ))
+    )
 
 
 def eggcrate(dim: int = 2, amplitude: float = 1.0) -> Potential:
@@ -485,7 +467,7 @@ def eggcrate(dim: int = 2, amplitude: float = 1.0) -> Potential:
     if not (amplitude >= 0 and math.isfinite(amplitude)):
         raise ValueError(f"eggcrate: amplitude must be >= 0 and finite, got {amplitude}")
     amp = float(amplitude)
-    return _or_numpy(Potential(
+    return Potential(
         name=f"eggcrate(dim={dim}, amplitude={amp:g})",
         dim=dim,
         value_fn=lambda x: 0.5 * float(x @ x) + amp * float(np.sum(np.sin(x) ** 2)),
@@ -501,7 +483,7 @@ def eggcrate(dim: int = 2, amplitude: float = 1.0) -> Potential:
         column_value_fn=_up_to_dim2(
             dim, lambda x: 0.5 * row_dots(x, x) + amp * np.sum(np.sin(x) ** 2, axis=1)
         ),
-    ))
+    )
 
 
 def flat(dim: int = 1) -> Potential:

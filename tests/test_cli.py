@@ -1,5 +1,5 @@
 """Scenario runner end to end: config validation with anchored messages,
-output files, exit codes, sweeps, and the two deliberate refusals."""
+output files, exit codes, sweeps, and the deliberate refusal."""
 
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ import hbft
 from hbft import StepStats, Trajectory
 from hbft.cli import (
     _CSV_BLOCK_ROWS,
+    _alias_surplus,
     OUT_DIR_ENV,
     ScenarioConfig,
     _run_check,
@@ -171,6 +172,55 @@ def test_yaml_nested_past_the_parser_recursion_is_a_config_error(tmp_path, scena
     bad = base if which == "config" else grid
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
     assert proc.stderr == f"config error: {bad}: nested deeper than the YAML parser can read\n"
+
+
+_ALIAS_ERROR = "YAML aliases repeat more than 100,000 values; write the values out"
+
+
+def _alias_chain(depth: int) -> str:
+    """A flow list of ``depth`` + 1 anchored lists, each two aliases of the
+    one before: the last stands for 2^(depth + 1) numbers."""
+    levels = ["&l0 [1, 1]"] + [f"&l{i} [*l{i - 1}, *l{i - 1}]" for i in range(1, depth + 1)]
+    return "[" + ", ".join(levels) + "]"
+
+
+@pytest.mark.parametrize("which", ["config", "grid"])
+def test_yaml_aliases_that_repeat_exponentially_are_a_config_error(tmp_path, scenario_raw, which):
+    # 40 levels read in full would be 2^42 numbers; 19 took 4 s and 224 MB
+    chain = _alias_chain(40)
+    scenario_raw["potential"] = {"name": "anisotropic_quadratic",
+                                 "params": {"diag": "CHAIN" if which == "config" else [1.0]}}
+    base = tmp_path / "base.yaml"
+    base.write_text(yaml.safe_dump(scenario_raw, sort_keys=False).replace("CHAIN", chain))
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(f"grid:\n  potential.params.diag: {chain if which == 'grid' else '[[2.0]]'}\n")
+    proc = run_hbft("sweep", str(base), "--grid", str(grid), "--out-dir", str(tmp_path / "out"))
+    bad = base if which == "config" else grid
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr == f"config error: {bad}: {_ALIAS_ERROR}\n"
+
+
+def test_yaml_list_that_holds_itself_is_a_config_error(tmp_path, capsys):
+    # its copy without line markers used to recurse until Python gave up
+    path = tmp_path / "itself.yaml"
+    path.write_text(_pure_damping_with("  stop: {dwell: &d [1.0, *d]}\n"))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {_ALIAS_ERROR}\n"
+
+
+def test_yaml_aliases_that_repeat_a_few_values_load(tmp_path, capsys):
+    path = tmp_path / "shared.yaml"
+    path.write_text("name: shared\nmodel: hbft\n"
+                    "potential: {name: anisotropic_quadratic, params: {diag: [1.0, 4.0]}}\n"
+                    "schedule: {name: constant, params: {value: 1.0}}\n"
+                    "initial: {x0: &x0 [1.0, -0.5], v0: *x0}\n"
+                    "integrator: {method: rk4, step: 1.0e-2, t_max: 1.0}\n"
+                    "checks: [&vb {name: velocity_bound}, {<<: *vb, name: energy_monotone}]\n")
+    assert main(["validate", str(path)]) == 0
+    raw = strip_line_markers(load_config_file(path))
+    assert raw["initial"]["v0"] == [1.0, -0.5] and raw["checks"][1] == {"name": "energy_monotone"}
+    # only repeats count: a literal list of any length is read once
+    assert _alias_surplus({"diag": [1.0] * 200_000, "__line__": 1}) == 0
 
 
 def test_numeric_strings_coerced(tmp_path, scenario_raw):

@@ -43,7 +43,6 @@ from hbft.integrate import _norm, _on_floats, _put, _Recorder
 from hbft.integrate import _kernel, _kernel_source
 from hbft.potentials import (
     Potential,
-    _or_numpy,
     anisotropic_quadratic,
     double_well,
     eggcrate,
@@ -262,6 +261,35 @@ def test_sample_dt_records_first_point_at_or_after_each_tick():
         assert np.any((traj.t >= tick - 1e-12) & (traj.t <= tick + 0.1)), tick
 
 
+_SAMPLE_EVERY_STEP = """
+import functools, json, sys
+import numpy as np
+from hbft import IntegratorConfig, PhaseState, hbft_field, integrate
+from hbft.friction import constant
+from hbft.potentials import quadratic
+p, s = quadratic(dim=2), constant(1.0)
+cfg = IntegratorConfig(t_max=1.0, sample_dt=float(sys.argv[1]), **json.loads(sys.argv[2]))
+start = PhaseState(t=0.0, x=np.array([1.0, 0.5]), v=np.zeros(2))
+for field in (functools.partial(hbft_field, p, s), lambda st: hbft_field(p, s, st)):
+    traj = integrate(field, p, s, start, cfg)
+    print(traj.n_samples - traj.step_stats.accepted, traj.t.tobytes().hex(), traj.x.tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("method", ['{"method": "rk4", "step": 0.01}', '{"method": "dopri45"}'],
+                         ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("sample_dt", ["1e-300", "5e-324", "1e-9"])
+def test_sample_dt_far_below_the_step_samples_every_step(method, sample_dt):
+    # The next tick is found in one step: counting ticks up one at a time took
+    # about 1 s a step at 1e-9 and stalled for good below the float spacing of t.
+    out = subprocess.run([sys.executable, "-c", _SAMPLE_EVERY_STEP, sample_dt, method],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert out.returncode == 0, out.stderr
+    kernel, generic = out.stdout.splitlines()
+    assert kernel == generic and kernel.startswith("1 ")  # the start and every accepted step
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")
@@ -461,9 +489,10 @@ def test_kernel_matches_generic_path_when_the_step_budget_runs_out(method):
 
 # --- the generated kernels and the per-step overflow retry -------------------------
 #
-# The float stages call the potential's raw gradient form; where it raises, the
-# step (or the gradient at its end) is computed once more through the checked
-# form. Runs that take the retry must still match the generic path bit for bit.
+# The float stages call the potential's float gradient form; where it raises,
+# the reference core takes the step through the field, and gradient() gives the
+# gradient at its end. Runs that take the retry must still match the generic
+# path bit for bit.
 
 
 @pytest.mark.parametrize("method", ["rk4", "dopri45"])
@@ -480,27 +509,38 @@ def test_no_kernel_is_compiled_at_import():
     assert out.stdout.strip() == "0"
 
 
-def _logged(p):
-    """``p`` with its raw and checked float forms wrapped to log each call, in
-    order, as "raw", "raised" or "checked"; and the log."""
-    form, log = p.float_gradient_fn, []
-    raw = form.__wrapped__
+def _logged_runs(p, s, x0, v0, **kw):
+    """The kernel's run of ``p`` with each gradient call logged in order, as
+    "float" or "raised" for the float form and "numpy" for ``gradient_fn``;
+    the generic path's run of ``p``; and the log."""
+    form, numpy_form, log = p.float_gradient_fn, p.gradient_fn, []
 
-    def logged_raw(*x):
+    def logged_form(*x):
         try:
-            out = raw(*x)
+            out = form(*x)
         except (OverflowError, ValueError):
             log.append("raised")
             raise
-        log.append("raw")
+        log.append("float")
         return out
 
-    def logged_checked(*x):
-        log.append("checked")
-        return form(*x)
+    def logged_numpy(x):
+        log.append("numpy")
+        return numpy_form(x)
 
-    logged_checked.__wrapped__ = logged_raw
-    return dataclasses.replace(p, float_gradient_fn=logged_checked), log
+    q = dataclasses.replace(p, float_gradient_fn=logged_form, gradient_fn=logged_numpy)
+    cfg, start = IntegratorConfig(**kw), _init(x0, v0)
+    kernel = integrate(functools.partial(hbft_field, q, s), q, s, start, cfg)
+    return kernel, integrate(_field(p, s), p, s, start, cfg), log
+
+
+def _without_first_step(log: list, method: dict) -> list:
+    """``log`` less dopri45's first-step estimate, the field's one gradient
+    call before the first step, after the float form's at the start."""
+    if method["method"] == "rk4":
+        return log
+    assert log[:2] == ["float", "numpy"]
+    return log[:1] + log[2:]
 
 
 @pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.01},
@@ -510,32 +550,34 @@ def _logged(p):
     (rosenbrock(), [1e70, 0.0], [1e74, 0.0]),  # and x0**2 here
 ], ids=["double_well", "rosenbrock"])
 def test_kernel_retries_a_step_whose_later_stage_overflows(method, p, x0, v0):
-    q, log = _logged(p)
-    kernel, generic = _both(q, constant(1.0), x0, v0, t_max=1.0,
-                            stop=StopCondition(divergence_radius=1e308), **method)
+    kernel, generic, log = _logged_runs(p, constant(1.0), x0, v0, t_max=1.0,
+                                        stop=StopCondition(divergence_radius=1e308), **method)
     _assert_same_run(kernel, generic)
     assert kernel.termination_reason == "diverged"
-    # not the gradient at the start nor the first float stage: a later one
-    assert log.index("raised") == 2 and log[3] == "checked"
+    # not the gradient at the start nor the first float stage raised, but a
+    # later one; only then does the core take the step, a gradient per stage
+    log, stages = _without_first_step(log, method), 4 if method["method"] == "rk4" else 7
+    assert log.index("raised") == 2 and log[3 : 3 + stages] == ["numpy"] * stages
 
 
 @pytest.mark.parametrize("method", ["rk4", "dopri45"])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("failing_call", [1, 3, 5, 8, 11])
 def test_kernel_retry_gives_the_doubles_of_the_generic_path(dim, method, failing_call):
-    # A raw form that raises at one call only: the initial gradient (1), a
+    # A float form that raises at one call only: the initial gradient (1), a
     # stage of the first step (3), the gradient at its end for rk4 or a stage
-    # for dopri45 (5), and later stages or ends of step (8, 11). The retried
-    # step takes the checked form, which gives the same doubles here.
+    # for dopri45 (5), and later stages or ends of step (8, 11). gradient()
+    # or the reference core gives that gradient or step instead, and the
+    # float form takes the rest of the run.
     p, calls = quadratic(dim=dim, scale=2.0), itertools.count(1)
-    raw = p.float_gradient_fn
+    form = p.float_gradient_fn
 
     def flaky(*x):
         if next(calls) == failing_call:
             raise OverflowError("flaky")
-        return raw(*x)
+        return form(*x)
 
-    q = _or_numpy(dataclasses.replace(p, float_gradient_fn=flaky))
+    q = dataclasses.replace(p, float_gradient_fn=flaky)
     kernel, generic = _both(q, power_decay(1.0, 0.5), [1.0, -0.5][:dim], [0.3, 0.2][:dim],
                             t_max=0.5, method=method, step=0.05, h_max=0.05)
     _assert_same_run(kernel, generic)
@@ -546,12 +588,11 @@ def test_kernel_retry_gives_the_doubles_of_the_generic_path(dim, method, failing
                          ids=["rk4", "dopri45"])
 @pytest.mark.parametrize("case", [_BUILTINS_1D[2], _BUILTINS_1D[3], _BUILTINS_2D[2], _BUILTINS_2D[3]],
                          ids=lambda c: c[0].name)
-def test_kernel_never_calls_the_checked_form_on_a_run_that_never_overflows(method, case):
+def test_kernel_calls_only_the_float_form_on_a_run_that_never_overflows(method, case):
     p, s, x0, v0 = case
-    q, log = _logged(p)
-    kernel, generic = _both(q, s, x0, v0, t_max=1.5, **method)
+    kernel, generic, log = _logged_runs(p, s, x0, v0, t_max=1.5, **method)
     _assert_same_run(kernel, generic)
-    assert log and set(log) == {"raw"}
+    assert len(log) > 1 and set(_without_first_step(log, method)) == {"float"}
 
 
 _KERNEL_CASES = _BUILTINS_1D + _BUILTINS_2D
@@ -641,17 +682,18 @@ def test_kernel_evaluates_the_schedule_where_the_generic_path_does(method, dim):
     assert times["kernel"] == times["generic"] and len(times["kernel"]) > 20
 
 
+def _blows_up_past_half(t: float) -> float:
+    if t > 0.5:
+        raise DivergenceError(f"lambda blew up at t={t}")
+    return 1.0
+
+
 @pytest.mark.parametrize("p, x0", [(quadratic(dim=1), [1.0]), (eggcrate(dim=2), [1.0, -0.5])],
                          ids=["quadratic", "eggcrate"])
 def test_schedule_raising_divergence_mid_run_ends_diverged_on_both_paths(p, x0):
     # λ raises DivergenceError past t = 0.5: the step from 0.5 fails at its
     # second stage, so the run ends at t = 0.5, its last finite state.
-    def lam(t):
-        if t > 0.5:
-            raise DivergenceError(f"lambda blew up at t={t}")
-        return 1.0
-
-    s = FrictionSchedule(name="blows_up", lam=lam)
+    s = FrictionSchedule(name="blows_up", lam=_blows_up_past_half)
     kernel, generic = _both(p, s, x0, [0.0] * p.dim, method="rk4", step=0.01, t_max=1.0)
     _assert_same_run(kernel, generic)
     assert kernel.termination_reason == "diverged" and kernel.n_samples == 51
@@ -662,12 +704,7 @@ def test_schedule_raising_divergence_mid_run_ends_diverged_on_both_paths(p, x0):
 def test_schedule_raising_divergence_mid_run_shrinks_the_adaptive_step_on_both_paths(dim):
     # dopri45 rejects every attempt past t = 0.5 and shrinks the step until
     # it would fall below h_min
-    def lam(t):
-        if t > 0.5:
-            raise DivergenceError(f"lambda blew up at t={t}")
-        return 1.0
-
-    s = FrictionSchedule(name="blows_up", lam=lam)
+    s = FrictionSchedule(name="blows_up", lam=_blows_up_past_half)
     kernel, generic = _both(quadratic(dim=dim), s, [1.0] * dim, [0.0] * dim, method="dopri45",
                             t_max=1.0)
     partial = _assert_same_abort(kernel, generic, "adaptive step underflow")
