@@ -20,7 +20,6 @@ config's ``outputs.out_dir``, else ``$HBFT_OUT_DIR``, else ``./hbft_out``.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -890,6 +889,8 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
     if workers <= 1:
         rows = list(map(_sweep_worker, *jobs))
     else:
+        import concurrent.futures  # only a pooled sweep pays for this import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, *jobs))
 

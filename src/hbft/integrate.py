@@ -31,24 +31,24 @@ states handed to the field are built unchecked from float arithmetic on
 validated arrays, and finiteness is tested once per attempted step, on its
 result.
 
-Fast path. :func:`_on_floats` picks the path. When ``field`` is
-``functools.partial(hbft_field, p, s)`` for the ``p`` and ``s`` passed in,
-``p`` has a float gradient form (every builtin potential at dim 1 and 2) and
-no reaction is given, the run takes the float kernel: one loop per dim and
-method, generated from the stepper's tableau (:func:`_kernel_source`) and
-compiled on first use. It holds the stages, the stop rules, the clock, the
-sampling and dopri45's step control in one frame, on Python floats, with the
-array path's operations in the same order, so the trajectory is the same byte
-for byte. λ is read through the schedule's ``checked``, which owns the claim
-check. Where the potential's float gradient form raises (x ** k overflowing,
-sin(inf)), the reference core (:func:`_rk4_core`, :func:`_dopri_core`) takes
-that step through ``field``, and :func:`gradient` the gradient at its end.
-Any other field, a custom potential, dim ≥ 3 and the full surface model take
-the generic array path, the loop in :func:`integrate`. It steps (x, v) as one
-(2, dim) array, rows x and v, and its cores call ``field`` at each stage,
-which returns (ẋ, v̇) as two (dim,) sequences. The recorder keeps the
-components of x, v and ∇Φ in flat buffers and builds every other column in
-one pass at the end, Φ through the potential's column form where it has one.
+Kernels. Every run steps in one generated loop (:func:`_kernel_source`,
+compiled on first use), which holds the stop rules, the clock, the sampling
+and dopri45's step control in one frame. Its stage block is one of three.
+:func:`_on_floats` picks it. When ``field`` is ``functools.partial(hbft_field,
+p, s)`` for the ``p`` and ``s`` passed in, ``p`` has a float gradient form
+(every builtin potential at dim 1 and 2) and no reaction is given, the stages
+are written out on Python floats for dim 1 or dim 2, from the stepper's
+tableau, with the reference cores' operations in the same order, so the
+trajectory is the same byte for byte. λ is read through the schedule's
+``checked``, which owns the claim check. Where the float gradient form raises
+(x ** k overflowing, sin(inf)), the reference core (:func:`_rk4_core`,
+:func:`_dopri_core`) takes that step through ``field``, and :func:`gradient`
+the gradient at its end. Any other field, a custom potential, dim ≥ 3 and the
+full surface model step (x, v) as one (2, dim) array, rows x and v, and the
+stage block is the reference core, which calls ``field`` at each stage; it
+returns (ẋ, v̇) as two (dim,) sequences. The recorder keeps the components of
+x, v and ∇Φ in flat buffers and builds every other column in one pass at the
+end, Φ through the potential's column form where it has one.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ class Trajectory:
 
 # --- steppers ---------------------------------------------------------------
 #
-# The cores step the generic path's (2, dim) float array, rows x and v,
+# The cores step the array kernel's (2, dim) float array, rows x and v,
 # through the caller's field on stage states built unchecked.
 
 
@@ -301,7 +301,7 @@ def _initial_step(f: FieldFn, t: float, y, cfg: IntegratorConfig) -> float:
 # --- recording --------------------------------------------------------------
 
 
-def _put(buf: array, a: Vector) -> None:  # the generic path's put
+def _put(buf: array, a: Vector) -> None:  # the array kernel's put
     buf.fromlist(a.tolist())  # array.extend would take a numpy scalar per entry
 
 
@@ -373,17 +373,16 @@ def _stats(accepted: int, rejected: int, h_small: float, h_big: float) -> StepSt
     return StepStats(accepted, rejected, *((h_small, h_big) if accepted else (0.0, 0.0)))
 
 
-# --- the float kernel -----------------------------------------------------------
+# --- the kernel -----------------------------------------------------------------
 #
-# One loop per (dim, method), generated from the stepper's tableau as straight
-# lines per component: the stages, the stop rules, the Kahan clock, the
-# sampling and dopri45's step control run in one frame, with no call per step
-# but λ and ∇Φ. The text spells out the array cores' expression trees operation
-# by operation, so the doubles are theirs. Only tableau constants become
-# literals, through repr, which round-trips; the config, λ, the gradient form
-# and the field enter as arguments. Where the form raises (x ** k overflowing,
-# sin(inf)), the reference core takes the step through the field, and
-# gradient() the gradient at its end: numpy's values there.
+# One loop per (dim, method), generated: it holds the step budget, the Kahan
+# clock, the stop rules, the sampling and dopri45's step control in one frame;
+# its stage block and state names are the variant's. The float variants (dim 1
+# and 2) write the stages out from the tableau per component, the cores'
+# expression trees operation by operation, so the doubles are theirs, and call
+# nothing per step but λ and ∇Φ. Only tableau constants become literals, through
+# repr, which round-trips. The array variant (dim 0) steps the (2, dim) array
+# through the reference core.
 
 # Where a*a + b*b neither overflows nor loses precision to subnormals.
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
@@ -410,20 +409,18 @@ _RK4_C = (0.0, 0.5, 0.5, 1.0)
 _RK4_B = ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0))
 
 _KERNEL = """\
-def kernel(rec, cfg, lam_of, form, field, {x}, {v}):
+def kernel(rec, cfg, lam_of, form, field, reaction, {start}):
     isfinite, sqrt, size2 = math.isfinite, math.sqrt, _size2
-    p = field.args[0]  # field is partial(hbft_field, p, s)
+    p = rec.p
     stop = cfg.stop
     tol, dwell, radius = stop.stationarity_tol, stop.dwell, stop.divergence_radius
+    halt = stop.halt_on_contact_loss
     t_max, max_steps, sample_dt, stride = cfg.t_max, cfg.max_steps, cfg.sample_dt, cfg.sample_stride
     atol, rtol, h_min, h_max = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.h_max
     eps_t = 1e-12 * max(1.0, t_max)
     put_t, put_x, put_v, put_g = rec.t.append, rec.x.append, rec.v.append, rec.g.append
-    try:
-        {g} = form({x})
-    except (OverflowError, ValueError):
-        {g}, = gradient(p, ({x},)).tolist()
-    rec.record(0.0, ({x},), ({v},), ({g},))
+{unpack}
+    rec.record(0.0, {X}, {V}, {G})
     below_since = 0.0 if {v_below} and {g_below} else None
     h = {h}
     t, t_comp, next_sample, accepted, rejected, h_small, h_big = 0.0, 0.0, sample_dt, 0, 0, _INF, {h_big}
@@ -432,10 +429,7 @@ def kernel(rec, cfg, lam_of, form, field, {x}, {v}):
             raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, rejected, h_small, h_big))
         hs = h if h < remaining else remaining
         try:
-            try:
 {stages}
-            except (OverflowError, ValueError):
-                {results} = np.array({core}(field, t, np.array((({x},), ({v},))), hs)).ravel().tolist()
         except DivergenceError:
             {diverged}
         except ScheduleConsistencyError as exc:
@@ -443,18 +437,15 @@ def kernel(rec, cfg, lam_of, form, field, {x}, {v}):
             raise
         else:
 {check}{control}
-        y = hs - t_comp
-        t_next = t + y
-        t, t_comp = t_next, (t_next - t) - y
-        {x}, {v} = {new}
+        dt = hs - t_comp
+        t_next = t + dt
+        t, t_comp = t_next, (t_next - t) - dt
+        {advance}
         accepted += 1
 {h_range}
-        try:
-            {g} = form({x})
-        except (OverflowError, ValueError):
-            {g}, = gradient(p, ({x},)).tolist()
+{grad}
         if {x_beyond}:
-            return rec.finish("diverged", {end})
+            return rec.finish("diverged", {end}){contact}
         if {v_below} and {g_below}:
             if below_since is None:
                 below_since = t
@@ -467,14 +458,14 @@ def kernel(rec, cfg, lam_of, form, field, {x}, {v}):
                 continue
             next_sample = _next_tick(t, sample_dt, eps_t)
         elif accepted % stride:
-            continue{repeat}
-        put_t(t)
-{puts}
+            continue
+{record}
     return rec.finish("t_max", {end})
 """
 
-# integrate's dopri45 branch after the stages: the error ratio as numpy's mean
-# of squares on at most 4 entries (q * q summed left to right), then shrink or grow.
+# dopri45's branch after the stages: shrink or grow by the error ratio, which
+# the float variants take as numpy's mean of squares on at most 4 entries
+# (q * q summed left to right).
 _DOPRI_CONTROL = """
         if finite:
 {ratio}
@@ -491,9 +482,23 @@ _DOPRI_CONTROL = """
         h = min(h_max, hs * (5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))))"""
 
 
-def _kernel_source(dim: int, method: str) -> str:
-    """The text of the float kernel for ``dim`` (1 or 2) and ``method``."""
-    comps, adaptive = "ab"[:dim], method == "dopri45"
+def _array_parts(adaptive: bool, core: str) -> dict:
+    """The array variant's parts: the state is the (2, dim) array y, rows x
+    and v, and the stage block is the reference core."""
+    return dict(
+        start="y", unpack=["x, v = y"], X="x", V="v", G="g", grad=["g = gradient(p, x)"],
+        stages=[f"result = {core}(field, t, y, hs)"], finite="_finite(result)",
+        ratio=["ratio = _error_ratio(y, *result, atol, rtol)"],
+        advance="x, v = y = result[0]" if adaptive else "x, v = y = result",
+        x_beyond="_norm(x) > radius", v_below="_norm(v) < tol", g_below="_norm(g) < tol",
+        record=["rec.record(t, x, v, g)"],
+    )
+
+
+def _float_parts(dim: int, adaptive: bool, core: str) -> dict:
+    """The float variant's parts for ``dim`` 1 or 2: a float per component,
+    and the stages written out from the tableau, the core as their fallback."""
+    comps = "ab"[:dim]
     rows, times = (_DP_A, _DP_C) if adaptive else (_RK4_A, _RK4_C)
     pairs = [(p, c) for p in "xv" for c in comps]
     # hs * a and t + c * hs once per step each; hs * 1.0 is hs
@@ -503,9 +508,6 @@ def _kernel_source(dim: int, method: str) -> str:
 
     def each(fmt: str) -> str:
         return ", ".join(fmt.format(c) for c in comps)
-
-    def lines(indent: int, *rows: str) -> str:
-        return "\n".join(" " * indent + row for row in rows)
 
     def size(a: str, r: str) -> str:
         return f"sqrt({a}a * {a}a)" if dim == 1 else f"size2({a}a, {a}b, {r})"
@@ -529,42 +531,71 @@ def _kernel_source(dim: int, method: str) -> str:
             stages += [f"K{i}{c} = -lam * {k(i, 'x', c)} - {'G' if i else 'g'}{c}" for c in comps]
 
     x, v, g = each("x{}"), each("v{}"), each("g{}")
-    end = f"_stats(accepted, rejected, h_small, h_big), t, ({x},), ({v},), ({g},)"
-    diverged = f'return rec.finish("diverged", {end})'
+    X, V = f"({x},)", f"({v},)"
     new, errs = [f"n{p}{c}" for p, c in pairs], [f"e{p}{c}" for p, c in pairs] if adaptive else []
-    finite = " and ".join(f"isfinite({name})" for name in new + errs)
+    record = ["put_t(t)"] + [f"put_{p}({p}{c})" for p in "xvg" for c in comps]
     if adaptive:
-        update = [f"n{p}{c} = {p}{c} + hs * (0.0 + {dot(_DP_B5, p, c)})" for p, c in pairs]
-        update += [f"e{p}{c} = hs * (0.0 + {dot(_DP_E, p, c)})" for p, c in pairs]
-        check = [f"finite = {finite}"]
+        stages += [f"n{p}{c} = {p}{c} + hs * (0.0 + {dot(_DP_B5, p, c)})" for p, c in pairs]
+        stages += [f"e{p}{c} = hs * (0.0 + {dot(_DP_E, p, c)})" for p, c in pairs]
         ratio = [f"q{n} = e{p}{c} / (atol + rtol * max(abs({p}{c}), abs(n{p}{c})))"
                  for n, (p, c) in enumerate(pairs)]
         squares = " + ".join(f"q{n} * q{n}" for n in range(len(pairs)))
         ratio.append(f"ratio = sqrt((0.0 + {squares}) / {len(pairs)})")
-        control = _DOPRI_CONTROL.format(ratio=lines(12, *ratio), end=end)
-        h_range = ["if hs < h_small:", "    h_small = hs", "if hs > h_big:", "    h_big = hs"]
+        record[:0] = ["if rec.t[-1] == t:", "    continue"]
     else:
-        update = ["w = hs / 6.0"] + [f"n{p}{c} = {p}{c} + w * ({dot(_RK4_B, p, c)})" for p, c in pairs]
-        check = [f"if not ({finite}):", "    " + diverged]
-        # remaining only shrinks, so the first step is the longest and the last the shortest
-        control, h_range = "", ["h_small = hs"]
-    return _KERNEL.format(
-        x=x, v=v, g=g, end=end, control=control, new=", ".join(new), stages=lines(16, *stages, *update),
-        results=", ".join(new + errs), core="_dopri_core" if adaptive else "_rk4_core",
-        diverged="finite = False" if adaptive else diverged,
-        check=lines(12, *check), h_range=lines(8, *h_range),
-        h=f"_initial_step(field, 0.0, np.array((({x},), ({v},))), cfg)" if adaptive else "float(cfg.step)",
-        h_big="0.0" if adaptive else "min(h, t_max)",
-        spent="accepted + rejected" if adaptive else "accepted",
-        repeat="\n" + lines(8, "if rec.t[-1] == t:", "    continue") if adaptive else "",
-        puts=lines(8, *(f"put_{p}({p}{c})" for p in "xvg" for c in comps)),
-        x_beyond=f"{size('x', 'radius')} > radius", v_below=f"{size('v', 'tol')} < tol",
-        g_below=f"{size('g', 'tol')} < tol",
+        stages += ["w = hs / 6.0"] + [f"n{p}{c} = {p}{c} + w * ({dot(_RK4_B, p, c)})" for p, c in pairs]
+        ratio = []
+    core_step = f"np.array({core}(field, t, np.array(({X}, {V})), hs)).ravel().tolist()"
+    return dict(
+        start=f"{x}, {v}", unpack=[], X=X, V=V, G=f"({g},)",
+        grad=["try:", f"    {g} = form({x})",
+              "except (OverflowError, ValueError):", f"    {g}, = gradient(p, {X}).tolist()"],
+        stages=["try:", *("    " + row for row in stages), "except (OverflowError, ValueError):",
+                f"    {', '.join(new + errs)} = {core_step}"],
+        finite=" and ".join(f"isfinite({name})" for name in new + errs), ratio=ratio,
+        advance=f"{x}, {v} = {', '.join(new)}", x_beyond=f"{size('x', 'radius')} > radius",
+        v_below=f"{size('v', 'tol')} < tol", g_below=f"{size('g', 'tol')} < tol", record=record,
     )
 
 
+def _kernel_source(dim: int, method: str) -> str:
+    """The text of the kernel for ``method``: on floats for ``dim`` 1 or 2, on
+    the (2, dim) array for ``dim`` 0."""
+    adaptive = method == "dopri45"
+    core = "_dopri_core" if adaptive else "_rk4_core"
+
+    def lines(indent: int, *rows: str) -> str:
+        return "\n".join(" " * indent + row for row in rows)
+
+    part = _float_parts(dim, adaptive, core) if dim else _array_parts(adaptive, core)
+    end = "_stats(accepted, rejected, h_small, h_big), t, {X}, {V}, {G}".format_map(part)
+    diverged = f'return rec.finish("diverged", {end})'
+    contact = ["if halt and reaction(_stage(t, x, v)) <= 0.0:",
+               f'    return rec.finish("contact_lost", {end})']
+    if adaptive:
+        step = dict(
+            check=lines(12, f"finite = {part['finite']}"), diverged="finite = False",
+            control=_DOPRI_CONTROL.format(ratio=lines(12, *part["ratio"]), end=end),
+            h_range=lines(8, "if hs < h_small:", "    h_small = hs", "if hs > h_big:", "    h_big = hs"),
+            h="_initial_step(field, 0.0, np.array(({X}, {V})), cfg)".format_map(part),
+            h_big="0.0", spent="accepted + rejected",
+        )
+    else:
+        # remaining only shrinks, so the first step is the longest and the last the shortest
+        step = dict(
+            check=lines(12, f"if not ({part['finite']}):", "    " + diverged), diverged=diverged,
+            control="", h_range=lines(8, "h_small = hs"), h="float(cfg.step)", h_big="min(h, t_max)",
+            spent="accepted",
+        )
+    return _KERNEL.format_map(part | step | dict(
+        end=end, unpack=lines(4, *part["unpack"], *part["grad"]), grad=lines(8, *part["grad"]),
+        stages=lines(12, *part["stages"]), record=lines(8, *part["record"]),
+        contact="" if dim else "\n" + lines(8, *contact),
+    ))
+
+
 def _on_floats(field, p: Potential, s: FrictionSchedule, reaction) -> bool:
-    """Whether the float kernel runs: ``field`` is the documented binding of the
+    """Whether a float kernel runs: ``field`` is the documented binding of the
     reduced model to ``p`` and ``s``, and ``p`` has a float gradient form."""
     return (
         reaction is None
@@ -581,8 +612,10 @@ def _on_floats(field, p: Potential, s: FrictionSchedule, reaction) -> bool:
 
 @functools.cache
 def _kernel(dim: int, method: str) -> Callable:
-    """The float kernel for ``dim`` and ``method``, compiled on first use."""
-    source, name = _kernel_source(dim, method), f"<hbft {method} kernel, dim {dim}>"
+    """The kernel for ``dim`` (0 for the array variant) and ``method``,
+    compiled on first use."""
+    variant = f"dim {dim}" if dim else "arrays"
+    source, name = _kernel_source(dim, method), f"<hbft {method} kernel, {variant}>"
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)  # for tracebacks
     scope = dict(globals())
     exec(compile(source, name, "exec"), scope)
@@ -603,8 +636,8 @@ def integrate(
     Args:
         field: Phase-space right-hand side, state ↦ (ẋ, v̇). Bind the model
             (and its potential/schedule/mechanics) before calling, e.g.
-            ``functools.partial(hbft_field, p, s)``, which takes the fast
-            path described in the module docstring.
+            ``functools.partial(hbft_field, p, s)``, whose stages the
+            kernel writes out on floats (see the module docstring).
         p: Potential; used for the energy / gradient-norm columns and the
             stationarity stop condition.
         s: Schedule; used for the λ / dissipation columns.
@@ -612,6 +645,9 @@ def integrate(
         cfg: Stepper, horizon, and sampling configuration.
         reaction: State ↦ reaction force, required when
             ``cfg.stop.halt_on_contact_loss`` is set.
+
+    The inputs are validated here; the generated kernel then runs the whole
+    loop, with the stage block :func:`_on_floats` picks.
 
     Returns:
         The sampled trajectory. The initial and final states are always
@@ -642,84 +678,9 @@ def integrate(
         raise ValueError("halt_on_contact_loss requires a reaction callable")
 
     y = np.array((initial.x, initial.v))  # rows x and v
-    if _on_floats(field, p, s, reaction):
-        return _kernel(p.dim, cfg.method)(
-            _Recorder(p, s, array.extend), cfg, s.checked, p.float_gradient_fn, field, *y.ravel().tolist()
-        )
-    rec = _Recorder(p, s, _put)
-    record = rec.record
-    stop = cfg.stop
-    tol, dwell, radius = stop.stationarity_tol, stop.dwell, stop.divergence_radius
-    halt, t_max, max_steps = stop.halt_on_contact_loss, cfg.t_max, cfg.max_steps
-    sample_dt, sample_stride = cfg.sample_dt, cfg.sample_stride
-    eps_t = 1e-12 * max(1.0, t_max)
-
-    t, t_comp = 0.0, 0.0
-    x, v = y
-    g = gradient(p, x)
-    record(t, x, v, g)
-    accepted, rejected, h_small, h_big = 0, 0, math.inf, 0.0
-    # Stationarity dwell clock; may start at t=0.
-    below_since = 0.0 if _norm(v) < tol and _norm(g) < tol else None
-    adaptive = cfg.method == "dopri45"
-    next_sample = sample_dt
-    step = _dopri_core if adaptive else _rk4_core
-    h = _initial_step(field, t, y, cfg) if adaptive else float(cfg.step)
-
-    while (remaining := t_max - t) > eps_t:
-        if accepted + rejected >= max_steps:
-            raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, rejected, h_small, h_big))
-        h_try = h if h < remaining else remaining
-        try:
-            result = step(field, t, y, h_try)
-        except DivergenceError:
-            finite = False
-        except ScheduleConsistencyError as exc:
-            rec.attach(exc, _stats(accepted, rejected, h_small, h_big))
-            raise
-        else:
-            finite = _finite(result)
-        if adaptive:
-            ratio = _error_ratio(y, *result, cfg.abs_tol, cfg.rel_tol) if finite else math.inf
-            if not finite and h_try <= cfg.h_min:
-                # Cannot shrink further; treat as divergence at the last good state.
-                return rec.finish("diverged", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
-            if ratio > 1.0:
-                rejected += 1
-                shrink = 0.2 if not math.isfinite(ratio) else max(0.2, 0.9 * ratio ** -0.2)
-                h = h_try * shrink
-                if h < cfg.h_min:
-                    raise rec.abort(_UNDERFLOW.format(cfg, t), _stats(accepted, rejected, h_small, h_big))
-                continue
-            grow = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-            h = min(cfg.h_max, h_try * grow)
-        elif not finite:
-            return rec.finish("diverged", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
-
-        # Kahan-compensated t += h_try, so 10⁵-step runs do not smear the grid
-        dt = h_try - t_comp
-        t_next = t + dt
-        t, t_comp = t_next, (t_next - t) - dt
-        y = result[0] if adaptive else result
-        x, v = y
-        accepted += 1
-        h_small, h_big = min(h_small, h_try), max(h_big, h_try)
-        g = gradient(p, x)
-        if _norm(x) > radius:
-            return rec.finish("diverged", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
-        if halt and reaction(_stage(t, x, v)) <= 0.0:
-            return rec.finish("contact_lost", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
-        if _norm(v) < tol and _norm(g) < tol:
-            if below_since is None:
-                below_since = t
-            if t - below_since >= dwell:
-                return rec.finish("stationary", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
-        else:
-            below_since = None
-        if sample_dt is not None:
-            if t >= next_sample - eps_t:
-                record(t, x, v, g)
-                next_sample = _next_tick(t, sample_dt, eps_t)
-        elif accepted % sample_stride == 0:
-            record(t, x, v, g)
-    return rec.finish("t_max", _stats(accepted, rejected, h_small, h_big), t, x, v, g)
+    floats = _on_floats(field, p, s, reaction)
+    rec = _Recorder(p, s, array.extend if floats else _put)
+    start = y.ravel().tolist() if floats else (y,)
+    return _kernel(p.dim if floats else 0, cfg.method)(
+        rec, cfg, s.checked, p.float_gradient_fn, field, reaction, *start
+    )

@@ -1376,7 +1376,7 @@ def test_sweep_pool_is_no_larger_than_the_grid(tmp_path, scenario_raw, monkeypat
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(hbft.cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     base = _sweep_base(scenario_raw)
     grid = {"schedule.params.value": [0.5, 1.0, 2.0]}
     assert run_sweep(base, grid, out_dir=tmp_path / "a", workers=64, quiet=True, source="t") == 0

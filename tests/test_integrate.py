@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -324,12 +325,11 @@ def test_step_budget_exhaustion_raises_with_partial_trajectory():
     assert partial.t_final < 10.0
 
 
-def test_contact_loss_halt_via_reaction_callable():
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 1e-2},
+                                    {"method": "dopri45", "h_max": 1e-2}], ids=["rk4", "dopri45"])
+def test_contact_loss_halt_via_reaction_callable(method):
     p, s = flat(dim=1), constant(0.0)
-    cfg = IntegratorConfig(
-        method="rk4", step=1e-2, t_max=10.0,
-        stop=StopCondition(halt_on_contact_loss=True),
-    )
+    cfg = IntegratorConfig(t_max=10.0, stop=StopCondition(halt_on_contact_loss=True), **method)
     reaction = lambda st: 1.0 if st.t < 0.5 else -1.0
     traj = integrate(_field(p, s), p, s, _init([0.0], [1.0]), cfg, reaction=reaction)
     assert traj.termination_reason == "contact_lost"
@@ -496,17 +496,42 @@ def test_kernel_matches_generic_path_when_the_step_budget_runs_out(method):
 
 
 @pytest.mark.parametrize("method", ["rk4", "dopri45"])
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [0, 1, 2])  # 0: the array variant
 def test_every_kernel_variant_compiles_once(dim, method):
     compile(_kernel_source(dim, method), "<kernel>", "exec")
     assert callable(_kernel(dim, method)) and _kernel(dim, method) is _kernel(dim, method)
 
 
 def test_no_kernel_is_compiled_at_import():
-    code = "import hbft.cli; from hbft.integrate import _kernel; print(_kernel.cache_info().currsize)"
+    # nor is the process pool's module imported: only a pooled sweep uses it
+    code = ("import sys, hbft.cli; from hbft.integrate import _kernel; "
+            "print(_kernel.cache_info().currsize, 'concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 False"
+
+
+def test_a_traceback_shows_the_generated_line():
+    def lam(t):
+        if t > 0.5:
+            raise RuntimeError("lambda broke")
+        return 1.0
+
+    p, s = quadratic(dim=1), FrictionSchedule(name="breaks", lam=lam)
+    for method, variant in itertools.product(["rk4", "dopri45"], ["dim 1", "arrays"]):
+        field = functools.partial(hbft_field, p, s) if variant == "dim 1" else _field(p, s)
+        cfg = IntegratorConfig(method=method, step=1e-2, t_max=1.0)
+        with pytest.raises(RuntimeError, match="lambda broke") as info:
+            integrate(field, p, s, _init([1.0], [0.0]), cfg)
+        frames = traceback.extract_tb(info.tb)
+        # the frame integrate calls is the kernel, its text registered with linecache
+        kernel = frames[[frame.name for frame in frames].index("integrate") + 1]
+        assert kernel.filename == f"<hbft {method} kernel, {variant}>"
+        if variant == "arrays":  # the stage block is the reference core
+            core = {"rk4": "_rk4_core", "dopri45": "_dopri_core"}[method]
+            assert kernel.line == f"result = {core}(field, t, y, hs)"
+        else:  # the written-out stage that read λ
+            assert "lam_of(" in kernel.line
 
 
 def _logged_runs(p, s, x0, v0, **kw):
