@@ -7,10 +7,10 @@ certified here as grid surrogates, never as proofs.
 
 Builtin catalogue (see :func:`builtin_schedules` / :func:`make_schedule`):
 
-- ``constant``: λ ≡ value.
+- ``constant``: λ ≡ value, one piece (it declares ``jumps=()``).
 - ``power_decay``: λ(t) = initial / (1 + t)^exponent.
 - ``oscillating``: λ(t) = base + amplitude · sin(ω t), base ≥ amplitude ≥ 0.
-- ``step``: piecewise constant, jumps at the given times (no derivative).
+- ``step``: piecewise constant, declared jumps at the given times, no derivative.
 - ``linear_growth``: λ(t) = rate · t, unbounded (fails the eventual bound).
 """
 
@@ -41,6 +41,9 @@ class FrictionSchedule:
             checks report premise_unverified instead of a verdict.
         claims_nonnegative: The schedule promises λ(t) ≥ 0; a negative
             evaluation then raises ScheduleConsistencyError.
+        jumps: A promise like ``claims_nonnegative``: λ is constant on [0, j₁),
+            [j₁, j₂), …, [jₙ, ∞) for these positive, finite, increasing times,
+            so the integrator reads λ once per piece. None promises nothing.
 
     ``checked`` is derived, not a field: t ↦ float(lam(t)), raising
     ScheduleConsistencyError for a value outside [0, ∞) when the schedule
@@ -53,9 +56,14 @@ class FrictionSchedule:
     lam: Callable[[float], float] = dataclasses.field(repr=False)
     lam_dot: Optional[Callable[[float], float]] = dataclasses.field(default=None, repr=False)
     claims_nonnegative: bool = True
+    jumps: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         lam, name, claims = self.lam, self.name, self.claims_nonnegative
+        jumps = None if self.jumps is None else tuple(map(float, self.jumps))
+        if jumps is not None and not all(a < b for a, b in zip((0.0, *jumps), (*jumps, _INF))):
+            raise ValueError(f"schedule '{name}': jumps must be positive, finite and increasing, got {jumps}")
+        object.__setattr__(self, "jumps", jumps)
 
         def checked(t):
             val = float(lam(t))
@@ -231,7 +239,15 @@ def constant(value: float = 1.0) -> FrictionSchedule:
         name=f"constant({v:g})",
         lam=lambda t: v,
         lam_dot=lambda t: 0.0,
+        jumps=(),
     ))
+
+
+def _one_plus(t: float) -> tuple[float, float]:
+    """(hi, lo): 1 + t as a float and that float's rounding error, exactly."""
+    hi = 1.0 + t
+    b = hi - 1.0
+    return hi, (1.0 - (hi - b)) + (t - b)
 
 
 def _power_quotient(c: float, t: float, k: float) -> tuple[float, int]:
@@ -243,9 +259,7 @@ def _power_quotient(c: float, t: float, k: float) -> tuple[float, int]:
     """
     if t == _INF:
         return 0.0, 0
-    hi = 1.0 + t
-    b = hi - 1.0
-    lo = (1.0 - (hi - b)) + (t - b)  # 1 + t - hi, exactly
+    hi, lo = _one_plus(t)
     try:
         q = hi ** (k / 8) * math.exp(k / 8 * math.log1p(lo / hi))
     except OverflowError:  # so the quotient is below every normal float
@@ -257,12 +271,13 @@ def _power_quotient(c: float, t: float, k: float) -> tuple[float, int]:
 def power_decay(initial: float = 1.0, exponent: float = 1.0) -> FrictionSchedule:
     """λ(t) = initial / (1 + t)^exponent, a vanishing-damping schedule.
 
-    λ lies in [0, initial] for every t ≥ 0. Where (1 + t)^exponent, or
-    exponent · initial, overflows a float, λ and λ' are taken through
-    ``_power_quotient``: to a few ulps where they are normal floats, and
-    0.0 and -0.0 where they underflow. :func:`lambda_at` and
-    :func:`lambda_dot_at` pass a Python float; called directly on a numpy
-    float64 t, whose power does not raise on overflow, ``lam`` and
+    λ lies in [0, initial] for every t ≥ 0. λ and λ' are taken through
+    ``_power_quotient`` where (1 + t)^exponent, or exponent · initial,
+    overflows a float, and where an exponent above 1 would magnify the
+    rounding of 1 + t past half an ulp: to a few ulps where they are normal
+    floats, and 0.0 and -0.0 where they underflow. :func:`lambda_at`
+    and :func:`lambda_dot_at` pass a Python float; called directly on a
+    numpy float64 t, whose power does not raise on overflow, ``lam`` and
     ``lam_dot`` give numpy's 0.0 and -0.0 there.
     """
     if not (initial >= 0 and math.isfinite(initial)):
@@ -271,11 +286,21 @@ def power_decay(initial: float = 1.0, exponent: float = 1.0) -> FrictionSchedule
         raise ValueError(f"power_decay: exponent must be positive and finite, got {exponent}")
     lam0, alpha = float(initial), float(exponent)
 
+    def split(t):
+        return math.ldexp(*_power_quotient(lam0, t, alpha))
+
+    def split_dot(t):
+        (m, e), (d, f) = _power_quotient(lam0, t, alpha), math.frexp(alpha / (1.0 + t))
+        try:
+            return -math.ldexp(m * d, e + f)
+        except OverflowError:
+            return -_INF
+
     def lam(t):
         try:
             return lam0 / (1.0 + t) ** alpha
         except OverflowError:
-            return math.ldexp(*_power_quotient(lam0, t, alpha))
+            return split(t)
 
     def lam_dot(t):
         try:
@@ -283,16 +308,16 @@ def power_decay(initial: float = 1.0, exponent: float = 1.0) -> FrictionSchedule
                 return val
         except OverflowError:
             pass
-        (m, e), (d, f) = _power_quotient(lam0, t, alpha), math.frexp(alpha / (1.0 + t))
-        try:
-            return -math.ldexp(m * d, e + f)
-        except OverflowError:
-            return -_INF
+        return split_dot(t)
+
+    def magnified(t):  # alpha · |lo| / hi > 2⁻⁵³, which only an alpha above 1 allows
+        hi, lo = _one_plus(t)
+        return alpha * abs(lo) > 2.0**-53 * hi
 
     return _in_claim(FrictionSchedule(
         name=f"power_decay(initial={lam0:g}, exponent={alpha:g})",
-        lam=lam,
-        lam_dot=lam_dot,
+        lam=(lambda t: split(t) if magnified(t) else lam(t)) if alpha > 1.0 else lam,
+        lam_dot=(lambda t: split_dot(t) if magnified(t) else lam_dot(t)) if alpha > 1.0 else lam_dot,
     ))
 
 
@@ -346,6 +371,7 @@ def step(times=(10.0, 20.0), values=(1.0, 0.5, 2.0)) -> FrictionSchedule:
         name=f"step(times={ts}, values={vs})",
         lam=lambda t: vs[bisect.bisect_right(ts, t)],
         lam_dot=None,
+        jumps=tuple(ts),
     ))
 
 

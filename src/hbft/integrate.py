@@ -40,8 +40,9 @@ p, s)`` for the ``p`` and ``s`` passed in, ``p`` has a float gradient form
 are written out on Python floats for dim 1 or dim 2, from the stepper's
 tableau, with the reference cores' operations in the same order, so the
 trajectory is the same byte for byte. λ is read through the schedule's
-``checked``, which owns the claim check. Where the float gradient form raises
-(x ** k overflowing, sin(inf)), the reference core (:func:`_rk4_core`,
+``checked``, which owns the claim check, at every stage, or once per declared
+piece (``jumps``). Where the float gradient form raises (x ** k overflowing,
+sin(inf)), or a step reaches a jump, the reference core (:func:`_rk4_core`,
 :func:`_dopri_core`) takes that step through ``field``, and :func:`gradient`
 the gradient at its end. Any other field, a custom potential, dim ≥ 3 and the
 full surface model step (x, v) as one (2, dim) array, rows x and v, and the
@@ -60,6 +61,7 @@ import linecache
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from typing import Callable, Optional
 
 import numpy as np
@@ -380,9 +382,9 @@ def _stats(accepted: int, rejected: int, h_small: float, h_big: float) -> StepSt
 # its stage block and state names are the variant's. The float variants (dim 1
 # and 2) write the stages out from the tableau per component, the cores'
 # expression trees operation by operation, so the doubles are theirs, and call
-# nothing per step but λ and ∇Φ. Only tableau constants become literals, through
-# repr, which round-trips. The array variant (dim 0) steps the (2, dim) array
-# through the reference core.
+# nothing per step but λ, once per declared piece, and ∇Φ. Only tableau
+# constants become literals, through repr, which round-trips. The array variant
+# (dim 0) steps the (2, dim) array through the reference core.
 
 # Where a*a + b*b neither overflows nor loses precision to subnormals.
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
@@ -495,7 +497,7 @@ def _array_parts(adaptive: bool, core: str) -> dict:
     )
 
 
-def _float_parts(dim: int, adaptive: bool, core: str) -> dict:
+def _float_parts(dim: int, adaptive: bool, core: str, pieces: bool) -> dict:
     """The float variant's parts for ``dim`` 1 or 2: a float per component,
     and the stages written out from the tableau, the core as their fallback."""
     comps = "ab"[:dim]
@@ -519,15 +521,15 @@ def _float_parts(dim: int, adaptive: bool, core: str) -> dict:
         return " + ".join(k(j, p, c) if w == 1.0 else f"{w!r} * {k(j, p, c)}" for j, w in weights)
 
     stages = [f"{name} = hs * {a!r}" for a, name in coeff.items() if a != 1.0]
-    stages += [f"{name} = t + {'' if c == 1.0 else f'{c!r} * '}hs" for c, name in clock.items() if c]
+    stages += [f"{name} = t + {'' if c == 1.0 else f'{c!r} * '}hs" for c, name in clock.items() if c and not pieces]
     for i, row in enumerate(rows):
         stages += [f"{p.upper()}{i}{c} = {p}{c}" + "".join(f" + {coeff[a]} * {k(j, p, c)}" for j, a in row)
                    for c in (comps if i else ()) for p in "xv"]
-        lam, grad = f"lam_of({clock[times[i]]})", f"form({each(f'X{i}{{}}')})" if i else "ga"
+        lam, grad = "lam" if pieces else f"lam_of({clock[times[i]]})", f"form({each(f'X{i}{{}}')})" if i else "ga"
         if dim == 1:  # λ before ∇Φ, as in hbft_field
             stages.append(f"K{i}a = -{lam} * {k(i, 'x', 'a')} - {grad}")
         else:
-            stages += [f"lam = {lam}"] + ([f"Ga, Gb = {grad}"] if i else [])
+            stages += ([] if pieces else [f"lam = {lam}"]) + ([f"Ga, Gb = {grad}"] if i else [])
             stages += [f"K{i}{c} = -lam * {k(i, 'x', c)} - {'G' if i else 'g'}{c}" for c in comps]
 
     x, v, g = each("x{}"), each("v{}"), each("g{}")
@@ -545,29 +547,32 @@ def _float_parts(dim: int, adaptive: bool, core: str) -> dict:
     else:
         stages += ["w = hs / 6.0"] + [f"n{p}{c} = {p}{c} + w * ({dot(_RK4_B, p, c)})" for p, c in pairs]
         ratio = []
-    core_step = f"np.array({core}(field, t, np.array(({X}, {V})), hs)).ravel().tolist()"
+    core_step = f"{', '.join(new + errs)} = np.array({core}(field, t, np.array(({X}, {V})), hs)).ravel().tolist()"
+    stages = ["try:", *("    " + row for row in stages), "except (OverflowError, ValueError):", "    " + core_step]
+    if pieces:  # λ is lam until lam_to; a step that reaches lam_to takes the core, which reads λ per stage
+        stages = ["if t >= lam_to:", "    lam, lam_to = lam_of(t), ends[bisect_right(ends, t)]",
+                  "if t + hs < lam_to:", *("    " + row for row in stages), "else:", "    " + core_step]
     return dict(
-        start=f"{x}, {v}", unpack=[], X=X, V=V, G=f"({g},)",
+        start=f"{x}, {v}", unpack=["lam_to, ends = 0.0, (*rec.s.jumps, _INF)"] * pieces, X=X, V=V, G=f"({g},)",
         grad=["try:", f"    {g} = form({x})",
               "except (OverflowError, ValueError):", f"    {g}, = gradient(p, {X}).tolist()"],
-        stages=["try:", *("    " + row for row in stages), "except (OverflowError, ValueError):",
-                f"    {', '.join(new + errs)} = {core_step}"],
+        stages=stages,
         finite=" and ".join(f"isfinite({name})" for name in new + errs), ratio=ratio,
         advance=f"{x}, {v} = {', '.join(new)}", x_beyond=f"{size('x', 'radius')} > radius",
         v_below=f"{size('v', 'tol')} < tol", g_below=f"{size('g', 'tol')} < tol", record=record,
     )
 
 
-def _kernel_source(dim: int, method: str) -> str:
+def _kernel_source(dim: int, method: str, pieces: bool) -> str:
     """The text of the kernel for ``method``: on floats for ``dim`` 1 or 2, on
-    the (2, dim) array for ``dim`` 0."""
+    the (2, dim) array for ``dim`` 0; ``pieces`` reads λ once per declared piece."""
     adaptive = method == "dopri45"
     core = "_dopri_core" if adaptive else "_rk4_core"
 
     def lines(indent: int, *rows: str) -> str:
         return "\n".join(" " * indent + row for row in rows)
 
-    part = _float_parts(dim, adaptive, core) if dim else _array_parts(adaptive, core)
+    part = _float_parts(dim, adaptive, core, pieces) if dim else _array_parts(adaptive, core)
     end = "_stats(accepted, rejected, h_small, h_big), t, {X}, {V}, {G}".format_map(part)
     diverged = f'return rec.finish("diverged", {end})'
     contact = ["if halt and reaction(_stage(t, x, v)) <= 0.0:",
@@ -611,11 +616,11 @@ def _on_floats(field, p: Potential, s: FrictionSchedule, reaction) -> bool:
 
 
 @functools.cache
-def _kernel(dim: int, method: str) -> Callable:
-    """The kernel for ``dim`` (0 for the array variant) and ``method``,
-    compiled on first use."""
-    variant = f"dim {dim}" if dim else "arrays"
-    source, name = _kernel_source(dim, method), f"<hbft {method} kernel, {variant}>"
+def _kernel(dim: int, method: str, pieces: bool) -> Callable:
+    """The kernel for ``dim`` (0 for the array variant), ``method`` and
+    ``pieces``, compiled on first use."""
+    variant = (f"dim {dim}" + ", pieces" * pieces) if dim else "arrays"
+    source, name = _kernel_source(dim, method, pieces), f"<hbft {method} kernel, {variant}>"
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)  # for tracebacks
     scope = dict(globals())
     exec(compile(source, name, "exec"), scope)
@@ -681,6 +686,6 @@ def integrate(
     floats = _on_floats(field, p, s, reaction)
     rec = _Recorder(p, s, array.extend if floats else _put)
     start = y.ravel().tolist() if floats else (y,)
-    return _kernel(p.dim if floats else 0, cfg.method)(
+    return _kernel(p.dim if floats else 0, cfg.method, floats and s.jumps is not None)(
         rec, cfg, s.checked, p.float_gradient_fn, field, reaction, *start
     )

@@ -9,7 +9,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbft import (
@@ -239,6 +239,21 @@ def test_other_builtins_and_custom_schedules_keep_the_check(name):
         assert s.checked is not s.lam
 
 
+def test_schedules_declare_their_pieces():
+    # only constant and step promise pieces; the rest, and custom schedules, promise nothing
+    assert constant(2.0).jumps == () and step((1, 2.5), (1.0, 2.0, 3.0)).jumps == (1.0, 2.5)
+    for name in ("power_decay", "oscillating", "linear_growth"):
+        assert make_schedule(name).jumps is None
+    assert FrictionSchedule(name="custom", lam=lambda t: 1.0).jumps is None
+    assert FrictionSchedule(name="custom", lam=lambda t: 1.0, jumps=[1, 2]).jumps == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("jumps", [(0.0,), (-1.0,), (2.0, 1.0), (1.0, 1.0), (math.inf,), (math.nan,)])
+def test_declared_jumps_must_be_positive_finite_and_increasing(jumps):
+    with pytest.raises(ValueError, match="jumps must be positive, finite and increasing"):
+        FrictionSchedule(name="custom", lam=lambda t: 1.0, jumps=jumps)
+
+
 def test_power_decay_is_zero_where_its_power_overflows():
     s = power_decay(initial=1.0, exponent=1000.0)
     assert lambda_at(s, 10.0) == 0.0
@@ -290,6 +305,35 @@ def test_power_decay_is_accurate_where_its_power_overflows(initial, exponent, lo
             assert abs(Decimal(got) - exact) <= Decimal(1e-12) * abs(exact), (derivative, got, exact)
         else:
             assert abs(got) in (0.0, math.inf) or abs(got) < 2 * _SMALLEST_NORMAL
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    initial=st.floats(min_value=1e-300, max_value=1.7e308),
+    exponent=st.floats(min_value=1.0, max_value=1e20, exclude_min=True),
+    log_power=st.floats(min_value=0.0, max_value=700.0),
+)
+@example(initial=1e308, exponent=1e20, log_power=700.0)
+def test_power_decay_is_accurate_where_its_power_does_not_overflow(initial, exponent, log_power):
+    # t with (1 + t)^exponent near exp(log_power), inside the float range; an
+    # exponent above 1 magnifies the rounding of 1 + t, by up to 1e20 here
+    t = math.expm1(log_power / exponent)
+    s = power_decay(initial, exponent)
+    for derivative, fn in ((False, s.lam), (True, s.lam_dot)):
+        exact = _exact_power_decay(initial, exponent, t, derivative)
+        got = fn(t)
+        if _SMALLEST_NORMAL <= abs(exact) <= Decimal(1.7976931348623157e308):
+            assert abs(Decimal(got) - exact) <= Decimal(1e-12) * abs(exact), (derivative, got, exact)
+        else:
+            assert abs(got) in (0.0, math.inf) or abs(got) < 2 * _SMALLEST_NORMAL
+
+
+def test_power_decay_splits_off_the_rounding_of_one_plus_t():
+    # 1 + 1e-17 rounds to 1.0; the exact value is 1e308 · exp(-1000)
+    assert power_decay(1e308, 1e20).lam(1e-17) == pytest.approx(5.0759588975488786e-127, rel=1e-12)
+    # where 1 + t is exact, the plain expression's correctly rounded power stays
+    s = power_decay(1.0, 2.0)
+    assert (s.lam(1.0), s.lam_dot(1.0), s.lam(3.0)) == (0.25, -0.25, 0.0625)
 
 
 def test_power_decay_examples_past_the_float_range():

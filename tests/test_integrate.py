@@ -498,8 +498,11 @@ def test_kernel_matches_generic_path_when_the_step_budget_runs_out(method):
 @pytest.mark.parametrize("method", ["rk4", "dopri45"])
 @pytest.mark.parametrize("dim", [0, 1, 2])  # 0: the array variant
 def test_every_kernel_variant_compiles_once(dim, method):
-    compile(_kernel_source(dim, method), "<kernel>", "exec")
-    assert callable(_kernel(dim, method)) and _kernel(dim, method) is _kernel(dim, method)
+    for pieces in (False, True) if dim else (False,):  # pieces: λ read once per piece
+        compile(_kernel_source(dim, method, pieces), "<kernel>", "exec")
+        kernel = _kernel(dim, method, pieces)
+        assert callable(kernel) and kernel is _kernel(dim, method, pieces)
+        assert kernel.__code__.co_filename.endswith(", pieces>") == pieces
 
 
 def test_no_kernel_is_compiled_at_import():
@@ -614,10 +617,86 @@ def test_kernel_retry_gives_the_doubles_of_the_generic_path(dim, method, failing
 @pytest.mark.parametrize("case", [_BUILTINS_1D[2], _BUILTINS_1D[3], _BUILTINS_2D[2], _BUILTINS_2D[3]],
                          ids=lambda c: c[0].name)
 def test_kernel_calls_only_the_float_form_on_a_run_that_never_overflows(method, case):
+    # but in the attempts that reach a jump of a step schedule: the core takes
+    # those, a gradient per stage
     p, s, x0, v0 = case
     kernel, generic, log = _logged_runs(p, s, x0, v0, t_max=1.5, **method)
     _assert_same_run(kernel, generic)
-    assert len(log) > 1 and set(_without_first_step(log, method)) == {"float"}
+    log, stages = _without_first_step(log, method), 4 if method["method"] == "rk4" else 7
+    runs = [len(list(run)) for name, run in itertools.groupby(log) if name == "numpy"]
+    assert len(log) > 1 and set(log) <= {"float", "numpy"} and all(n % stages == 0 for n in runs)
+    crossings = sum(runs) // stages
+    if not s.jumps:
+        assert crossings == 0
+    elif method["method"] == "rk4":  # every step is a sample; a step is min(h, t_max - t) long
+        starts = kernel.t[:-1].tolist()
+        assert crossings == sum(t < s.jumps[0] <= t + min(0.01, 1.5 - t) for t in starts) >= 1
+    else:
+        assert crossings >= 1
+
+
+def _run_by_pieces(p, s, x0, v0, **kw):
+    """The kernel's run, which reads λ per piece, after asserting that it
+    gives the generic path's doubles."""
+    assert s.jumps is not None and _on_floats(functools.partial(hbft_field, p, s), p, s, None)
+    kernel, generic = _both(p, s, x0, v0, **kw)
+    _assert_same_run(kernel, generic)
+    return kernel
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.1},
+                                    {"method": "dopri45", "h_max": 0.1, "abs_tol": 1e-6, "rel_tol": 1e-6}],
+                         ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_steps_across_a_jump_inside_a_step_as_the_generic_path_does(method, dim):
+    # The steps from about 0.5 and 1.3 reach a jump at their middle stages:
+    # the core takes it, so no stage reads λ of the wrong piece.
+    s = step((0.55, 1.35), (0.4, 2.5, 0.1))
+    kernel = _run_by_pieces(quadratic(dim=dim), s, [1.0, -0.5][:dim], [0.3, 0.2][:dim], t_max=2.0, **method)
+    t = kernel.t.tolist()  # every step is a sample
+    assert kernel.termination_reason == "t_max"
+    assert all(any(a < jump < b for a, b in zip(t, t[1:])) for jump in s.jumps)
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.25},
+                                    {"method": "dopri45", "h_min": 0.25, "h_max": 0.25,
+                                     "abs_tol": 1e-2, "rel_tol": 1e-2}], ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_steps_onto_a_jump_as_the_generic_path_does(method, dim):
+    # 0.25 + 0.25 is exactly 0.5: the last stage of the step from 0.25 reads λ
+    # at the jump, of the next piece; the step from 0.5 starts that piece.
+    s = step((0.5,), (0.4, 2.5))
+    kernel = _run_by_pieces(quadratic(dim=dim), s, [1.0, -0.5][:dim], [0.3, 0.2][:dim], t_max=2.0, **method)
+    assert kernel.t.tolist() == [0.25 * k for k in range(9)] and kernel.step_stats.rejected == 0
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.01}, {"method": "dopri45"}],
+                         ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_by_pieces_keeps_the_lambda_check_past_a_jump(method, dim):
+    # the step that reaches the jump is the core's, whose stage past it breaks the claim
+    flips = FrictionSchedule(name="flips", lam=lambda t: 1.0 if t < 0.5 else -1.0, jumps=(0.5,))
+    kernel, generic = _both(quadratic(dim=dim), flips, [1.0] * dim, [0.0] * dim, t_max=2.0,
+                            **method)
+    assert isinstance(generic, ScheduleConsistencyError)
+    assert type(kernel) is ScheduleConsistencyError and str(kernel) == str(generic)
+    _assert_same_run(kernel.partial, generic.partial)
+    assert kernel.partial.termination_reason == "aborted" and kernel.partial.t[-1] < 0.5
+
+
+@pytest.mark.parametrize("method", [{"method": "rk4", "step": 0.01}, {"method": "dopri45", "h_max": 0.02}],
+                         ids=["rk4", "dopri45"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_reads_a_declared_constant_schedule_once(method, dim):
+    # a schedule that declares one piece is read at t = 0 for every step;
+    # dopri45's first-step estimate takes the field there too, and the λ
+    # column reads it at each sample
+    seen, p = [], quadratic(dim=dim)
+    s = FrictionSchedule(name="logged", lam=lambda t: seen.append(t) or 0.7, jumps=())
+    kernel = integrate(functools.partial(hbft_field, p, s), p, s, _init([1.0] * dim, [0.5] * dim),
+                       IntegratorConfig(t_max=1.0, **method))
+    first = [0.0] if method["method"] == "rk4" else [0.0, 0.0]
+    assert seen == first + kernel.t.tolist() and kernel.n_samples > 20
 
 
 _KERNEL_CASES = _BUILTINS_1D + _BUILTINS_2D
