@@ -417,7 +417,8 @@ def barbalat_check(
 
     # against a zero threshold only an exactly vanishing tail passes
     tail_ratio = tail_sup / tail_threshold if tail_threshold else 0.0 if tail_sup == 0 else math.inf
-    residual = max(l2_ratio, sup_f / linf_budget, sup_df / dot_budget, tail_ratio)
+    # np.max keeps a NaN ratio, which max() drops unless it comes first
+    residual = float(np.max([l2_ratio, sup_f / linf_budget, sup_df / dot_budget, tail_ratio]))
     return _record(
         "barbalat",
         residual,
@@ -493,11 +494,9 @@ def model_discrepancy(
             raise ValueError(f"{name} trajectory does not start at t=0")
     if traj_full.dim != traj_hbft.dim:
         raise ValueError("trajectories have different dimensions")
-    start_gap = max(
-        float(np.max(np.abs(traj_full.x[0] - traj_hbft.x[0]))),
-        float(np.max(np.abs(traj_full.v[0] - traj_hbft.v[0]))),
-    )
-    if start_gap > 1e-12:
+    start_gap = float(np.max(np.abs(np.stack((traj_full.x[0] - traj_hbft.x[0],
+                                              traj_full.v[0] - traj_hbft.v[0])))))
+    if not start_gap <= 1e-12:  # a NaN gap is no common start
         raise ValueError(f"trajectories start from different states (gap {start_gap:.3g})")
     t_end = min(traj_full.t_final, traj_hbft.t_final)
     if t_end <= 0.0:

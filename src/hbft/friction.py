@@ -197,7 +197,7 @@ def verify_friction_hypotheses(
     deriv_bounded: Optional[bool] = None
     if s.lam_dot is not None:
         # the grid starts at t = 0, so lambda_dot_at's checks cannot fail here
-        deriv_max = max(abs(float(s.lam_dot(t))) for t in ts.tolist())
+        deriv_max = float(np.max(np.abs([float(s.lam_dot(t)) for t in ts.tolist()])))  # keeps a NaN
         deriv_bounded = math.isfinite(deriv_max)
 
     min_value = float(np.min(vals))

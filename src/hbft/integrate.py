@@ -47,9 +47,10 @@ sin(inf)), or a step reaches a jump, the reference core (:func:`_rk4_core`,
 the gradient at its end. Any other field, a custom potential, dim ≥ 3 and the
 full surface model step (x, v) as one (2, dim) array, rows x and v, and the
 stage block is the reference core, which calls ``field`` at each stage; it
-returns (ẋ, v̇) as two (dim,) sequences. The recorder keeps the components of
-x, v and ∇Φ in flat buffers and builds every other column in one pass at the
-end, Φ through the potential's column form where it has one.
+returns (ẋ, v̇) as two (dim,) sequences. Every variant starts from that array
+(the float ones unpack it) and appends x, v and ∇Φ to the recorder's flat
+buffers as Python floats; the recorder builds every other column in one pass
+at the end, Φ through the potential's column form where it has one.
 """
 
 from __future__ import annotations
@@ -303,31 +304,18 @@ def _initial_step(f: FieldFn, t: float, y, cfg: IntegratorConfig) -> float:
 # --- recording --------------------------------------------------------------
 
 
-def _put(buf: array, a: Vector) -> None:  # the array kernel's put
-    buf.fromlist(a.tolist())  # array.extend would take a numpy scalar per entry
-
-
 class _Recorder:
-    """Accumulates t and the components of x, v and ∇Φ (through the path's
-    ``put``) per sample, and builds the columns.
+    """Holds t and the components of x, v and ∇Φ per sample, as the Python
+    floats the kernel appends, and builds the columns.
 
     Energy, λ, |∇Φ| and dissipation are built as whole columns: Φ through the
     potential's column form where it has one (else ``value`` per row), λ
     through ``lambda_values``, and |v|² and |∇Φ|² as numpy's dot per row.
     """
 
-    def __init__(self, p: Potential, s: FrictionSchedule, put: Callable):
-        self.p, self.s, self.put = p, s, put
+    def __init__(self, p: Potential, s: FrictionSchedule):
+        self.p, self.s = p, s
         self.t, self.x, self.v, self.g = array("d"), array("d"), array("d"), array("d")
-
-    def record(self, t: float, x, v, g) -> None:
-        if self.t and self.t[-1] == t:
-            return
-        self.t.append(t)
-        put = self.put
-        put(self.x, x)
-        put(self.v, v)
-        put(self.g, g)
 
     def build(self, reason: str, stats: StepStats) -> Trajectory:
         n = len(self.t)
@@ -352,7 +340,12 @@ class _Recorder:
         )
 
     def finish(self, reason: str, stats: StepStats, t: float, x, v, g) -> Trajectory:
-        self.record(t, x, v, g)
+        """The run, ended by the sample (t, x, v, g) unless t is the last one."""
+        if self.t[-1] != t:
+            self.t.append(t)
+            self.x.extend(x)
+            self.v.extend(v)
+            self.g.extend(g)
         return self.build(reason, stats)
 
     def abort(self, message: str, stats: StepStats) -> IntegrationError:
@@ -384,7 +377,8 @@ def _stats(accepted: int, rejected: int, h_small: float, h_big: float) -> StepSt
 # expression trees operation by operation, so the doubles are theirs, and call
 # nothing per step but λ, once per declared piece, and ∇Φ. Only tableau
 # constants become literals, through repr, which round-trips. The array variant
-# (dim 0) steps the (2, dim) array through the reference core.
+# (dim 0) steps the (2, dim) array through the reference core. Every variant
+# takes (rec, cfg, field, reaction, y), y the (2, dim) start.
 
 # Where a*a + b*b neither overflows nor loses precision to subnormals.
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
@@ -411,9 +405,10 @@ _RK4_C = (0.0, 0.5, 0.5, 1.0)
 _RK4_B = ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0))
 
 _KERNEL = """\
-def kernel(rec, cfg, lam_of, form, field, reaction, {start}):
+def kernel(rec, cfg, field, reaction, y):
     isfinite, sqrt, size2 = math.isfinite, math.sqrt, _size2
     p = rec.p
+    lam_of, form = rec.s.checked, p.float_gradient_fn
     stop = cfg.stop
     tol, dwell, radius = stop.stationarity_tol, stop.dwell, stop.divergence_radius
     halt = stop.halt_on_contact_loss
@@ -422,10 +417,10 @@ def kernel(rec, cfg, lam_of, form, field, reaction, {start}):
     eps_t = 1e-12 * max(1.0, t_max)
     put_t, put_x, put_v, put_g = rec.t.append, rec.x.append, rec.v.append, rec.g.append
 {unpack}
-    rec.record(0.0, {X}, {V}, {G})
-    below_since = 0.0 if {v_below} and {g_below} else None
     h = {h}
     t, t_comp, next_sample, accepted, rejected, h_small, h_big = 0.0, 0.0, sample_dt, 0, 0, _INF, {h_big}
+{first}
+    below_since = 0.0 if {v_below} and {g_below} else None
     while (remaining := t_max - t) > eps_t:
         if {spent} >= max_steps:
             raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, rejected, h_small, h_big))
@@ -488,12 +483,12 @@ def _array_parts(adaptive: bool, core: str) -> dict:
     """The array variant's parts: the state is the (2, dim) array y, rows x
     and v, and the stage block is the reference core."""
     return dict(
-        start="y", unpack=["x, v = y"], X="x", V="v", G="g", grad=["g = gradient(p, x)"],
+        unpack=["x, v = y"], X="x.tolist()", V="v.tolist()", G="g.tolist()", grad=["g = gradient(p, x)"],
         stages=[f"result = {core}(field, t, y, hs)"], finite="_finite(result)",
         ratio=["ratio = _error_ratio(y, *result, atol, rtol)"],
         advance="x, v = y = result[0]" if adaptive else "x, v = y = result",
         x_beyond="_norm(x) > radius", v_below="_norm(v) < tol", g_below="_norm(g) < tol",
-        record=["rec.record(t, x, v, g)"],
+        record=["put_t(t)"] + [f"rec.{p}.extend({p}.tolist())" for p in "xvg"],
     )
 
 
@@ -543,7 +538,6 @@ def _float_parts(dim: int, adaptive: bool, core: str, pieces: bool) -> dict:
                  for n, (p, c) in enumerate(pairs)]
         squares = " + ".join(f"q{n} * q{n}" for n in range(len(pairs)))
         ratio.append(f"ratio = sqrt((0.0 + {squares}) / {len(pairs)})")
-        record[:0] = ["if rec.t[-1] == t:", "    continue"]
     else:
         stages += ["w = hs / 6.0"] + [f"n{p}{c} = {p}{c} + w * ({dot(_RK4_B, p, c)})" for p, c in pairs]
         ratio = []
@@ -553,7 +547,8 @@ def _float_parts(dim: int, adaptive: bool, core: str, pieces: bool) -> dict:
         stages = ["if t >= lam_to:", "    lam, lam_to = lam_of(t), ends[bisect_right(ends, t)]",
                   "if t + hs < lam_to:", *("    " + row for row in stages), "else:", "    " + core_step]
     return dict(
-        start=f"{x}, {v}", unpack=["lam_to, ends = 0.0, (*rec.s.jumps, _INF)"] * pieces, X=X, V=V, G=f"({g},)",
+        unpack=[f"{x}, {v} = y.ravel().tolist()"] + ["lam_to, ends = 0.0, (*rec.s.jumps, _INF)"] * pieces,
+        X=X, V=V, G=f"({g},)",
         grad=["try:", f"    {g} = form({x})",
               "except (OverflowError, ValueError):", f"    {g}, = gradient(p, {X}).tolist()"],
         stages=stages,
@@ -582,7 +577,7 @@ def _kernel_source(dim: int, method: str, pieces: bool) -> str:
             check=lines(12, f"finite = {part['finite']}"), diverged="finite = False",
             control=_DOPRI_CONTROL.format(ratio=lines(12, *part["ratio"]), end=end),
             h_range=lines(8, "if hs < h_small:", "    h_small = hs", "if hs > h_big:", "    h_big = hs"),
-            h="_initial_step(field, 0.0, np.array(({X}, {V})), cfg)".format_map(part),
+            h="_initial_step(field, 0.0, y, cfg)",
             h_big="0.0", spent="accepted + rejected",
         )
     else:
@@ -594,7 +589,9 @@ def _kernel_source(dim: int, method: str, pieces: bool) -> str:
         )
     return _KERNEL.format_map(part | step | dict(
         end=end, unpack=lines(4, *part["unpack"], *part["grad"]), grad=lines(8, *part["grad"]),
-        stages=lines(12, *part["stages"]), record=lines(8, *part["record"]),
+        stages=lines(12, *part["stages"]), first=lines(4, *part["record"]),
+        # dopri45 steps below t's spacing leave t as it was: record it once
+        record=lines(8, *["if rec.t[-1] == t:", "    continue"] * adaptive, *part["record"]),
         contact="" if dim else "\n" + lines(8, *contact),
     ))
 
@@ -682,10 +679,7 @@ def integrate(
     if cfg.stop.halt_on_contact_loss and reaction is None:
         raise ValueError("halt_on_contact_loss requires a reaction callable")
 
-    y = np.array((initial.x, initial.v))  # rows x and v
     floats = _on_floats(field, p, s, reaction)
-    rec = _Recorder(p, s, array.extend if floats else _put)
-    start = y.ravel().tolist() if floats else (y,)
     return _kernel(p.dim if floats else 0, cfg.method, floats and s.jumps is not None)(
-        rec, cfg, s.checked, p.float_gradient_fn, field, reaction, *start
+        _Recorder(p, s), cfg, field, reaction, np.array((initial.x, initial.v))  # rows x and v
     )

@@ -186,13 +186,12 @@ def validate_gradient(p: Potential, x, h: float = 1e-5) -> float:
         raise ValueError(f"h must be positive, got {h}")
     xa = _as_point(p, x)
     g = gradient(p, xa)
-    worst = 0.0
+    fd = np.zeros(p.dim)
     for i in range(p.dim):
         step = np.zeros(p.dim)
         step[i] = h
-        fd = (value(p, xa + step) - value(p, xa - step)) / (2.0 * h)
-        worst = max(worst, abs(fd - g[i]))
-    return worst
+        fd[i] = (value(p, xa + step) - value(p, xa - step)) / (2.0 * h)
+    return float(np.max(np.abs(fd - g)))  # np.max keeps a NaN, max() may not
 
 
 def estimate_gradient_lipschitz(
@@ -223,15 +222,14 @@ def estimate_gradient_lipschitz(
         r = radius * rng.uniform() ** (1.0 / p.dim)
         return c + r * d
 
-    best = 0.0
+    ratios = []
     for _ in range(n_pairs):
         a, b = draw(), draw()
         sep = float(np.linalg.norm(a - b))
         if sep < 1e-9:
             continue
-        ratio = float(np.linalg.norm(gradient(p, a) - gradient(p, b))) / sep
-        best = max(best, ratio)
-    return best
+        ratios.append(float(np.linalg.norm(gradient(p, a) - gradient(p, b))) / sep)
+    return float(np.max(ratios, initial=0.0))  # keeps a NaN ratio
 
 
 @dataclasses.dataclass(frozen=True)
@@ -294,21 +292,18 @@ def verify_potential_hypotheses(
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box_halfwidth, box_halfwidth, size=(n_points, p.dim))
 
-    worst_resid = 0.0
-    min_val = math.inf
+    # max() and min() drop a NaN that is not their first operand
+    worst_resid = float(np.max([validate_gradient(p, row, h=h) for row in pts]))
+    vals = [value(p, row) for row in pts]
+    min_val = math.nan if any(map(math.isnan, vals)) else min(vals)  # min(), for its signed zeros
     violations = 0
-    for row in pts:
-        worst_resid = max(worst_resid, validate_gradient(p, row, h=h))
-        val = value(p, row)
-        min_val = min(min_val, val)
-        if p.lower_bound is not None and val < p.lower_bound - 1e-12 * (1.0 + abs(p.lower_bound)):
-            violations += 1
+    if p.lower_bound is not None:  # a NaN value is below every bound
+        floor = p.lower_bound - 1e-12 * (1.0 + abs(p.lower_bound))
+        violations = sum(not val >= floor for val in vals)
 
     cp_norm: Optional[float] = None
     if p.known_critical_points:
-        cp_norm = max(
-            float(np.linalg.norm(gradient(p, cp))) for cp in p.known_critical_points
-        )
+        cp_norm = float(np.max([np.linalg.norm(gradient(p, cp)) for cp in p.known_critical_points]))
 
     lip = estimate_gradient_lipschitz(
         p, np.zeros(p.dim), radius=box_halfwidth * math.sqrt(p.dim), seed=seed + 1

@@ -45,7 +45,7 @@ from hbft.cli import (
 )
 from hbft.errors import ConfigError
 from hbft.friction import FrictionSchedule
-from hbft.integrate import _put, _Recorder
+from hbft.integrate import _Recorder
 from hbft.potentials import gradient_rows
 
 from conftest import REPO_ROOT, SCENARIO_DIR, SWEEP_DIR, bundled_scenario_paths
@@ -429,6 +429,11 @@ def _scenario_text(**sections) -> str:
     return "".join(f"{key}: {text}\n" for key, text in merged.items() if text is not None)
 
 
+def _integrator(keys: str) -> str:
+    """``_SECTIONS`` with the integrator section ``{keys}``, on line 6."""
+    return _scenario_text(integrator=f"{{{keys}}}")
+
+
 _GRID = "grid: {schedule.params.value: [1.0]}\n"
 
 # refusal -> (config text, grid text or None to only validate, extra sweep flags,
@@ -475,6 +480,40 @@ LOADER_REFUSALS = {
     "axis_not_a_list": (_scenario_text(), "grid: {schedule.params.value: 1.0}\n", [],
                         "{grid}:1: grid.schedule.params.value: each axis needs a nonempty list of values"),
     "zero_workers": (_scenario_text(), _GRID, ["--workers", "0"], "--workers must be >= 1, got 0"),
+    # IntegratorConfig's refusals, anchored at the integrator section
+    "rk4_without_step": (_integrator("method: rk4, t_max: 0.5"), None, [],
+                         "{config}:6: integrator: rk4 needs a positive fixed step, got None"),
+    "zero_abs_tol": (_integrator("method: dopri45, abs_tol: 0, t_max: 0.5"), None, [],
+                     "{config}:6: integrator: tolerances must be positive, got abs_tol=0.0, rel_tol=1e-08"),
+    "negative_rel_tol": (_integrator("method: dopri45, rel_tol: -1.0e-8, t_max: 0.5"), None, [],
+                         "{config}:6: integrator: tolerances must be positive, got abs_tol=1e-08, "
+                         "rel_tol=-1e-08"),
+    "h_min_above_h_max": (_integrator("method: dopri45, h_min: 0.2, h_max: 0.1, t_max: 0.5"), None, [],
+                          "{config}:6: integrator: need 0 < h_min <= h_max, got h_min=0.2, h_max=0.1"),
+    "zero_t_max": (_integrator("method: rk4, step: 1.0e-3, t_max: 0"), None, [],
+                   "{config}:6: integrator: t_max must be positive and finite, got 0.0"),
+    "infinite_t_max": (_integrator("method: rk4, step: 1.0e-3, t_max: .inf"), None, [],
+                       "{config}:6: integrator: t_max must be positive and finite, got inf"),
+    "zero_sample_stride": (_integrator("method: rk4, step: 1.0e-3, t_max: 0.5, sample_stride: 0"), None, [],
+                           "{config}:6: integrator: sample_stride must be >= 1, got 0"),
+    "zero_sample_dt": (_integrator("method: rk4, step: 1.0e-3, t_max: 0.5, sample_dt: 0"), None, [],
+                       "{config}:6: integrator: sample_dt must be positive, got 0.0"),
+    "sample_dt_and_stride": (
+        _integrator("method: rk4, step: 1.0e-3, t_max: 0.5, sample_dt: 0.1, sample_stride: 2"), None, [],
+        "{config}:6: integrator: sample_dt and sample_stride are mutually exclusive"),
+    "zero_max_steps": (_integrator("method: rk4, step: 1.0e-3, t_max: 0.5, max_steps: 0"), None, [],
+                       "{config}:6: integrator: max_steps must be >= 1, got 0"),
+    # StopCondition's refusals
+    "zero_stationarity_tol": (
+        _integrator("method: rk4, step: 1.0e-3, t_max: 0.5, stop: {stationarity_tol: 0}"), None, [],
+        "{config}:6: integrator.stop: stationarity_tol must be positive, got 0.0"),
+    "negative_dwell": (_integrator("method: rk4, step: 1.0e-3, t_max: 0.5, stop: {dwell: -1}"), None, [],
+                       "{config}:6: integrator.stop: dwell must be positive, got -1.0"),
+    "zero_divergence_radius": (
+        _integrator("method: rk4, step: 1.0e-3, t_max: 0.5, stop: {divergence_radius: 0}"), None, [],
+        "{config}:6: integrator.stop: divergence_radius must be positive, got 0.0"),
+    "list_for_a_number": (_integrator("method: rk4, step: [1], t_max: 0.5"), None, [],
+                          "{config}:6: integrator.step: expected a number, got [1]"),
 }
 
 
@@ -1400,6 +1439,16 @@ def test_serial_sweep_parses_each_point_once(tmp_path, scenario_raw, monkeypatch
     assert parsed == ["point_000", "point_001", "point_002"]
 
 
+def test_sweep_axis_creates_a_section_the_base_lacks(tmp_path, scenario_raw):
+    base = _sweep_base(scenario_raw)
+    assert "stop" not in base["integrator"]
+    grid = {"integrator.stop.divergence_radius": [0.5, 1e6]}
+    # |x0| = 1 is past the first radius, so that run ends diverged, failing its check
+    assert run_sweep(base, grid, out_dir=tmp_path / "s", quiet=True, source="t") == 1
+    rows = list(csv.DictReader((tmp_path / "s" / "sweep_summary.csv").open()))
+    assert [(r["termination"], r["status"]) for r in rows] == [("diverged", "check_failure"), ("t_max", "ok")]
+
+
 def test_sweep_cli_subcommand(tmp_path, scenario_raw):
     base_path = write_yaml(tmp_path / "base.yaml", _sweep_base(scenario_raw))
     grid_path = write_yaml(tmp_path / "grid.yaml", {"grid": {"schedule.params.value": [0.5, 1.5]}})
@@ -1410,14 +1459,19 @@ def test_sweep_cli_subcommand(tmp_path, scenario_raw):
     assert "point_000" in text and "point_001" in text
 
 
-def test_bundled_artifacts_have_their_recorded_digests(bundle_runs):
-    # perfbench/reference.json holds the sha256 of every bundled artifact. Other
-    # Python or numpy builds may round a last bit differently, so it binds only
-    # the versions it was recorded on.
+def _recorded_reference() -> dict:
+    """perfbench/reference.json, which holds the sha256 of every bundled
+    artifact. Other Python or numpy builds may round a last bit differently, so
+    its digests, and the sweep's below, bind only the versions it names."""
     reference = json.loads((REPO_ROOT / "perfbench" / "reference.json").read_text())
     recorded = reference["recorded"]
     if (platform.python_version(), np.__version__) != (recorded["python"], recorded["numpy"]):
         pytest.skip(f"digests recorded on Python {recorded['python']}, numpy {recorded['numpy']}")
+    return reference
+
+
+def test_bundled_artifacts_have_their_recorded_digests(bundle_runs):
+    reference = _recorded_reference()
     assert sorted(bundle_runs) == sorted(reference["bundle"])
     checked = 0
     for name, run in bundle_runs.items():
@@ -1426,6 +1480,45 @@ def test_bundled_artifacts_have_their_recorded_digests(bundle_runs):
                 file_name
             checked += 1
     assert checked == 3 * len(bundle_runs)
+
+
+# sha256 of every file the bundled sweep writes, serial and pooled alike
+_SWEEP_DIGESTS = {
+    "point_000/damped_harmonic_settle.csv":
+        "821be188f5dd70b3b9415dec6eb2a9b922252e69ba8e2b6893d10305c6c26ee8",
+    "point_000/damped_harmonic_settle.report.json":
+        "c492d25b021da73d75e9225237204051bd2af264113d3909561743abe7b2adf1",
+    "point_000/damped_harmonic_settle.summary.txt":
+        "c731ae68edbf1be3a67d0eea849d50fbd9158ba6110a4f2f688ad9d899452f73",
+    "point_001/damped_harmonic_settle.csv":
+        "673003861607cc6c24cbbf74e2200708f33e93ebf6db32fa4ab4f966ced78ccf",
+    "point_001/damped_harmonic_settle.report.json":
+        "3d2094bf193a1eed71aac597437813f8876f43045dae96506d7a771a50d9018f",
+    "point_001/damped_harmonic_settle.summary.txt":
+        "c9a18c7bd57ded44c6653e34cf55ecb8d213a9a3e009a1ec33313d1a58df47b3",
+    "point_002/damped_harmonic_settle.csv":
+        "71106e469a35ec52b6586cc4ea2ebe33432567619a708da0b83dec1b11e89eeb",
+    "point_002/damped_harmonic_settle.report.json":
+        "062bf894c4e7eeed203099270dd04d9ccd580a461fa7dbac4971cb6f731f6fb2",
+    "point_002/damped_harmonic_settle.summary.txt":
+        "2cf0aca6918e4eee940424dbaae28b8b142f00e2683882ba460d091c581930e8",
+    "sweep_summary.csv":
+        "18c368828812afaa4da674dfdbf790346f7f0eaf7538bd3f4431ce425bba94b8",
+    "sweep_summary.txt":
+        "e144fec69457552ea8fa3089a5a0e95ae8aa6e48e9dc8d244ca3243582346333",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bundled_sweep_has_its_recorded_digests(tmp_path, workers):
+    _recorded_reference()
+    sweeps, out = REPO_ROOT / "scenarios" / "sweeps", tmp_path / "sweep"
+    assert main(["sweep", str(sweeps / "damped_harmonic_settle.yaml"), "--grid",
+                 str(sweeps / "constant_damping_grid.yaml"), "--workers", str(workers),
+                 "--out-dir", str(out), "--quiet"]) == 0
+    written = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.rglob("*")) if path.is_file()}
+    assert written == _SWEEP_DIGESTS
 
 
 # --- the bundled verdicts on an independent integrator ------------------------------
@@ -1445,10 +1538,10 @@ def _dop853_run(run) -> Trajectory:
     sol = integ.solve_ivp(rhs, (0.0, traj.t_final), np.concatenate([cfg.x0, cfg.v0]),
                           method="DOP853", t_eval=traj.t, rtol=1e-12, atol=1e-12)
     assert sol.success and sol.t.tobytes() == traj.t.tobytes()
-    rec = _Recorder(p, s, _put)
+    rec = _Recorder(p, s)
     x, v = sol.y[:dim].T.copy(), sol.y[dim:].T.copy()
     for buf, column in ((rec.t, sol.t), (rec.x, x), (rec.v, v), (rec.g, gradient_rows(p, x))):
-        rec.put(buf, column.ravel())
+        buf.extend(column.ravel().tolist())
     return rec.build(traj.termination_reason, traj.step_stats)
 
 

@@ -284,6 +284,17 @@ def test_barbalat_defers_on_late_l2_mass():
     assert rec.details["l2_second_half_share"] >= 0.25
 
 
+def test_barbalat_fails_on_a_nan_derivative_sample():
+    # max() keeps its first operand against a NaN, so a NaN ratio that came
+    # later once dropped out of the residual and the check passed
+    t = np.linspace(0.0, 40.0, 4001)
+    df = -np.exp(-t)
+    df[2000] = np.nan
+    rec = barbalat_check(SampledFunction(t=t, value=np.exp(-t), derivative=df), **BUDGETS)
+    assert rec.details["dot_status"] == "violated" and math.isnan(rec.details["sup_derivative"])
+    assert math.isnan(rec.residual) and not rec.passed
+
+
 def test_barbalat_finite_difference_fallback_matches_analytic():
     t = _grid()
     with_d = barbalat_check(
@@ -417,6 +428,14 @@ def test_discrepancy_requires_matching_starts(damped_run: Trajectory):
     other = _run(p, s, [2.0], [0.0], method="rk4", step=1e-3, t_max=10.0)
     with pytest.raises(ValueError):
         model_discrepancy(damped_run, other)
+
+
+@pytest.mark.parametrize("row", ["x", "v"])
+def test_discrepancy_refuses_a_nan_start(damped_run: Trajectory, row):
+    start = getattr(damped_run, row).copy()
+    start[0, 0] = np.nan
+    with pytest.raises(ValueError, match="start from different states"):
+        model_discrepancy(damped_run, dataclasses.replace(damped_run, **{row: start}))
 
 
 def test_discrepancy_interpolates_between_grids(damped_run: Trajectory):

@@ -145,6 +145,13 @@ def test_hypothesis_report_smooth_schedules():
         assert rep.derivative_available and rep.derivative_bounded, s.name
 
 
+def test_hypothesis_report_keeps_a_nan_derivative():
+    s = FrictionSchedule(name="nan_slope", lam=lambda t: 1.0,
+                         lam_dot=lambda t: math.nan if t >= 5.0 else 0.0)
+    rep = verify_friction_hypotheses(s, horizon=50.0)
+    assert math.isnan(rep.max_abs_derivative) and rep.derivative_bounded is False
+
+
 def test_hypothesis_report_flags_jumps():
     rep = verify_friction_hypotheses(step(times=(5.0,), values=(1.0, 3.0)), horizon=20.0)
     assert not rep.continuity_ok
@@ -342,6 +349,12 @@ def test_power_decay_examples_past_the_float_range():
     assert lambda_at(s, 1.03) == pytest.approx(3.1912592511169, rel=1e-12)
     assert lambda_at(s, 1.04) == pytest.approx(0.023433252602701890, rel=1e-12)
     assert lambda_dot_at(power_decay(1e308, 10.0), 1.0) == pytest.approx(-4.8828125e305, rel=1e-12)
+
+
+def test_power_decay_derivative_at_infinity_is_negative_zero():
+    # _power_quotient's t = inf branch: inf ** k / inf would give NaN there
+    got = lambda_dot_at(power_decay(1e308, 10.0), math.inf)
+    assert got == 0.0 and math.copysign(1.0, got) == -1.0
 
 
 @pytest.mark.parametrize("t", [math.nan, -1.0])

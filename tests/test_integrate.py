@@ -40,7 +40,7 @@ from hbft.friction import (
     power_decay,
     step,
 )
-from hbft.integrate import _norm, _on_floats, _put, _Recorder
+from hbft.integrate import _norm, _on_floats, _Recorder
 from hbft.integrate import _kernel, _kernel_source
 from hbft.potentials import (
     Potential,
@@ -976,9 +976,10 @@ def test_grad_norm_column_equals_the_per_row_norm(dim, rows):
     # huge rows overflow |g|², subnormal ones underflow it: the column must do
     # what _norm does per row, and at dim 1 what the kernel's sqrt(g*g) does
     g = np.array(rows)[:, :dim].copy()
-    rec = _Recorder(quadratic(dim=dim), constant(1.0), _put)
-    for k, gk in enumerate(g):
-        rec.record(float(k), np.zeros(dim), np.zeros(dim), gk)
+    rec = _Recorder(quadratic(dim=dim), constant(1.0))
+    zeros = np.zeros_like(g)
+    for buf, column in ((rec.t, np.arange(len(g))), (rec.x, zeros), (rec.v, zeros), (rec.g, g)):
+        buf.extend(column.ravel().tolist())
     with np.errstate(over="ignore", invalid="ignore"):
         col = rec.build("t_max", StepStats(0, 0, 0.0, 0.0)).grad_norm
         ref = np.array([_norm(gk) for gk in g])

@@ -165,6 +165,45 @@ def test_verify_potential_hypotheses_reports():
     assert bad.unbounded_below
 
 
+def _bowl(name: str, **fns) -> Potential:
+    """Φ = x²/2 at dim 1, with ``fns`` replacing its value or gradient form."""
+    return Potential(**{"name": name, "dim": 1, "value_fn": lambda x: 0.5 * float(x[0]) ** 2,
+                        "gradient_fn": lambda x: x.copy(), "lower_bound": 0.0, **fns})
+
+
+def test_hypotheses_fail_on_a_gradient_that_is_nan_past_a_point():
+    # max() keeps its first operand against a NaN, so the NaN residuals and
+    # ratios once dropped out and the report read consistent, Lipschitz 1
+    bowl = _bowl("nan_gradient", gradient_fn=lambda x: np.where(x >= 0.5, np.nan, x),
+                 known_critical_points=((0.0,), (1.0,)))
+    rep = verify_potential_hypotheses(bowl)
+    assert math.isnan(rep.max_gradient_residual) and not rep.gradient_consistent
+    assert math.isnan(rep.gradient_lipschitz_estimate)
+    assert math.isnan(rep.critical_point_max_grad_norm)
+    assert not rep.satisfied
+
+
+def test_a_nan_value_is_a_lower_bound_violation():
+    bowl = _bowl("nan_value", value_fn=lambda x: math.nan if x[0] >= 0.5 else 0.5 * float(x[0]) ** 2)
+    rep = verify_potential_hypotheses(bowl)
+    assert rep.lower_bound_violations > 0 and math.isnan(rep.min_sampled_value)
+    assert not rep.satisfied
+
+
+def test_validate_gradient_keeps_a_nan_coordinate():
+    p = Potential(name="half_nan", dim=2, value_fn=lambda x: 0.0,
+                  gradient_fn=lambda x: np.array([0.0, np.nan]))
+    assert math.isnan(validate_gradient(p, [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("out", [lambda x: [2.0 * x[0], 1.0], lambda x: np.float32(2.0) * x.astype(np.float32)])
+def test_gradient_turns_a_custom_output_into_float64(out):
+    p = Potential(name="custom", dim=2, value_fn=lambda x: 0.0, gradient_fn=out)
+    g = gradient(p, [0.25, 0.5])
+    assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == (2,)
+    assert g[0] == 0.5
+
+
 def test_flat_potential_is_identically_zero():
     p = flat(dim=2)
     x = np.array([3.0, -4.0])
