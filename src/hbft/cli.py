@@ -792,11 +792,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir, quiet: bool = False) -> ScenarioR
 
 
 def _apply_override(raw: dict, dotted: str, value) -> None:
+    """Set ``dotted`` in ``raw`` to ``value``, creating absent or null sections;
+    a path through any other value that is not a mapping is a ConfigError."""
     *parents, last = dotted.split(".")
     node = raw
-    for key in parents:
-        if not isinstance(node.get(key), dict):
+    for n, key in enumerate(parents, 1):
+        if node.get(key) is None:
             node[key] = {}
+        elif not isinstance(node[key], dict):
+            raise ConfigError(f"sweep axis '{dotted}': {'.'.join(parents[:n])}: "
+                              f"expected a mapping, got {type(node[key]).__name__}")
         node = node[key]
     node[last] = value
 
@@ -864,15 +869,19 @@ def run_sweep(base_raw: dict, grid: dict[str, list], out_dir, workers: int = 1,
               quiet: bool = False, source: str = "sweep") -> int:
     """Run every grid point, write per-point artifacts plus aggregate tables.
 
-    Points and every output path are validated up front: a bad axis name or
-    a path ``_prepare_outputs`` refuses raises ConfigError before any point
-    runs. Points run serially or on a pool of at most one process per point.
-    Rows are in grid order regardless of completion order, so the aggregate
-    files are deterministic. Returns the worst exit code across points; a
-    summary file that cannot be written raises ConfigError.
+    Points and every output path are validated up front: a bad axis name, an
+    axis through a value that is not a mapping, or a path ``_prepare_outputs``
+    refuses raises ConfigError before any point runs. Points run serially or
+    on a pool of at most one process per point. Rows are in grid order
+    regardless of completion order, so the aggregate files are deterministic.
+    Returns the worst exit code across points; a summary file that cannot be
+    written raises ConfigError.
     """
     out_dir = Path(out_dir)
-    points = sweep_points(base_raw, grid)
+    try:
+        points = sweep_points(base_raw, grid)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
     axes = sorted(grid)
 
     names = [f"point_{idx:03d}" for idx in range(len(points))]

@@ -476,7 +476,6 @@ def model_discrepancy(
     traj_full: Trajectory,
     traj_hbft: Trajectory,
     threshold: float = math.inf,
-    potential_scale: Optional[float] = None,
 ) -> CheckRecord:
     """Sup position gap between a full-surface run and a reduced run.
 
@@ -522,5 +521,4 @@ def model_discrepancy(
         attained_at_t=float(grid[k]),
         common_span_end=float(t_end),
         grid_points=int(grid.size),
-        potential_scale=potential_scale,
     )

@@ -188,7 +188,8 @@ def verify_friction_hypotheses(
     neighbors = [inc[j] for j in (k - 1, k + 1) if 0 <= j < inc.size]
     neighbor_slope = (max(neighbors) / spacing) if neighbors else 0.0
     scale_floor = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
-    threshold = 10.0 * spacing * neighbor_slope + scale_floor
+    # a zero slope adds nothing, also where 10 * spacing overflows (inf * 0 is nan)
+    threshold = (10.0 * spacing * neighbor_slope if neighbor_slope else 0.0) + scale_floor
 
     after = vals[ts >= t1_guess]
     max_after = float(np.max(after))

@@ -1,6 +1,7 @@
 """Time integration of the phase-space fields with stop conditions.
 
-Two steppers are provided:
+Two steppers are provided, each an explicit Runge-Kutta method given by its
+Butcher tableau in ``_TABLEAUX``:
 
 - ``rk4``: the classical fixed-step fourth-order Runge-Kutta scheme.
 - ``dopri45``: the Dormand-Prince 5(4) embedded pair with standard
@@ -37,13 +38,13 @@ and dopri45's step control in one frame. Its stage block is one of three.
 :func:`_on_floats` picks it. When ``field`` is ``functools.partial(hbft_field,
 p, s)`` for the ``p`` and ``s`` passed in, ``p`` has a float gradient form
 (every builtin potential at dim 1 and 2) and no reaction is given, the stages
-are written out on Python floats for dim 1 or dim 2, from the stepper's
-tableau, with the reference cores' operations in the same order, so the
+are written out on Python floats for dim 1 or dim 2 from the method's
+tableau, with the reference core's operations in the same order, so the
 trajectory is the same byte for byte. λ is read through the schedule's
 ``checked``, which owns the claim check, at every stage, or once per declared
 piece (``jumps``). Where the float gradient form raises (x ** k overflowing,
-sin(inf)), or a step reaches a jump, the reference core (:func:`_rk4_core`,
-:func:`_dopri_core`) takes that step through ``field``, and :func:`gradient`
+sin(inf)), or a step reaches a jump, the reference core :func:`_core`, one
+loop over the tableau, takes that step through ``field``, and :func:`gradient`
 the gradient at its end. Any other field, a custom potential, dim ≥ 3 and the
 full surface model step (x, v) as one (2, dim) array, rows x and v, and the
 stage block is the reference core, which calls ``field`` at each stage; it
@@ -63,7 +64,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -130,11 +131,11 @@ class IntegratorConfig:
     stop: StopCondition = dataclasses.field(default_factory=StopCondition)
 
     def __post_init__(self):
-        if self.method not in ("rk4", "dopri45"):
+        if self.method not in _TABLEAUX:
             raise ValueError(f"method must be 'rk4' or 'dopri45', got '{self.method}'")
-        if self.method == "rk4":
+        if _TABLEAUX[self.method].e is None:
             if self.step is None or not (self.step > 0):
-                raise ValueError(f"rk4 needs a positive fixed step, got {self.step}")
+                raise ValueError(f"{self.method} needs a positive fixed step, got {self.step}")
         else:
             if not (self.abs_tol > 0 and self.rel_tol > 0):
                 raise ValueError(
@@ -202,14 +203,55 @@ class Trajectory:
 
 # --- steppers ---------------------------------------------------------------
 #
-# The cores step the array kernel's (2, dim) float array, rows x and v,
-# through the caller's field on stage states built unchecked.
+# A method is its Butcher tableau. _core steps the array kernel's (2, dim)
+# float array, rows x and v, by any entry of _TABLEAUX, through the caller's
+# field on stage states built unchecked; the float kernels write their stages
+# out from the same entry.
 
 
 _stage = PhaseState._trusted
 _INF = math.inf
 _OUT_OF_STEPS = "step budget exhausted: {0.max_steps} steps before reaching t_max={0.t_max}"
 _UNDERFLOW = "adaptive step underflow: needed step below h_min={0.h_min} at t={1}"
+
+
+class _Tableau(NamedTuple):
+    """An explicit Runge-Kutta method. A's rows, B and E hold their (j, w)
+    entries with w != 0, in order. A step is y + (h / divisor)·Σ b_j k_j;
+    E, given for an adaptive method, weighs the 5th- minus the 4th-order
+    step, so h·Σ e_j k_j estimates its local error."""
+
+    a: tuple
+    c: tuple
+    b: tuple
+    divisor: float
+    e: Optional[tuple]
+
+
+def _tableau(a: tuple, c: tuple, b: tuple, divisor: float, e: Optional[tuple] = None) -> _Tableau:
+    def entries(row: tuple) -> tuple:
+        return tuple((j, w) for j, w in enumerate(row) if w != 0.0)
+
+    return _Tableau(tuple(map(entries, a)), c, entries(b), divisor, None if e is None else entries(e))
+
+
+_DP_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
+_TABLEAUX = {
+    "rk4": _tableau(a=((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), c=(0.0, 0.5, 0.5, 1.0),
+                    b=(1.0, 2.0, 2.0, 1.0), divisor=6.0),
+    # Dormand-Prince 5(4): the 7th stage is the slope at y5 (its row of A is B)
+    "dopri45": _tableau(
+        a=(
+            (), (1.0 / 5.0,), (3.0 / 40.0, 9.0 / 40.0),
+            (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+            (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+            (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+            _DP_B,
+        ),
+        c=(0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0), b=_DP_B, divisor=1.0,
+        e=(71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0),
+    ),
+}
 
 
 def _norm(a: Vector) -> float:
@@ -231,61 +273,28 @@ def _slope(field: FieldFn, t: float, y):
     return np.array(field(_stage(t, y[0], y[1]))).reshape(y.shape)
 
 
-def _rk4_core(field: FieldFn, t: float, y, h: float):
-    k1 = _slope(field, t, y)
-    k2 = _slope(field, t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = _slope(field, t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = _slope(field, t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _nonzero(row: tuple) -> tuple:
-    return tuple((j, a) for j, a in enumerate(row) if a != 0.0)
-
-
-# Dormand-Prince 5(4) tableau, each row as its (j, a) entries with a != 0, in
-# order. _DP_E is the difference between the 5th- and 4th-order weights; its
-# dot with the stages estimates the local error.
-_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = tuple(map(_nonzero, (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)))
-_DP_B5 = _DP_A[6]  # the 5th-order weights are the last row of A (b7 = 0)
-_DP_E = _nonzero((
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-))
-
-
 def _weighted(weights: tuple, ks: list):
     """Σ w·ks[j] over the (j, w) entries of ``weights``, left to right from
-    0.0, the sum the float kernel spells out."""
-    acc = 0.0
+    the first term, a weight of 1.0 leaving its term bare: the sum the float
+    kernels spell out."""
+    acc = None
     for j, w in weights:
-        acc = acc + w * ks[j]
+        term = ks[j] if w == 1.0 else w * ks[j]
+        acc = term if acc is None else acc + term
     return acc
 
 
-def _dopri_core(field: FieldFn, t: float, y, h: float):
-    """One Dormand-Prince attempt: (y5, err)."""
+def _core(tableau: _Tableau, field: FieldFn, t: float, y, h: float):
+    """One step of ``tableau`` from (t, y): y1, or (y1, err) if it is adaptive."""
+    a, c, b, divisor, e = tableau
     k: list = []
-    for i, row in enumerate(_DP_A):
+    for row, ci in zip(a, c):
         yi = y
-        for j, a in row:
-            yi = yi + (h * a) * k[j]
-        k.append(_slope(field, t + _DP_C[i] * h, yi))
-    return y + h * _weighted(_DP_B5, k), h * _weighted(_DP_E, k)
+        for j, aij in row:
+            yi = yi + (h * aij) * k[j]
+        k.append(_slope(field, t + ci * h, yi))
+    y1 = y + (h / divisor) * _weighted(b, k)
+    return y1 if e is None else (y1, h * _weighted(e, k))
 
 
 def _error_ratio(y, y1, err, atol: float, rtol: float) -> float:
@@ -373,12 +382,12 @@ def _stats(accepted: int, rejected: int, h_small: float, h_big: float) -> StepSt
 # One loop per (dim, method), generated: it holds the step budget, the Kahan
 # clock, the stop rules, the sampling and dopri45's step control in one frame;
 # its stage block and state names are the variant's. The float variants (dim 1
-# and 2) write the stages out from the tableau per component, the cores'
-# expression trees operation by operation, so the doubles are theirs, and call
+# and 2) write the stages out per component from the method's tableau, _core's
+# expression tree operation by operation, so the doubles are _core's, and call
 # nothing per step but λ, once per declared piece, and ∇Φ. Only tableau
 # constants become literals, through repr, which round-trips. The array variant
-# (dim 0) steps the (2, dim) array through the reference core. Every variant
-# takes (rec, cfg, field, reaction, y), y the (2, dim) start.
+# (dim 0) steps the (2, dim) array through _core. Every variant takes (rec,
+# cfg, field, reaction, y), y the (2, dim) start.
 
 # Where a*a + b*b neither overflows nor loses precision to subnormals.
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
@@ -398,16 +407,10 @@ def _size2(a: float, b: float, r: float) -> float:
     return _norm(np.array((a, b)))
 
 
-# RK4 in the form of _DP_A and _DP_C; _RK4_B holds 6 times its weights, the
-# sum _rk4_core multiplies by h / 6.
-_RK4_A = ((), ((0, 0.5),), ((1, 0.5),), ((2, 1.0),))
-_RK4_C = (0.0, 0.5, 0.5, 1.0)
-_RK4_B = ((0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0))
-
 _KERNEL = """\
 def kernel(rec, cfg, field, reaction, y):
     isfinite, sqrt, size2 = math.isfinite, math.sqrt, _size2
-    p = rec.p
+    p, tableau = rec.p, _TABLEAUX[{method!r}]
     lam_of, form = rec.s.checked, p.float_gradient_fn
     stop = cfg.stop
     tol, dwell, radius = stop.stationarity_tol, stop.dwell, stop.divergence_radius
@@ -479,12 +482,12 @@ _DOPRI_CONTROL = """
         h = min(h_max, hs * (5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))))"""
 
 
-def _array_parts(adaptive: bool, core: str) -> dict:
+def _array_parts(adaptive: bool) -> dict:
     """The array variant's parts: the state is the (2, dim) array y, rows x
     and v, and the stage block is the reference core."""
     return dict(
         unpack=["x, v = y"], X="x.tolist()", V="v.tolist()", G="g.tolist()", grad=["g = gradient(p, x)"],
-        stages=[f"result = {core}(field, t, y, hs)"], finite="_finite(result)",
+        stages=["result = _core(tableau, field, t, y, hs)"], finite="_finite(result)",
         ratio=["ratio = _error_ratio(y, *result, atol, rtol)"],
         advance="x, v = y = result[0]" if adaptive else "x, v = y = result",
         x_beyond="_norm(x) > radius", v_below="_norm(v) < tol", g_below="_norm(g) < tol",
@@ -492,11 +495,10 @@ def _array_parts(adaptive: bool, core: str) -> dict:
     )
 
 
-def _float_parts(dim: int, adaptive: bool, core: str, pieces: bool) -> dict:
+def _float_parts(dim: int, tableau: _Tableau, pieces: bool) -> dict:
     """The float variant's parts for ``dim`` 1 or 2: a float per component,
-    and the stages written out from the tableau, the core as their fallback."""
-    comps = "ab"[:dim]
-    rows, times = (_DP_A, _DP_C) if adaptive else (_RK4_A, _RK4_C)
+    and the stages written out from ``tableau``, the core as their fallback."""
+    comps, rows, times, adaptive = "ab"[:dim], tableau.a, tableau.c, tableau.e is not None
     pairs = [(p, c) for p in "xv" for c in comps]
     # hs * a and t + c * hs once per step each; hs * 1.0 is hs
     coeff = {a: f"c{n}" for n, a in enumerate(dict.fromkeys(a for row in rows for _, a in row))}
@@ -531,21 +533,17 @@ def _float_parts(dim: int, adaptive: bool, core: str, pieces: bool) -> dict:
     X, V = f"({x},)", f"({v},)"
     new, errs = [f"n{p}{c}" for p, c in pairs], [f"e{p}{c}" for p, c in pairs] if adaptive else []
     record = ["put_t(t)"] + [f"put_{p}({p}{c})" for p in "xvg" for c in comps]
-    if adaptive:
-        stages += [f"n{p}{c} = {p}{c} + hs * (0.0 + {dot(_DP_B5, p, c)})" for p, c in pairs]
-        stages += [f"e{p}{c} = hs * (0.0 + {dot(_DP_E, p, c)})" for p, c in pairs]
-        ratio = [f"q{n} = e{p}{c} / (atol + rtol * max(abs({p}{c}), abs(n{p}{c})))"
-                 for n, (p, c) in enumerate(pairs)]
-        squares = " + ".join(f"q{n} * q{n}" for n in range(len(pairs)))
-        ratio.append(f"ratio = sqrt((0.0 + {squares}) / {len(pairs)})")
-    else:
-        stages += ["w = hs / 6.0"] + [f"n{p}{c} = {p}{c} + w * ({dot(_RK4_B, p, c)})" for p, c in pairs]
-        ratio = []
-    core_step = f"{', '.join(new + errs)} = np.array({core}(field, t, np.array(({X}, {V})), hs)).ravel().tolist()"
-    stages = ["try:", *("    " + row for row in stages), "except (OverflowError, ValueError):", "    " + core_step]
+    stages += [f"w = hs / {tableau.divisor!r}"]
+    stages += [f"n{p}{c} = {p}{c} + w * ({dot(tableau.b, p, c)})" for p, c in pairs]
+    stages += [f"{e} = hs * ({dot(tableau.e, p, c)})" for e, (p, c) in zip(errs, pairs)]
+    ratio = [f"q{n} = e{p}{c} / (atol + rtol * max(abs({p}{c}), abs(n{p}{c})))" for n, (p, c) in enumerate(pairs)]
+    squares = " + ".join(f"q{n} * q{n}" for n in range(len(pairs)))
+    ratio.append(f"ratio = sqrt((0.0 + {squares}) / {len(pairs)})")
+    core = f"{', '.join(new + errs)} = np.array(_core(tableau, field, t, np.array(({X}, {V})), hs)).ravel().tolist()"
+    stages = ["try:", *("    " + row for row in stages), "except (OverflowError, ValueError):", "    " + core]
     if pieces:  # λ is lam until lam_to; a step that reaches lam_to takes the core, which reads λ per stage
         stages = ["if t >= lam_to:", "    lam, lam_to = lam_of(t), ends[bisect_right(ends, t)]",
-                  "if t + hs < lam_to:", *("    " + row for row in stages), "else:", "    " + core_step]
+                  "if t + hs < lam_to:", *("    " + row for row in stages), "else:", "    " + core]
     return dict(
         unpack=[f"{x}, {v} = y.ravel().tolist()"] + ["lam_to, ends = 0.0, (*rec.s.jumps, _INF)"] * pieces,
         X=X, V=V, G=f"({g},)",
@@ -561,13 +559,12 @@ def _float_parts(dim: int, adaptive: bool, core: str, pieces: bool) -> dict:
 def _kernel_source(dim: int, method: str, pieces: bool) -> str:
     """The text of the kernel for ``method``: on floats for ``dim`` 1 or 2, on
     the (2, dim) array for ``dim`` 0; ``pieces`` reads λ once per declared piece."""
-    adaptive = method == "dopri45"
-    core = "_dopri_core" if adaptive else "_rk4_core"
+    adaptive = _TABLEAUX[method].e is not None
 
     def lines(indent: int, *rows: str) -> str:
         return "\n".join(" " * indent + row for row in rows)
 
-    part = _float_parts(dim, adaptive, core, pieces) if dim else _array_parts(adaptive, core)
+    part = _float_parts(dim, _TABLEAUX[method], pieces) if dim else _array_parts(adaptive)
     end = "_stats(accepted, rejected, h_small, h_big), t, {X}, {V}, {G}".format_map(part)
     diverged = f'return rec.finish("diverged", {end})'
     contact = ["if halt and reaction(_stage(t, x, v)) <= 0.0:",
@@ -588,7 +585,7 @@ def _kernel_source(dim: int, method: str, pieces: bool) -> str:
             spent="accepted",
         )
     return _KERNEL.format_map(part | step | dict(
-        end=end, unpack=lines(4, *part["unpack"], *part["grad"]), grad=lines(8, *part["grad"]),
+        method=method, end=end, unpack=lines(4, *part["unpack"], *part["grad"]), grad=lines(8, *part["grad"]),
         stages=lines(12, *part["stages"]), first=lines(4, *part["record"]),
         # dopri45 steps below t's spacing leave t as it was: record it once
         record=lines(8, *["if rec.t[-1] == t:", "    continue"] * adaptive, *part["record"]),

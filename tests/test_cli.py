@@ -479,6 +479,14 @@ LOADER_REFUSALS = {
                    "{grid}:1: grid: grid must contain at least one parameter axis"),
     "axis_not_a_list": (_scenario_text(), "grid: {schedule.params.value: 1.0}\n", [],
                         "{grid}:1: grid.schedule.params.value: each axis needs a nonempty list of values"),
+    "axis_through_a_list": (_scenario_text(), "grid: {checks.0.tol: [1.0e-3]}\n", [],
+                            "{config}: sweep axis 'checks.0.tol': checks: expected a mapping, got list"),
+    "axis_through_a_list_of_numbers": (
+        _scenario_text(), "grid: {initial.x0.0: [2.0]}\n", [],
+        "{config}: sweep axis 'initial.x0.0': initial.x0: expected a mapping, got list"),
+    "axis_through_a_number": (
+        _scenario_text(), "grid: {integrator.step.size: [1.0]}\n", [],
+        "{config}: sweep axis 'integrator.step.size': integrator.step: expected a mapping, got float"),
     "zero_workers": (_scenario_text(), _GRID, ["--workers", "0"], "--workers must be >= 1, got 0"),
     # IntegratorConfig's refusals, anchored at the integrator section
     "rk4_without_step": (_integrator("method: rk4, t_max: 0.5"), None, [],
@@ -575,6 +583,15 @@ def test_simulate_writes_only_the_requested_formats(tmp_path, scenario_raw, caps
     assert main(["simulate", str(path), "--out-dir", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["unit.report.json"]
     assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_friction_bounded_holds_a_constant_schedule_continuous_over_a_very_long_horizon(tmp_path, scenario_raw):
+    scenario_raw["checks"] = [{"name": "friction_bounded", "horizon": 1.0e308, "grid_points": 2}]
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_yaml(tmp_path / "unit.yaml", scenario_raw)), "--out-dir", str(out),
+                 "--quiet"]) == 0
+    check = json.loads((out / "unit.report.json").read_text())["checks"][0]
+    assert check["details"]["continuity_ok"] is True and check["passed"] is True
 
 
 def test_simulate_quiet_silences_stdout(tmp_path, scenario_file, capsys):
@@ -1447,6 +1464,12 @@ def test_sweep_axis_creates_a_section_the_base_lacks(tmp_path, scenario_raw):
     assert run_sweep(base, grid, out_dir=tmp_path / "s", quiet=True, source="t") == 1
     rows = list(csv.DictReader((tmp_path / "s" / "sweep_summary.csv").open()))
     assert [(r["termination"], r["status"]) for r in rows] == [("diverged", "check_failure"), ("t_max", "ok")]
+
+
+def test_sweep_axis_fills_a_null_section(scenario_raw):
+    scenario_raw["integrator"]["stop"] = None
+    [(_, merged)] = sweep_points(scenario_raw, {"integrator.stop.dwell": [2.0]})
+    assert merged["integrator"]["stop"] == {"dwell": 2.0}
 
 
 def test_sweep_cli_subcommand(tmp_path, scenario_raw):

@@ -421,6 +421,7 @@ def test_acceleration_bound_breaks_near_ties_like_the_loop(seed, radius):
 def test_discrepancy_of_run_with_itself_is_zero(damped_run: Trajectory):
     rec = model_discrepancy(damped_run, damped_run)
     assert rec.residual == 0.0
+    assert sorted(rec.details) == ["attained_at_t", "common_span_end", "grid_points"]
 
 
 def test_discrepancy_requires_matching_starts(damped_run: Trajectory):
@@ -480,3 +481,44 @@ def test_sampled_function_validation():
         SampledFunction(t=np.array([0.0, 0.0, 1.0]), value=np.zeros(3))
     with pytest.raises(ValueError):
         SampledFunction(t=np.array([0.0, 1.0]), value=np.zeros(3))
+
+
+def _head(traj: Trajectory, n: int) -> Trajectory:
+    """The first ``n`` samples of ``traj``."""
+    columns = ("t", "x", "v", "energy", "lam", "grad_norm", "dissipation")
+    return dataclasses.replace(traj, **{name: getattr(traj, name)[:n] for name in columns})
+
+
+# Each refusal of the checks, called on the damped run or a cut of it, with its whole message.
+DIAGNOSTICS_REFUSALS = {
+    "derivative_length": (lambda run: SampledFunction(t=[0.0, 1.0], value=[1.0, 1.0], derivative=[0.0]),
+                          "derivative must match the sample grid length"),
+    "tail_fraction": (lambda run: tail_asymptotics(run, constant(1.0), quadratic(dim=1), tail_fraction=1.0),
+                      "tail_fraction must lie in (0,1), got 1.0"),
+    "monotone_no_samples": (lambda run: check_energy_monotone(_head(run, 0)), "trajectory has no samples"),
+    "balance_one_sample": (lambda run: energy_balance_residual(_head(run, 1), constant(1.0)),
+                           "energy balance needs at least 2 samples"),
+    "velocity_no_samples": (lambda run: check_velocity_bound(_head(run, 0), quadratic(dim=1)),
+                            "trajectory has no samples"),
+    "tail_one_sample": (lambda run: tail_asymptotics(_head(run, 1), constant(1.0), quadratic(dim=1)),
+                        "tail asymptotics need at least 2 samples"),
+    "acceleration_no_samples": (lambda run: check_acceleration_bound(_head(run, 0), quadratic(dim=1), constant(1.0)),
+                                "trajectory has no samples"),
+    **{f"barbalat_{name}": (lambda run, name=name: barbalat_check(sqrt_friction_speed(run), **{**BUDGETS, name: 0.0}),
+                            f"{name} must be positive, got 0.0") for name in BUDGETS},
+    "discrepancy_one_sample": (lambda run: model_discrepancy(_head(run, 1), run),
+                               "full trajectory needs at least 2 samples"),
+    "discrepancy_late_start": (lambda run: model_discrepancy(run, dataclasses.replace(run, t=run.t + 1.0)),
+                               "reduced trajectory does not start at t=0"),
+    "discrepancy_dimensions": (lambda run: model_discrepancy(run, dataclasses.replace(run, x=np.hstack([run.x] * 2))),
+                               "trajectories have different dimensions"),
+    "discrepancy_no_span": (lambda run: model_discrepancy(*[dataclasses.replace(_head(run, 2), t=np.zeros(2))] * 2),
+                            "trajectories have no overlapping time span"),
+}
+
+
+@pytest.mark.parametrize("call, message", DIAGNOSTICS_REFUSALS.values(), ids=list(DIAGNOSTICS_REFUSALS))
+def test_diagnostics_refusal_message(damped_run: Trajectory, call, message):
+    with pytest.raises(ValueError) as info:
+        call(damped_run)
+    assert str(info.value) == message

@@ -152,6 +152,16 @@ def test_hypothesis_report_keeps_a_nan_derivative():
     assert math.isnan(rep.max_abs_derivative) and rep.derivative_bounded is False
 
 
+@pytest.mark.parametrize("grid_points", [2, 3])
+def test_a_constant_schedule_is_continuous_over_a_very_long_horizon(grid_points):
+    # 10 * spacing overflows to inf, and inf times the zero slope would be nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_friction_hypotheses(constant(1.0), horizon=1e308, grid_points=grid_points)
+    assert rep.continuity_ok and rep.max_increment == 0.0
+    assert rep.continuity_threshold == 1e-12 * (1.0 + 1.0)
+
+
 def test_hypothesis_report_flags_jumps():
     rep = verify_friction_hypotheses(step(times=(5.0,), values=(1.0, 3.0)), horizon=20.0)
     assert not rep.continuity_ok
@@ -402,3 +412,36 @@ def test_lambda_at_gives_a_numpy_time_the_value_of_its_python_float(s, t):
         assert lambda_at(s, np.float64(t)) == lambda_at(s, t)
         if s.lam_dot is not None:
             assert lambda_dot_at(s, np.float64(t)) == lambda_dot_at(s, t)
+
+
+# Each refusal of the factories and the report, with its whole message.
+FRICTION_REFUSALS = {
+    "constant_value": (lambda: constant(-1.0), "constant: value must be >= 0 and finite, got -1.0"),
+    "power_decay_initial": (lambda: power_decay(initial=math.inf),
+                            "power_decay: initial must be >= 0 and finite, got inf"),
+    "power_decay_exponent": (lambda: power_decay(exponent=0.0),
+                             "power_decay: exponent must be positive and finite, got 0.0"),
+    "oscillating_amplitude": (lambda: oscillating(amplitude=-1.0),
+                              "oscillating: amplitude must be >= 0 and finite, got -1.0"),
+    "oscillating_angular_frequency": (lambda: oscillating(angular_frequency=0.0),
+                                      "oscillating: angular_frequency must be positive and finite, got 0.0"),
+    "step_times": (lambda: step(times=(2.0, 1.0), values=(1.0, 1.0, 1.0)),
+                   "step: times must be positive, finite, strictly increasing, got [2.0, 1.0]"),
+    "step_values": (lambda: step(times=(1.0,), values=(1.0, -1.0)),
+                    "step: values must be >= 0 and finite, got [1.0, -1.0]"),
+    "linear_growth_rate": (lambda: linear_growth(rate=0.0),
+                           "linear_growth: rate must be positive and finite, got 0.0"),
+    "report_horizon_below_t1": (lambda: verify_friction_hypotheses(constant(1.0), horizon=1.0, t1_guess=1.0),
+                                "horizon 1.0 must exceed t1_guess 1.0"),
+    "report_horizon": (lambda: verify_friction_hypotheses(constant(1.0), horizon=-1.0, t1_guess=-2.0),
+                       "horizon must be positive, got -1.0"),
+    "report_grid_points": (lambda: verify_friction_hypotheses(constant(1.0), horizon=1.0, grid_points=1),
+                           "grid_points must be >= 2, got 1"),
+}
+
+
+@pytest.mark.parametrize("make, message", FRICTION_REFUSALS.values(), ids=list(FRICTION_REFUSALS))
+def test_friction_refusal_message(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

@@ -41,7 +41,7 @@ from hbft.friction import (
     step,
 )
 from hbft.integrate import _norm, _on_floats, _Recorder
-from hbft.integrate import _kernel, _kernel_source
+from hbft.integrate import _core, _kernel, _kernel_source, _slope, _TABLEAUX
 from hbft.potentials import (
     Potential,
     anisotropic_quadratic,
@@ -514,6 +514,20 @@ def test_no_kernel_is_compiled_at_import():
     assert out.stdout.strip() == "0 False"
 
 
+def test_the_core_steps_rk4_as_the_textbook_writes_it():
+    # the same doubles as the four stages written out, whose update sums from k1
+    p, s = eggcrate(dim=2), oscillating(2.0, 1.0, 3.0)
+    field, rng = _field(p, s), np.random.default_rng(7)
+    for _ in range(200):
+        y, t, h = rng.normal(size=(2, 2)), rng.uniform(0.0, 10.0), rng.uniform(1e-4, 0.5)
+        k1 = _slope(field, t, y)
+        k2 = _slope(field, t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = _slope(field, t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = _slope(field, t + h, y + h * k3)
+        want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert _core(_TABLEAUX["rk4"], field, t, y, h).tobytes() == want.tobytes()
+
+
 def test_a_traceback_shows_the_generated_line():
     def lam(t):
         if t > 0.5:
@@ -531,8 +545,7 @@ def test_a_traceback_shows_the_generated_line():
         kernel = frames[[frame.name for frame in frames].index("integrate") + 1]
         assert kernel.filename == f"<hbft {method} kernel, {variant}>"
         if variant == "arrays":  # the stage block is the reference core
-            core = {"rk4": "_rk4_core", "dopri45": "_dopri_core"}[method]
-            assert kernel.line == f"result = {core}(field, t, y, hs)"
+            assert kernel.line == "result = _core(tableau, field, t, y, hs)"
         else:  # the written-out stage that read λ
             assert "lam_of(" in kernel.line
 

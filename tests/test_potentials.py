@@ -387,3 +387,45 @@ def test_row_dots_at_dim_one_gives_the_doubles_of_the_matmul(a, b):
             got = row_dots(left, right)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _bare(**fields) -> Potential:
+    """A 1-d potential from plain callables, with ``fields`` replaced."""
+    return Potential(**{"name": "bare", "dim": 1, "value_fn": lambda x: 0.0,
+                        "gradient_fn": lambda x: np.zeros(1), **fields})
+
+
+# Each refusal of the record, the checks and the factories, with its whole message.
+POTENTIAL_REFUSALS = {
+    "dim": (lambda: _bare(dim=0), "potential dim must be >= 1, got 0"),
+    "bound_and_unbounded": (lambda: _bare(lower_bound=0.0, unbounded_below=True),
+                            "a potential cannot both declare a lower bound and be unbounded below"),
+    "validate_gradient_h": (lambda: validate_gradient(quadratic(), [1.0], h=0.0), "h must be positive, got 0.0"),
+    "lipschitz_radius": (lambda: estimate_gradient_lipschitz(quadratic(), [0.0], radius=0.0),
+                         "radius must be positive, got 0.0"),
+    "lipschitz_n_pairs": (lambda: estimate_gradient_lipschitz(quadratic(), [0.0], radius=1.0, n_pairs=0),
+                          "n_pairs must be >= 1, got 0"),
+    "hypotheses_box_halfwidth": (lambda: verify_potential_hypotheses(quadratic(), box_halfwidth=0.0),
+                                 "box_halfwidth must be positive, got 0.0"),
+    "hypotheses_n_points": (lambda: verify_potential_hypotheses(quadratic(), n_points=0),
+                            "n_points must be >= 1, got 0"),
+    "quadratic_scale": (lambda: quadratic(scale=0.0), "quadratic: scale must be positive and finite, got 0.0"),
+    "anisotropic_quadratic_2d_diag": (lambda: anisotropic_quadratic(diag=[[1.0, 2.0], [3.0, 4.0]]),
+                                      "anisotropic_quadratic: diag must be a nonempty 1-d sequence"),
+    "rosenbrock_b": (lambda: rosenbrock(b=0.0), "rosenbrock: need finite a and b > 0, got a=1.0, b=0.0"),
+    "eggcrate_amplitude": (lambda: eggcrate(amplitude=-1.0),
+                           "eggcrate: amplitude must be >= 0 and finite, got -1.0"),
+    "tilted_plane_2d_slope": (lambda: tilted_plane(slope=[[1.0]]),
+                              "tilted_plane: slope must be a nonempty 1-d sequence"),
+    "tilted_plane_infinite_slope": (lambda: tilted_plane(slope=[math.inf]),
+                                    "tilted_plane: slope entries must be finite, got [inf]"),
+    "tilted_plane_zero_slope": (lambda: tilted_plane(slope=[0.0, 0.0]),
+                                "tilted_plane: slope must be nonzero (use 'flat' for a level landscape)"),
+}
+
+
+@pytest.mark.parametrize("make, message", POTENTIAL_REFUSALS.values(), ids=list(POTENTIAL_REFUSALS))
+def test_potential_refusal_message(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
