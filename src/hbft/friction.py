@@ -94,17 +94,23 @@ def lambda_at(s: FrictionSchedule, t: float) -> float:
 def lambda_values(s: FrictionSchedule, t) -> np.ndarray:
     """λ at every time of the 1-d array ``t``, as :func:`lambda_at` gives it.
 
-    ``s.checked`` is called once per sample, in order, up to the first time
-    that is not >= 0, so the floats are the same and so are the errors: the
-    one :func:`lambda_at` raises at the first sample where it would raise.
+    ``s.checked`` is called in order up to the first time that is not >= 0:
+    once per sample, or where ``s.jumps`` declares the pieces, once at the
+    first sample of each run of consecutive samples in one piece, whose value
+    the run repeats. So the floats are the same and so are the errors: the one
+    :func:`lambda_at` raises at the first sample where it would raise.
     """
     ts = np.asarray(t, dtype=float)
     refused = np.flatnonzero(~(ts >= 0))
     n = int(refused[0]) if refused.size else ts.size
-    vals = np.fromiter(map(s.checked, ts[:n].tolist()), float, n)
+    read = ts[:n]
+    if s.jumps is not None:  # the piece of each sample, as the kernel's bisect_right finds it
+        first = np.flatnonzero(np.diff(np.searchsorted(s.jumps, read, side="right"), prepend=-1))
+        read = read[first]
+    vals = np.fromiter(map(s.checked, read.tolist()), float, read.size)
     if refused.size:
         raise ValueError(f"schedule '{s.name}' evaluated at t={float(ts[n])} < 0")
-    return vals
+    return vals if s.jumps is None else np.repeat(vals, np.diff(first, append=n))
 
 
 def lambda_dot_at(s: FrictionSchedule, t: float) -> float:
@@ -126,10 +132,10 @@ class FrictionHypothesesReport:
     """Grid evidence for continuity and the eventual bound of a schedule.
 
     ``continuity_ok`` certifies a surrogate only: the largest grid increment
-    must stay below 10 · spacing · slope, with the slope estimated from the
-    increments adjacent to the largest one. That estimate tracks smooth
-    schedules whose slope varies over orders of magnitude and still flags
-    isolated jumps, whose neighbors are flat.
+    must stay below 10 times the larger of the increments adjacent to it,
+    plus a floor of 1e-12 · (1 + max |λ|). That tracks smooth schedules whose
+    slope varies over orders of magnitude and still flags isolated jumps,
+    whose neighbors are flat.
     """
 
     schedule_name: str
@@ -180,16 +186,12 @@ def verify_friction_hypotheses(
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     ts = np.linspace(0.0, horizon, grid_points)
     vals = lambda_values(s, ts)
-    spacing = float(ts[1] - ts[0])
 
     inc = np.abs(np.diff(vals))
-    k = int(np.argmax(inc)) if inc.size else 0
-    max_inc = float(inc[k]) if inc.size else 0.0
-    neighbors = [inc[j] for j in (k - 1, k + 1) if 0 <= j < inc.size]
-    neighbor_slope = (max(neighbors) / spacing) if neighbors else 0.0
-    scale_floor = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
-    # a zero slope adds nothing, also where 10 * spacing overflows (inf * 0 is nan)
-    threshold = (10.0 * spacing * neighbor_slope if neighbor_slope else 0.0) + scale_floor
+    k = int(np.argmax(inc))
+    max_inc = float(inc[k])
+    neighbors = [float(inc[j]) for j in (k - 1, k + 1) if 0 <= j < inc.size]
+    threshold = 10.0 * max(neighbors, default=0.0) + 1e-12 * (1.0 + float(np.max(np.abs(vals))))
 
     after = vals[ts >= t1_guess]
     max_after = float(np.max(after))

@@ -27,6 +27,11 @@ Termination reasons:
 - ``contact_lost``: the supplied reaction-force callable went non-positive
   and ``halt_on_contact_loss`` was set.
 
+Each stop rule takes its |·| as ``math.hypot`` of the components: the
+Euclidean norm without overflow or underflow of the squares, so a size that is
+a float compares as itself. The trajectory's |∇Φ| column stays numpy's dot
+per row.
+
 Inputs are validated once, at the :func:`integrate` boundary. The stage
 states handed to the field are built unchecked from float arithmetic on
 validated arrays, and finiteness is tested once per attempted step, on its
@@ -254,12 +259,6 @@ _TABLEAUX = {
 }
 
 
-def _norm(a: Vector) -> float:
-    """|a| for a 1-d float array: the dot product and square root that
-    ``np.linalg.norm`` computes, without its dispatch."""
-    return math.sqrt(a.dot(a))
-
-
 def _finite(a) -> bool:
     """Whether every entry of ``a`` (an array, or a tuple of arrays of one
     shape) is finite."""
@@ -332,7 +331,7 @@ class _Recorder:
         x, v, g = (np.array(buf).reshape(n, -1) for buf in (self.x, self.v, self.g))
         column = self.p.column_value_fn
         phi = column(x) if column is not None else np.array([value(self.p, xk) for xk in x])
-        # |v|² as dynamics.energy takes it and |∇Φ| as _norm: numpy's dot per row
+        # |v|² as dynamics.energy takes it, and |∇Φ|²: numpy's dot per row
         vv = row_dots(v, v)
         lam = lambda_values(self.s, t)
         return Trajectory(
@@ -389,27 +388,9 @@ def _stats(accepted: int, rejected: int, h_small: float, h_big: float) -> StepSt
 # (dim 0) steps the (2, dim) array through _core. Every variant takes (rec,
 # cfg, field, reaction, y), y the (2, dim) start.
 
-# Where a*a + b*b neither overflows nor loses precision to subnormals.
-_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
-
-
-def _size2(a: float, b: float, r: float) -> float:
-    """|(a, b)| for comparing with r: through numpy's dot near r, else without.
-
-    a*a + b*b differs from numpy's dot (on 3,530 of 50,000 random rows) by a
-    few ulps at most in the normal range, so outside 1e-14 (about 45 ulps) of
-    r*r it lies on the same side of r.
-    """
-    q = a * a + b * b
-    r2 = r * r
-    if _NORMAL_MIN < q < _NORMAL_MAX and abs(q - r2) > 1e-14 * r2:
-        return math.sqrt(q)
-    return _norm(np.array((a, b)))
-
-
 _KERNEL = """\
 def kernel(rec, cfg, field, reaction, y):
-    isfinite, sqrt, size2 = math.isfinite, math.sqrt, _size2
+    isfinite, sqrt, hypot = math.isfinite, math.sqrt, math.hypot
     p, tableau = rec.p, _TABLEAUX[{method!r}]
     lam_of, form = rec.s.checked, p.float_gradient_fn
     stop = cfg.stop
@@ -423,7 +404,7 @@ def kernel(rec, cfg, field, reaction, y):
     h = {h}
     t, t_comp, next_sample, accepted, rejected, h_small, h_big = 0.0, 0.0, sample_dt, 0, 0, _INF, {h_big}
 {first}
-    below_since = 0.0 if {v_below} and {g_below} else None
+    below_since = 0.0 if hypot({vs}) < tol and hypot({gs}) < tol else None
     while (remaining := t_max - t) > eps_t:
         if {spent} >= max_steps:
             raise rec.abort(_OUT_OF_STEPS.format(cfg), _stats(accepted, rejected, h_small, h_big))
@@ -444,9 +425,9 @@ def kernel(rec, cfg, field, reaction, y):
         accepted += 1
 {h_range}
 {grad}
-        if {x_beyond}:
+        if hypot({xs}) > radius:
             return rec.finish("diverged", {end}){contact}
-        if {v_below} and {g_below}:
+        if hypot({vs}) < tol and hypot({gs}) < tol:
             if below_since is None:
                 below_since = t
             if t - below_since >= dwell:
@@ -490,7 +471,7 @@ def _array_parts(adaptive: bool) -> dict:
         stages=["result = _core(tableau, field, t, y, hs)"], finite="_finite(result)",
         ratio=["ratio = _error_ratio(y, *result, atol, rtol)"],
         advance="x, v = y = result[0]" if adaptive else "x, v = y = result",
-        x_beyond="_norm(x) > radius", v_below="_norm(v) < tol", g_below="_norm(g) < tol",
+        xs="*x.tolist()", vs="*v.tolist()", gs="*g.tolist()",
         record=["put_t(t)"] + [f"rec.{p}.extend({p}.tolist())" for p in "xvg"],
     )
 
@@ -507,9 +488,6 @@ def _float_parts(dim: int, tableau: _Tableau, pieces: bool) -> dict:
 
     def each(fmt: str) -> str:
         return ", ".join(fmt.format(c) for c in comps)
-
-    def size(a: str, r: str) -> str:
-        return f"sqrt({a}a * {a}a)" if dim == 1 else f"size2({a}a, {a}b, {r})"
 
     def k(j: int, p: str, c: str) -> str:  # component c of stage j's ẋ (p = "x") or v̇
         return (f"v{c}" if j == 0 else f"V{j}{c}") if p == "x" else f"K{j}{c}"
@@ -551,8 +529,7 @@ def _float_parts(dim: int, tableau: _Tableau, pieces: bool) -> dict:
               "except (OverflowError, ValueError):", f"    {g}, = gradient(p, {X}).tolist()"],
         stages=stages,
         finite=" and ".join(f"isfinite({name})" for name in new + errs), ratio=ratio,
-        advance=f"{x}, {v} = {', '.join(new)}", x_beyond=f"{size('x', 'radius')} > radius",
-        v_below=f"{size('v', 'tol')} < tol", g_below=f"{size('g', 'tol')} < tol", record=record,
+        advance=f"{x}, {v} = {', '.join(new)}", xs=x, vs=v, gs=g, record=record,
     )
 
 

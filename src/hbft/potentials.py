@@ -508,7 +508,7 @@ def tilted_plane(slope=(1.0,)) -> Potential:
         raise ValueError("tilted_plane: slope must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(s)):
         raise ValueError(f"tilted_plane: slope entries must be finite, got {s.tolist()}")
-    if np.linalg.norm(s) == 0.0:
+    if not s.any():
         raise ValueError("tilted_plane: slope must be nonzero (use 'flat' for a level landscape)")
     dim = s.size
     s0, s1 = s.tolist()[0], s.tolist()[-1]

@@ -120,6 +120,46 @@ def test_lambda_values_matches_lambda_at_on_builtins(name):
     assert vals.tolist() == [lambda_at(s, float(t)) for t in ts]
 
 
+def _logged_pieces(values: tuple, jumps: tuple):
+    """A custom schedule, values[k] on its k-th declared piece, and the times it was read at."""
+    calls = []
+
+    def lam(t):
+        calls.append(t)
+        return values[int(np.searchsorted(jumps, t, side="right"))]
+
+    return FrictionSchedule(name="logged pieces", lam=lam, jumps=jumps), calls
+
+
+def test_lambda_values_reads_each_run_of_samples_in_one_piece_once():
+    s, calls = _logged_pieces((0.5, 2.0, 3.0), (1.0, 2.5))
+    below = math.nextafter(1.0, 0.0), math.nextafter(2.5, 0.0)
+    # unsorted, with times on a jump and just below one
+    ts = np.array([0.0, 0.3, below[0], 1.0, 1.7, 2.5, 3.0, 0.2, 0.9, below[1], 2.5, 1.0])
+    per_sample = np.array([lambda_at(s, t) for t in ts.tolist()])
+    calls.clear()
+    got = lambda_values(s, ts)
+    assert got.dtype == np.float64 and got.tobytes() == per_sample.tobytes()
+    assert calls == [0.0, 1.0, 2.5, 0.2, below[1], 2.5, 1.0]
+    assert lambda_values(s, ts[:0]).shape == (0,)
+
+
+def test_lambda_values_refuses_a_declared_piece_as_lambda_at_does():
+    # the second piece breaks the nonnegativity claim: the same error at its first sample
+    s, _ = _logged_pieces((0.5, -1.0, 2.0), (1.0, 2.0))
+    ts = np.linspace(0.0, 3.0, 31)
+    looped = _outcome(lambda: [lambda_at(s, t) for t in ts.tolist()])
+    assert looped[0] is ScheduleConsistencyError and looped[1].endswith("produced -1.0 at t=1.0")
+    assert _outcome(lambda: lambda_values(s, ts)) == looped
+    # a negative time after a jump: the same ValueError, with no read at or past it
+    ts = np.array([0.0, 0.5, 2.5, 3.0, -1.0, 0.2])
+    s, calls = _logged_pieces((0.5, 1.0, 2.0), (1.0, 2.0))
+    looped = _outcome(lambda: [lambda_at(s, t) for t in ts.tolist()])
+    calls.clear()
+    assert looped == (ValueError, "schedule 'logged pieces' evaluated at t=-1.0 < 0")
+    assert _outcome(lambda: lambda_values(s, ts)) == looped and calls == [0.0, 2.5]
+
+
 def test_step_schedule_pieces_at_the_edges():
     # λ = values[k] on [times[k-1], times[k]): each edge opens the next piece
     s = step(times=(1.0, 2.5), values=(0.5, 2.0, 3.0))
@@ -160,6 +200,18 @@ def test_a_constant_schedule_is_continuous_over_a_very_long_horizon(grid_points)
         rep = verify_friction_hypotheses(constant(1.0), horizon=1e308, grid_points=grid_points)
     assert rep.continuity_ok and rep.max_increment == 0.0
     assert rep.continuity_threshold == 1e-12 * (1.0 + 1.0)
+
+
+def test_a_jump_is_flagged_over_a_very_long_horizon():
+    # the same schedule on a grid whose spacing times 10 overflows: the jump
+    # of 99 is measured against 10 times its neighbouring increment of 1 there too
+    unscaled = verify_friction_hypotheses(step(times=(1.0, 6.0), values=(1.0, 100.0, 101.0)),
+                                          horizon=10.0, grid_points=3)
+    scaled = verify_friction_hypotheses(step(times=(1e307, 6e307), values=(1.0, 100.0, 101.0)),
+                                        horizon=1e308, grid_points=3)
+    for rep in (unscaled, scaled):
+        assert not rep.continuity_ok and rep.max_increment == 99.0
+        assert rep.continuity_threshold == 10.0 + 1e-12 * (1.0 + 101.0)
 
 
 def test_hypothesis_report_flags_jumps():

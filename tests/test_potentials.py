@@ -264,6 +264,13 @@ def test_unbounded_potential_is_flagged():
     assert value(p, np.array([-100.0, 0.0])) < -100.0
 
 
+@pytest.mark.parametrize("slope", [(1e-170, 0.0), (5e-324,), (0.0, -1e-200)])
+def test_tilted_plane_takes_a_slope_whose_square_underflows(slope):
+    # |s|² is 0.0 here, but s is not: the refusal is for a slope of zeros only
+    p = tilted_plane(slope=slope)
+    assert gradient(p, np.zeros(len(slope))).tolist() == list(slope)
+
+
 _FLOAT_FORMS = [
     quadratic(dim=1, scale=2.5), quadratic(dim=2), anisotropic_quadratic(diag=(3.0,)),
     anisotropic_quadratic(diag=(1.0, 4.0)), rosenbrock(a=0.5, b=30.0), double_well(),
@@ -421,6 +428,10 @@ POTENTIAL_REFUSALS = {
                                     "tilted_plane: slope entries must be finite, got [inf]"),
     "tilted_plane_zero_slope": (lambda: tilted_plane(slope=[0.0, 0.0]),
                                 "tilted_plane: slope must be nonzero (use 'flat' for a level landscape)"),
+    "tilted_plane_zero_slope_1d": (lambda: tilted_plane(slope=(0.0,)),
+                                   "tilted_plane: slope must be nonzero (use 'flat' for a level landscape)"),
+    "tilted_plane_signed_zero_slope": (lambda: tilted_plane(slope=(0.0, -0.0)),
+                                       "tilted_plane: slope must be nonzero (use 'flat' for a level landscape)"),
 }
 
 
