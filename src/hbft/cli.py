@@ -283,8 +283,24 @@ _CHECK_CALLS = {
     "tail_asymptotics": ("tail_asymptotics", ("traj", "s", "p")),
     "barbalat_sqrt_friction_speed": ("barbalat_check", ("f",)),
     "acceleration_bound": ("check_acceleration_bound", ("traj", "p", "s")),
-    "friction_bounded": ("verify_friction_hypotheses", ("s",)),
+    "friction_bounded": ("_friction_bounded", ("s",)),
 }
+
+
+@functools.wraps(verify_friction_hypotheses)  # its parameters are the check's keys
+def _friction_bounded(s: FrictionSchedule, **params) -> CheckRecord:
+    rep = verify_friction_hypotheses(s, **params)
+    return _record(
+        "friction_bounded",
+        rep.max_after_t1,
+        rep.bound_guess,
+        t1_guess=rep.t1_guess,
+        continuity_ok=rep.continuity_ok,
+        min_value=rep.min_value,
+        has_zeros=rep.has_zeros,
+        derivative_available=rep.derivative_available,
+        max_abs_derivative=rep.max_abs_derivative,
+    )
 
 
 # check name -> its keys, as _keys gives them; horizon defaults to
@@ -308,21 +324,6 @@ _CHECK_RANGES = {
 }
 
 
-def _friction_bounded(s: FrictionSchedule, **params) -> CheckRecord:
-    rep = verify_friction_hypotheses(s, **params)
-    return _record(
-        "friction_bounded",
-        rep.max_after_t1,
-        rep.bound_guess,
-        t1_guess=rep.t1_guess,
-        continuity_ok=rep.continuity_ok,
-        min_value=rep.min_value,
-        has_zeros=rep.has_zeros,
-        derivative_available=rep.derivative_available,
-        max_abs_derivative=rep.max_abs_derivative,
-    )
-
-
 def _run_check(check: dict, traj: Trajectory, p: Potential, s: FrictionSchedule) -> CheckRecord:
     """Run one configured check; a check that raises becomes a failed record,
     and so does a pass on the trajectory of a run that stopped early (see
@@ -330,13 +331,10 @@ def _run_check(check: dict, traj: Trajectory, p: Potential, s: FrictionSchedule)
     name = check["name"]
     params = {k: v for k, v in check.items() if k != "name"}
     fn, inputs = _CHECK_CALLS[name]
+    run = {"traj": traj, "p": p, "s": s}
     try:
-        if name == "friction_bounded":
-            record = _friction_bounded(s, **params)
-        else:
-            run = {"traj": traj, "p": p, "s": s}
-            args = [sqrt_friction_speed(traj) if i == "f" else run[i] for i in inputs]
-            record = globals()[fn](*args, **params)
+        args = [sqrt_friction_speed(traj) if i == "f" else run[i] for i in inputs]
+        record = globals()[fn](*args, **params)
     except (ValueError, RuntimeError, MemoryError) as exc:
         return _record(_RECORD_NAMES.get(name, name), math.nan, 0.0, error=str(exc))
     stopped_early = traj.termination_reason not in COMPLETE_RUNS

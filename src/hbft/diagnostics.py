@@ -118,16 +118,7 @@ class CertificationReport:
         return {
             "all_passed": self.all_passed,
             "trajectory": _json_safe(self.trajectory_meta),
-            "checks": [
-                {
-                    "check_name": c.check_name,
-                    "passed": c.passed,
-                    "residual": _json_safe(c.residual),
-                    "threshold": _json_safe(c.threshold),
-                    "details": _json_safe(c.details),
-                }
-                for c in self.checks
-            ],
+            "checks": [_json_safe(dataclasses.asdict(c)) for c in self.checks],
         }
 
     def render_lines(self) -> list[str]:
@@ -336,12 +327,16 @@ def tail_asymptotics(
     tail = _tail_slice(traj.n_samples, tail_fraction)
     residual = float(np.max(_sqrt_lam_speed(traj.lam, traj.v)[tail]))
     partial_l2 = _dissipated(traj, s)
+    sup_x = float(np.max(np.linalg.norm(traj.x, axis=1)))
+    if math.isinf(sup_x) and np.isfinite(traj.x).all():
+        # |x|² overflowed where |x| did not: take |x| itself
+        sup_x = max(map(math.hypot, *traj.x.T.tolist()))
     details = {
         "tail_start_t": float(traj.t[tail][0]),
         "tail_samples": int(traj.n_samples - tail.start),
         "tail_grad_norm_sup": float(np.max(traj.grad_norm[tail])),
         "sup_speed": float(np.max(traj.speeds())),
-        "sup_position_norm": float(np.max(np.linalg.norm(traj.x, axis=1))),
+        "sup_position_norm": sup_x,
         "partial_l2_dissipation": partial_l2,
         "premise_unverified": s.lam_dot is None,
         "partial_certificate": True,

@@ -1046,16 +1046,19 @@ def test_overflowing_run_ends_diverged_without_traceback(tmp_path, scenario_raw)
 
 
 def test_a_start_whose_square_overflows_runs_inside_the_radius(tmp_path, scenario_raw):
-    # |x0| = 1e160 lies far inside the radius, although |x0|² overflows
+    # |x0| = 1e160 lies far inside the radius, although |x0|², and with it
+    # numpy's norm, overflows; the report gives |x| itself
     scenario_raw["name"] = "far"
     scenario_raw["potential"] = {"name": "flat", "params": {"dim": 2}}
     scenario_raw["initial"] = {"x0": [1.0e160, 0.0], "v0": [0.0, 0.0]}
     scenario_raw["integrator"]["stop"] = {"divergence_radius": 1.0e300}
+    scenario_raw["checks"].append({"name": "tail_asymptotics"})
     path = write_yaml(tmp_path / "far.yaml", scenario_raw)
     out = tmp_path / "out"
     assert main(["simulate", str(path), "--out-dir", str(out), "--quiet"]) == 0
     report = json.loads((out / "far.report.json").read_text())
     assert report["trajectory"]["termination_reason"] == "t_max"
+    assert report["checks"][1]["details"]["sup_position_norm"] == 1.0e160
 
 
 def test_barbalat_with_a_zero_tail_threshold_runs_without_traceback(tmp_path):

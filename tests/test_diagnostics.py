@@ -31,6 +31,7 @@ from hbft import (
     sqrt_friction_speed,
     tail_asymptotics,
 )
+from hbft.cli import _CHECK_CALLS, _run_check
 from hbft.friction import constant, lambda_at, power_decay, step
 from hbft.potentials import (
     double_well, eggcrate, flat, gradient, quadratic, rosenbrock, tilted_plane,
@@ -445,6 +446,66 @@ def test_discrepancy_interpolates_between_grids(damped_run: Trajectory):
     rec = model_discrepancy(damped_run, coarse)
     # same dynamics on different grids: only integration error remains
     assert rec.residual <= 1e-8
+
+
+# ------------------------------------------------- every check can fail
+
+# Each check, run on the damped unit bowl (x0 = 1, λ = 1, rk4, h = 1e-3,
+# t_max = 10) or a closed-form change of it, where the property it certifies
+# fails; every threshold is finite. The registry's checks go through the
+# CLI's call path.
+P, S = quadratic(dim=1), constant(1.0)
+FAILING_CASES = {
+    # played backwards, the damped run gains energy
+    "energy_monotone": lambda run: _run_check(
+        {"name": "energy_monotone"}, dataclasses.replace(run, energy=run.energy[::-1]), P, S),
+    # judged against twice its λ, the run dissipates twice its energy drop
+    "energy_balance": lambda run: _run_check({"name": "energy_balance"}, run, P, constant(2.0)),
+    "velocity_bound": lambda run: _run_check(
+        {"name": "velocity_bound"}, dataclasses.replace(run, v=run.v * 10.0), P, S),
+    # cut at t = 1, √λ|v| in the tail is far above 1e-5
+    "tail_asymptotics": lambda run: _run_check({"name": "tail_asymptotics"}, _head(run, 1001), P, S),
+    # √λ|v| ~ e^(-t/2) has not vanished to 1e-5 by t = 10
+    "barbalat_sqrt_friction_speed": lambda run: _run_check(
+        {"name": "barbalat_sqrt_friction_speed", **BUDGETS}, run, P, S),
+    # |ẍ(0)| = |∇Φ(x0)| = 1
+    "acceleration_bound": lambda run: _run_check({"name": "acceleration_bound", "bound": 0.5}, run, P, S),
+    "friction_bounded": lambda run: _run_check(
+        {"name": "friction_bounded", "horizon": 10.0, "bound_guess": 1.0}, run, P, constant(2.0)),
+    # the same start in a bowl four times as steep
+    "model_discrepancy": lambda run: model_discrepancy(
+        run, _run(quadratic(dim=1, scale=4.0), S, [1.0], [0.0], method="rk4", step=1e-3, t_max=10.0),
+        threshold=0.1),
+}
+
+# Checks that raise on their input: the CLI records NaN against 0.0.
+RAISING_CASES = {
+    "energy_balance": lambda run: _run_check({"name": "energy_balance"}, _head(run, 1), P, S),
+    "tail_asymptotics": lambda run: _run_check(
+        {"name": "tail_asymptotics"},
+        _run(flat(dim=1), constant(0.0), [0.0], [1.0], method="rk4", step=1e-2, t_max=100.0,
+             stop=StopCondition(divergence_radius=5.0)),
+        flat(dim=1), constant(0.0)),
+}
+
+
+def test_every_check_has_a_failing_case():
+    assert set(FAILING_CASES) == set(_CHECK_CALLS) | {"model_discrepancy"}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_CASES))
+def test_check_fails_where_its_property_fails(damped_run: Trajectory, name):
+    rec = FAILING_CASES[name](damped_run)
+    assert rec.passed is False
+    assert math.isfinite(rec.threshold) and rec.residual > rec.threshold
+
+
+@pytest.mark.parametrize("name", sorted(RAISING_CASES))
+def test_check_that_raises_fails_with_a_nan_residual(damped_run: Trajectory, name):
+    rec = RAISING_CASES[name](damped_run)
+    assert rec.passed is False
+    assert math.isnan(rec.residual) and rec.threshold == 0.0
+    assert "error" in rec.details
 
 
 # ----------------------------------------------------- record and report
