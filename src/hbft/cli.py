@@ -40,12 +40,14 @@ from typing import Optional, get_type_hints
 import numpy as np
 import yaml
 
+from . import floattext
 from .diagnostics import (
     COMPLETE_RUNS,
     TAIL_FRACTION,
     CertificationReport,
     CheckRecord,
     _json_safe,
+    _norms,
     _record,
     _sqrt_lam_speed,
     _tail_slice,
@@ -77,13 +79,17 @@ from .potentials import Potential, builtin_potentials, make_potential
 OUT_DIR_ENV = "HBFT_OUT_DIR"
 # output format -> the suffix of its artifact after the scenario name
 _ARTIFACTS = {"csv": ".csv", "report": ".report.json", "summary": ".summary.txt"}
-# Rows per block of the trajectory CSV: bounds the memory of a long run's text;
-# larger blocks bought no speed and left a higher peak RSS after the bundled runs.
-_CSV_BLOCK_ROWS = 256
+# Rows per block of the trajectory CSV: bounds the memory of a long run's text.
+_CSV_BLOCK_ROWS = 1024
+# Cells from which a block is formatted by floattext's array passes rather than
+# a repr per cell, whose fixed cost they outrun from about this many cells.
+_CSV_ARRAY_CELLS = 2048
 # Rows from which a trajectory CSV is formatted by two processes: a fork, pipe
-# and wait take about 3.4 ms with numpy loaded; on 2 CPUs the split writer tied
-# the serial one at 1,024 rows and was 14-20% faster at 2,048 (dim 1 and 2).
-_CSV_SPLIT_ROWS = 2048
+# and wait take about 3.4 ms with numpy loaded; on 2 CPUs, with floattext
+# formatting the blocks, the split writer lost to the serial one at 2,048 rows
+# (dim 1 and 2) and at 3,072 at dim 1, tied it at 4,096 at dim 1 and was 29%
+# faster there at dim 2.
+_CSV_SPLIT_ROWS = 4096
 # Values a file's aliases may repeat beyond those it writes out: every reader
 # after the loader takes each use in full, and aliases of aliases double per
 # level (a 522-byte `diag` of 19 levels took 4 s and 224 MB to validate). This
@@ -534,11 +540,13 @@ def csv_header(dim: int) -> list[str]:
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Write the fixed-column trajectory CSV (repr floats, LF line ends).
 
-    Rows go out a block at a time, formatted a column at a time: ``tolist()``
-    yields the Python floats ``float()`` of each cell would, and a column
-    whose cells all have the same bits gets one ``repr``. ``csv.writer`` never
-    quotes a float's ``repr``, so the bytes are those of one ``csv.writer``
-    row per sample. From ``_CSV_SPLIT_ROWS`` rows on, in a process allowed two
+    Rows go out a block at a time. A block of ``_CSV_ARRAY_CELLS`` cells or
+    more is formatted by ``floattext``'s array passes, a smaller one a column
+    at a time: ``tolist()`` yields the Python floats ``float()`` of each cell
+    would, and a column whose cells all have the same bits gets one ``repr``.
+    Both write each cell's ``repr``, and ``csv.writer`` never quotes a float's
+    ``repr``, so the bytes are those of one ``csv.writer`` row per sample.
+    From ``_CSV_SPLIT_ROWS`` rows on, in a process allowed two
     CPUs, a forked child formats the second half of the rows meanwhile; where
     it cannot start or fails, this process formats them. A row's text depends
     on that row alone, so the bytes are the same on every path.
@@ -612,6 +620,9 @@ def _fork_csv_rows(columns: list[np.ndarray], start: int, stop: int) -> tuple[in
 
 def _write_csv_block(fh, columns: list[np.ndarray]) -> None:
     block = np.array(columns, dtype=float)
+    if block.size >= _CSV_ARRAY_CELLS:
+        fh.write(floattext.csv_rows(block))
+        return
     # bits, not ==: 0.0 == -0.0, but their reprs differ
     same = (block.view(np.uint64) == block[:, :1].view(np.uint64)).all(axis=1)
     cells = [[repr(col[0])] * len(col) if s else list(map(repr, col))
@@ -633,7 +644,7 @@ def _trajectory_meta(cfg: ScenarioConfig, traj: Trajectory) -> dict:
         "n_samples": traj.n_samples,
         "final_energy": float(traj.energy[-1]),
         "final_x": [float(v) for v in traj.x[-1]],
-        "final_speed": float(np.linalg.norm(traj.v[-1])),
+        "final_speed": _norms(traj.v[-1]),
         "tail_sqrt_friction_speed_sup": float(np.max(f)),
         "tail_grad_norm_sup": float(np.max(traj.grad_norm[tail])),
         "accepted_steps": traj.step_stats.accepted,

@@ -155,9 +155,21 @@ class SampledFunction:
                 raise ValueError("derivative must match the sample grid length")
 
 
+def _norms(a: np.ndarray):
+    """numpy's 2-norm of a vector (a float), or of each row of a matrix,
+    with ``math.hypot`` of the entries where their squares overflowed the
+    norm to inf but the entries are finite."""
+    rows = np.atleast_2d(a)
+    with np.errstate(over="ignore"):
+        norms = np.atleast_1d(np.linalg.norm(a, axis=None if a.ndim == 1 else 1))
+    redo = np.flatnonzero(np.isinf(norms) & np.isfinite(rows).all(axis=1))
+    norms[redo] = [math.hypot(*row) for row in rows[redo].tolist()]
+    return norms if a.ndim > 1 else float(norms[0])
+
+
 def _sqrt_lam_speed(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     """√max(λ, 0)·|v| per sample, from λ samples and the rows of ``v``."""
-    return np.sqrt(np.maximum(lam, 0.0)) * np.linalg.norm(v, axis=1)
+    return np.sqrt(np.maximum(lam, 0.0)) * _norms(v)
 
 
 def _dissipated(traj: Trajectory, s: FrictionSchedule) -> float:
@@ -327,16 +339,12 @@ def tail_asymptotics(
     tail = _tail_slice(traj.n_samples, tail_fraction)
     residual = float(np.max(_sqrt_lam_speed(traj.lam, traj.v)[tail]))
     partial_l2 = _dissipated(traj, s)
-    sup_x = float(np.max(np.linalg.norm(traj.x, axis=1)))
-    if math.isinf(sup_x) and np.isfinite(traj.x).all():
-        # |x|² overflowed where |x| did not: take |x| itself
-        sup_x = max(map(math.hypot, *traj.x.T.tolist()))
     details = {
         "tail_start_t": float(traj.t[tail][0]),
         "tail_samples": int(traj.n_samples - tail.start),
         "tail_grad_norm_sup": float(np.max(traj.grad_norm[tail])),
-        "sup_speed": float(np.max(traj.speeds())),
-        "sup_position_norm": sup_x,
+        "sup_speed": float(np.max(_norms(traj.v))),
+        "sup_position_norm": float(np.max(_norms(traj.x))),
         "partial_l2_dissipation": partial_l2,
         "premise_unverified": s.lam_dot is None,
         "partial_certificate": True,

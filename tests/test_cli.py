@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 import hbft
 from hbft import StepStats, Trajectory
 from hbft.cli import (
+    _CSV_ARRAY_CELLS,
     _CSV_BLOCK_ROWS,
     _alias_surplus,
     OUT_DIR_ENV,
@@ -631,20 +632,43 @@ def _reference_csv(traj: Trajectory, path: Path) -> None:
 _AWKWARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, 0.1]
 
 
-@settings(max_examples=40, deadline=None)
+def _rows_for(where: str, dim: int) -> int:
+    """A row count that puts a block just below or at the cell count from
+    which floattext formats it, or at the block size."""
+    line = -(-_CSV_ARRAY_CELLS // (2 * dim + 5))  # rows of the first block at the line
+    return {"empty": 0, "one": 1, "below": line - 1, "at": line, "block-1": _CSV_BLOCK_ROWS - 1,
+            "block": _CSV_BLOCK_ROWS, "block+1": _CSV_BLOCK_ROWS + 1}[where]
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     dim=st.integers(1, 3),
-    rows=st.sampled_from([0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]),
+    where=st.sampled_from(["empty", "one", "below", "at", "block-1", "block", "block+1"]),
     pool=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20),
     seed=st.integers(0, 2**32 - 1),
+    kinds=st.tuples(*[st.sampled_from(["float64", "same", "float32", "int"])] * 4),
 )
-def test_csv_matches_per_row_csv_writer(tmp_path_factory, dim, rows, pool, seed):
-    # every cell drawn from hypothesis floats plus the awkward ones
+def test_csv_matches_per_row_csv_writer(tmp_path_factory, dim, where, pool, seed, kinds):
+    # every cell drawn from hypothesis floats plus the awkward ones; E, lambda,
+    # grad_norm and dissipation may hold one value, float32 or int cells
     rng = np.random.default_rng(seed)
+    rows = _rows_for(where, dim)
     draw = lambda *shape: rng.choice(np.array(pool + _AWKWARD_FLOATS), size=shape)  # noqa: E731
+    columns = []
+    for kind in kinds:
+        col = draw(rows)
+        if kind == "same":
+            col = np.full(rows, col[0] if rows else 0.0)
+        elif kind == "float32":
+            with np.errstate(over="ignore"):
+                col = col.astype(np.float32)
+        elif kind == "int":
+            col = rng.integers(-(2**53), 2**53, rows)
+        columns.append(col)
+    energy, lam, grad_norm, dissipation = columns
     traj = Trajectory(
-        t=draw(rows), x=draw(rows, dim), v=draw(rows, dim), energy=draw(rows), lam=draw(rows),
-        grad_norm=draw(rows), dissipation=draw(rows), termination_reason="t_max",
+        t=draw(rows), x=draw(rows, dim), v=draw(rows, dim), energy=energy, lam=lam,
+        grad_norm=grad_norm, dissipation=dissipation, termination_reason="t_max",
         step_stats=StepStats(accepted=rows, rejected=0, smallest_step=0.1, largest_step=0.1),
     )
     out = tmp_path_factory.mktemp("csv")
@@ -877,6 +901,36 @@ def test_check_failure_exits_one(tmp_path, scenario_raw, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
     report = json.loads((out / "growth.report.json").read_text())
     assert report["all_passed"] is False
+
+
+def test_speeds_whose_squares_overflow_are_reported_finite_and_silent(tmp_path, scenario_raw,
+                                                                      capsys):
+    # |v| = 1e160 is finite though |v|^2 is not: the norms fall back to hypot
+    # per row instead of reading inf, and no overflow warning reaches stderr
+    scenario_raw.update(
+        name="fast", potential={"name": "flat", "params": {"dim": 2}},
+        initial={"x0": [0.0, 0.0], "v0": [1.0e160, 0.0]},
+        integrator={"method": "rk4", "step": 1e-2, "t_max": 1.0,
+                    "stop": {"divergence_radius": 1.0e300}},
+        checks=[{"name": "tail_asymptotics"}],
+    )
+    path = write_yaml(tmp_path / "fast.yaml", scenario_raw)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["simulate", str(path), "--out-dir", str(out), "--quiet"]) == 1
+    assert [str(w.message) for w in seen] == [] and capsys.readouterr().err == ""
+    with (out / "fast.csv").open(newline="") as fh:
+        rows = [list(map(float, row)) for row in list(csv.reader(fh))[1:]]
+    x, v = [math.hypot(*r[1:3]) for r in rows], [math.hypot(*r[3:5]) for r in rows]
+    tail = v[-21:]  # the last fifth of 101 samples; lambda = 1
+    report = json.loads((out / "fast.report.json").read_text())
+    meta, (check,) = report["trajectory"], report["checks"]
+    assert meta["final_speed"] == v[-1]
+    assert meta["tail_sqrt_friction_speed_sup"] == check["residual"] == max(tail)
+    assert check["details"]["sup_speed"] == max(v) == 1.0e160
+    assert check["details"]["sup_position_norm"] == max(x)
+    assert check["passed"] is False
 
 
 def test_integration_failure_exits_three_with_partial(tmp_path, scenario_raw, capsys):
