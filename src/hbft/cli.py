@@ -40,7 +40,6 @@ from typing import Optional, get_type_hints
 import numpy as np
 import yaml
 
-from . import floattext
 from .diagnostics import (
     COMPLETE_RUNS,
     TAIL_FRACTION,
@@ -621,6 +620,8 @@ def _fork_csv_rows(columns: list[np.ndarray], start: int, stop: int) -> tuple[in
 def _write_csv_block(fh, columns: list[np.ndarray]) -> None:
     block = np.array(columns, dtype=float)
     if block.size >= _CSV_ARRAY_CELLS:
+        from . import floattext  # here, so that importing cli does not compile it
+
         fh.write(floattext.csv_rows(block))
         return
     # bits, not ==: 0.0 == -0.0, but their reprs differ

@@ -159,12 +159,18 @@ def _norms(a: np.ndarray):
     """numpy's 2-norm of a vector (a float), or of each row of a matrix,
     with ``math.hypot`` of the entries where their squares overflowed the
     norm to inf but the entries are finite."""
-    rows = np.atleast_2d(a)
     with np.errstate(over="ignore"):
         norms = np.atleast_1d(np.linalg.norm(a, axis=None if a.ndim == 1 else 1))
+    norms = _hypot_where_overflowed(norms, np.atleast_2d(a))
+    return norms if a.ndim > 1 else float(norms[0])
+
+
+def _hypot_where_overflowed(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``norms``, the norms of ``rows``, with ``math.hypot`` of each finite
+    row whose norm overflowed to inf."""
     redo = np.flatnonzero(np.isinf(norms) & np.isfinite(rows).all(axis=1))
     norms[redo] = [math.hypot(*row) for row in rows[redo].tolist()]
-    return norms if a.ndim > 1 else float(norms[0])
+    return norms
 
 
 def _sqrt_lam_speed(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -458,12 +464,13 @@ def check_acceleration_bound(
     lam = lambda_values(s, traj.t)
     grad = gradient_rows(p, traj.x)
     acc = -lam[:, None] * traj.v - grad
-    # row_dots gives np.linalg.norm of each row bit for bit
-    norms = np.sqrt(row_dots(acc, acc))
+    # row_dots gives np.linalg.norm of each row bit for bit where |ẍ|² is finite
+    with np.errstate(over="ignore"):
+        norms = _hypot_where_overflowed(np.sqrt(row_dots(acc, acc)), acc)
     nonfinite = ~np.isfinite(norms)
     k = int(np.argmax(nonfinite) if nonfinite.any() else np.argmax(norms))
     sup_acc = float(norms[k])
-    triangle = float(np.max(lam) * np.max(traj.speeds()) + np.max(traj.grad_norm))
+    triangle = float(np.max(lam) * np.max(_norms(traj.v)) + np.max(traj.grad_norm))
     residual = sup_acc if math.isfinite(sup_acc) else math.nan
     return _record(
         "acceleration_bound",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +45,11 @@ class FrictionSchedule:
         jumps: A promise like ``claims_nonnegative``: λ is constant on [0, j₁),
             [j₁, j₂), …, [jₙ, ∞) for these positive, finite, increasing times,
             so the integrator reads λ once per piece. None promises nothing.
+        lam_column: λ over a 1-d array of times t ≥ 0, (N,) → (N,), or None.
+            It must give the doubles ``lam`` gives at each time, or decline
+            with None; numpy's warnings may be left to the caller. With it,
+            :func:`lambda_values` takes a schedule without ``jumps`` in one
+            pass instead of one ``lam`` call per sample.
 
     ``checked`` is derived, not a field: t ↦ float(lam(t)), raising
     ScheduleConsistencyError for a value outside [0, ∞) when the schedule
@@ -57,6 +63,9 @@ class FrictionSchedule:
     lam_dot: Optional[Callable[[float], float]] = dataclasses.field(default=None, repr=False)
     claims_nonnegative: bool = True
     jumps: Optional[tuple[float, ...]] = None
+    lam_column: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = dataclasses.field(
+        default=None, repr=False
+    )
 
     def __post_init__(self):
         lam, name, claims = self.lam, self.name, self.claims_nonnegative
@@ -94,20 +103,30 @@ def lambda_at(s: FrictionSchedule, t: float) -> float:
 def lambda_values(s: FrictionSchedule, t) -> np.ndarray:
     """λ at every time of the 1-d array ``t``, as :func:`lambda_at` gives it.
 
-    ``s.checked`` is called in order up to the first time that is not >= 0:
-    once per sample, or where ``s.jumps`` declares the pieces, once at the
+    Up to the first time that is not >= 0, λ is read three ways. Where
+    ``s.jumps`` declares the pieces, ``s.checked`` is called once at the
     first sample of each run of consecutive samples in one piece, whose value
-    the run repeats. So the floats are the same and so are the errors: the one
-    :func:`lambda_at` raises at the first sample where it would raise.
+    the run repeats. Else ``s.lam_column`` takes every sample at once, under
+    ``np.errstate(all="ignore")``, if the schedule has one. Where it declines
+    or a value fails the claim, and on every other schedule, ``s.checked`` is
+    called once per sample, in order. So the floats are the same and so are
+    the errors: the one :func:`lambda_at` raises at the first sample where it
+    would raise.
     """
     ts = np.asarray(t, dtype=float)
     refused = np.flatnonzero(~(ts >= 0))
     n = int(refused[0]) if refused.size else ts.size
-    read = ts[:n]
+    read, vals = ts[:n], None
     if s.jumps is not None:  # the piece of each sample, as the kernel's bisect_right finds it
         first = np.flatnonzero(np.diff(np.searchsorted(s.jumps, read, side="right"), prepend=-1))
         read = read[first]
-    vals = np.fromiter(map(s.checked, read.tolist()), float, read.size)
+    elif s.lam_column is not None:
+        with np.errstate(all="ignore"):
+            vals = s.lam_column(read)
+        if vals is not None and s.claims_nonnegative and not ((vals >= 0.0) & (vals < _INF)).all():
+            vals = None  # so the loop below raises where checked does
+    if vals is None:
+        vals = np.fromiter(map(s.checked, read.tolist()), float, read.size)
     if refused.size:
         raise ValueError(f"schedule '{s.name}' evaluated at t={float(ts[n])} < 0")
     return vals if s.jumps is None else np.repeat(vals, np.diff(first, append=n))
@@ -281,7 +300,10 @@ def power_decay(initial: float = 1.0, exponent: float = 1.0) -> FrictionSchedule
     floats, and 0.0 and -0.0 where they underflow. :func:`lambda_at`
     and :func:`lambda_dot_at` pass a Python float; called directly on a
     numpy float64 t, whose power does not raise on overflow, ``lam`` and
-    ``lam_dot`` give numpy's 0.0 and -0.0 there.
+    ``lam_dot`` give numpy's 0.0 and -0.0 there. With an exponent of at most
+    1, (1 + t)^exponent never overflows, and ``lam_column`` takes λ as ``lam``
+    does: IEEE 1 + t and division in numpy, the power by the builtin ``pow``
+    of each float.
     """
     if not (initial >= 0 and math.isfinite(initial)):
         raise ValueError(f"power_decay: initial must be >= 0 and finite, got {initial}")
@@ -317,10 +339,14 @@ def power_decay(initial: float = 1.0, exponent: float = 1.0) -> FrictionSchedule
         hi, lo = _one_plus(t)
         return alpha * abs(lo) > 2.0**-53 * hi
 
+    def lam_column(t):
+        return lam0 / np.fromiter(map(pow, (1.0 + t).tolist(), repeat(alpha)), float, t.size)
+
     return _in_claim(FrictionSchedule(
         name=f"power_decay(initial={lam0:g}, exponent={alpha:g})",
         lam=(lambda t: split(t) if magnified(t) else lam(t)) if alpha > 1.0 else lam,
         lam_dot=(lambda t: split_dot(t) if magnified(t) else lam_dot(t)) if alpha > 1.0 else lam_dot,
+        lam_column=None if alpha > 1.0 else lam_column,
     ))
 
 
@@ -332,7 +358,8 @@ def oscillating(
     The constraint keeps λ ≥ 0 everywhere; base == amplitude is allowed and
     produces isolated zeros, which the hypothesis report flags. Where ω t is
     not finite, λ and λ' are NaN, as numpy's sin and cos give them, so a
-    claim check refuses them.
+    claim check refuses them. ``lam_column`` takes ω t and the sum in numpy
+    and ``math.sin`` of each float, and declines where some ω t is not finite.
     """
     if not (amplitude >= 0 and math.isfinite(amplitude)):
         raise ValueError(f"oscillating: amplitude must be >= 0 and finite, got {amplitude}")
@@ -345,10 +372,18 @@ def oscillating(
             f"oscillating: angular_frequency must be positive and finite, got {angular_frequency}"
         )
     a, b, w = float(base), float(amplitude), float(angular_frequency)
+
+    def lam_column(t):
+        wt = w * t
+        if not np.isfinite(wt).all():
+            return None
+        return a + b * np.fromiter(map(math.sin, wt.tolist()), float, wt.size)
+
     return FrictionSchedule(
         name=f"oscillating(base={a:g}, amplitude={b:g}, angular_frequency={w:g})",
         lam=lambda t: a + b * (math.sin(wt) if -_INF < (wt := w * t) < _INF else _NAN),
         lam_dot=lambda t: b * w * (math.cos(wt) if -_INF < (wt := w * t) < _INF else _NAN),
+        lam_column=lam_column,
     )
 
 

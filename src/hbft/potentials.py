@@ -67,6 +67,10 @@ class Potential:
             (N,), for dim 1 and 2 only. It must give the doubles ``value``
             gives row by row. With it, ``integrate`` builds the energy
             column in one pass instead of one ``value`` call per sample.
+        column_gradient_fn: ∇Φ over the rows of an (N, dim) array, (N, dim)
+            → (N, dim), at any dim. It must give the doubles ``gradient``
+            gives row by row; numpy's warnings may be left to the caller.
+            With it, :func:`gradient_rows` takes every row in one pass.
     """
 
     name: str
@@ -81,6 +85,7 @@ class Potential:
     unbounded_below: bool = False
     float_gradient_fn: Optional[Callable] = dataclasses.field(default=None, repr=False)
     column_value_fn: Optional[Callable] = dataclasses.field(default=None, repr=False)
+    column_gradient_fn: Optional[Callable] = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -123,7 +128,12 @@ def float_rows(x: np.ndarray):
 
 def gradient_rows(p: Potential, x: np.ndarray) -> np.ndarray:
     """∇Φ at each row of the (N, dim) array ``x``, the rows ``gradient`` gives:
-    through the float form where ``p`` has one and it does not raise."""
+    through the column form where ``p`` has one, under ``np.errstate(all=
+    "ignore")``, else through the float form where it has one and it does not
+    raise, else one ``gradient`` call per row."""
+    if p.column_gradient_fn is not None and x.shape[1:] == (p.dim,):
+        with np.errstate(all="ignore"):
+            return p.column_gradient_fn(x)
     form = p.float_gradient_fn
     if form is not None and p.dim <= 2 and x.shape[1] == p.dim:
         rows = itertools.starmap(form, float_rows(x))
@@ -331,7 +341,8 @@ def verify_potential_hypotheses(
 # x[0] ** k on an np.float64 scalar; ** 3 on a whole array does not (it differs
 # on about 2.7% of inputs), so the numpy forms keep their scalar powers. The
 # column forms follow the same rule: dots go through row_dots, and scalar
-# powers run on each row's floats (_by_rows).
+# powers run on each row's floats (_by_rows). The gradient column forms are
+# elementwise products, exact at every dim.
 
 
 def _up_to_dim2(dim: int, *forms: Callable) -> Optional[Callable]:
@@ -378,6 +389,7 @@ def quadratic(dim: int = 1, scale: float = 1.0) -> Potential:
         float_gradient_fn=_up_to_dim2(dim, lambda x: scale * x,
                                       lambda x0, x1: (scale * x0, scale * x1)),
         column_value_fn=_up_to_dim2(dim, lambda x: 0.5 * scale * row_dots(x, x)),
+        column_gradient_fn=lambda x: scale * x,
     )
 
 
@@ -400,6 +412,7 @@ def anisotropic_quadratic(diag=(1.0, 4.0)) -> Potential:
         known_critical_points=(np.zeros(dim),),
         float_gradient_fn=_up_to_dim2(dim, lambda x: d0 * x, lambda x0, x1: (d0 * x0, d1 * x1)),
         column_value_fn=_up_to_dim2(dim, lambda x: 0.5 * row_dots(d, x * x)),
+        column_gradient_fn=lambda x: d * x,
     )
 
 
@@ -494,6 +507,7 @@ def flat(dim: int = 1) -> Potential:
         known_critical_points=(np.zeros(dim),),
         float_gradient_fn=_up_to_dim2(dim, lambda x: 0.0, lambda x0, x1: (0.0, 0.0)),
         column_value_fn=_up_to_dim2(dim, lambda x: np.zeros(len(x))),
+        column_gradient_fn=lambda x: np.zeros(x.shape),
     )
 
 

@@ -887,6 +887,51 @@ def test_split_csv_lets_no_warning_escape(tmp_path, monkeypatch):
     assert (tmp_path / "split.csv").read_bytes() == _serial_csv(traj, tmp_path / "serial.csv")
 
 
+_FIRST_SPLIT_CSV = """
+import os, sys
+import numpy as np
+from hbft import StepStats, Trajectory
+import hbft.cli as cli
+
+assert "hbft.floattext" not in sys.modules, "importing cli loaded floattext"
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(fork()) or forks[-1]
+rows = cli._CSV_SPLIT_ROWS + 1
+rng = np.random.default_rng(7)
+cells = rng.integers(0, 2**64, (rows, 9), dtype=np.uint64).view(np.float64)
+cells[::5, 1] = np.resize([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1], len(cells[::5]))
+traj = Trajectory(t=cells[:, 0], x=cells[:, 1:3], v=cells[:, 3:5], energy=cells[:, 5],
+                  lam=cells[:, 6], grad_norm=cells[:, 7], dissipation=cells[:, 8],
+                  termination_reason="t_max",
+                  step_stats=StepStats(accepted=rows, rejected=0, smallest_step=0.1, largest_step=0.1))
+cli.write_trajectory_csv(traj, sys.argv[1])
+np.save(sys.argv[2], cells)
+assert len([pid for pid in forks if pid]) == 1, forks
+assert "hbft.floattext" in sys.modules
+"""
+
+
+def test_first_split_csv_before_floattext_is_imported_has_the_reprs(tmp_path):
+    # importing cli leaves floattext unimported; the first long CSV, formatted
+    # on two processes that each import it then, has one repr per cell
+    paths = [str(Path(hbft.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run([sys.executable, "-c", _FIRST_SPLIT_CSV, str(tmp_path / "split.csv"),
+                           str(tmp_path / "cells.npy")], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    cells = np.load(tmp_path / "cells.npy")
+    assert len(cells) >= hbft.cli._CSV_SPLIT_ROWS
+    traj = Trajectory(
+        t=cells[:, 0], x=cells[:, 1:3], v=cells[:, 3:5], energy=cells[:, 5], lam=cells[:, 6],
+        grad_norm=cells[:, 7], dissipation=cells[:, 8], termination_reason="t_max",
+        step_stats=StepStats(accepted=len(cells), rejected=0, smallest_step=0.1, largest_step=0.1),
+    )
+    _reference_csv(traj, tmp_path / "reference.csv")
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_check_failure_exits_one(tmp_path, scenario_raw, capsys):
     # unbounded friction growth against a finite cap must fail the run
     scenario_raw["name"] = "growth"

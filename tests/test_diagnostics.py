@@ -416,6 +416,18 @@ def test_acceleration_bound_breaks_near_ties_like_the_loop(seed, radius):
     _assert_matches_reference(_near_tie_run(2000, radius, seed), quadratic(dim=2), constant(1.0))
 
 
+def test_acceleration_bound_takes_a_finite_acceleration_whose_square_overflows():
+    # |ẍ| = |v| = 1e160 at t = 0: finite, though |ẍ|² and |v|² overflow
+    p, s = flat(dim=2), constant(1.0)
+    traj = _run(p, s, [0.0, 0.0], [1e160, 0.0], method="rk4", step=0.01, t_max=1.0,
+                stop=StopCondition(divergence_radius=1e300))
+    assert traj.termination_reason == "t_max"
+    rec = check_acceleration_bound(traj, p, s)
+    assert rec.passed
+    assert rec.residual == rec.details["sup_acceleration"] == rec.details["triangle_bound"] == 1e160
+    assert rec.details["attained_at_t"] == 0.0
+
+
 # ------------------------------------------------------- model discrepancy
 
 
