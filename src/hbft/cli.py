@@ -27,7 +27,6 @@ import dataclasses
 import errno
 import functools
 import inspect
-import io
 import itertools
 import json
 import math
@@ -83,11 +82,11 @@ _CSV_BLOCK_ROWS = 1024
 # Cells from which a block is formatted by floattext's array passes rather than
 # a repr per cell, whose fixed cost they outrun from about this many cells.
 _CSV_ARRAY_CELLS = 2048
-# Rows from which a trajectory CSV is formatted by two processes: a fork, pipe
-# and wait take about 3.4 ms with numpy loaded; on 2 CPUs, with floattext
-# formatting the blocks, the split writer lost to the serial one at 2,048 rows
-# (dim 1 and 2) and at 3,072 at dim 1, tied it at 4,096 at dim 1 and was 29%
-# faster there at dim 2.
+# Rows from which a trajectory CSV is formatted by two processes: a fork and
+# wait take about 1.4 ms with numpy loaded; on 2 CPUs, with floattext
+# formatting the blocks, the split writer tied the serial one at 2,048 rows,
+# was 10-12% faster at 3,072 and about 20% at 4,096 (dim 1 and 2, medians
+# of four rounds on a noisy host).
 _CSV_SPLIT_ROWS = 4096
 # Values a file's aliases may repeat beyond those it writes out: every reader
 # after the loader takes each use in full, and aliases of aliases double per
@@ -545,91 +544,85 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     would, and a column whose cells all have the same bits gets one ``repr``.
     Both write each cell's ``repr``, and ``csv.writer`` never quotes a float's
     ``repr``, so the bytes are those of one ``csv.writer`` row per sample.
-    From ``_CSV_SPLIT_ROWS`` rows on, in a process allowed two
-    CPUs, a forked child formats the second half of the rows meanwhile; where
-    it cannot start or fails, this process formats them. A row's text depends
-    on that row alone, so the bytes are the same on every path.
+    From ``_CSV_SPLIT_ROWS`` rows on, in a process allowed two CPUs, a forked
+    child writes the first half of the rows after the header, through the
+    descriptor and offset it shares with this process, while this process
+    formats the second half, which it appends once the child has exited.
+    Where the child cannot start, this process writes every row; where it
+    fails, the file is cut back to the header and this process writes every
+    row. A row's text depends on that row alone, so the bytes are the same
+    on every path.
     """
     columns = [traj.t, *traj.x.T, *traj.v.T, traj.energy, traj.lam, traj.grad_norm,
                traj.dissipation]
     n = traj.n_samples
     # sched_getaffinity exists only where fork does (Linux and its like)
     two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-    half = n // 2 if n >= _CSV_SPLIT_ROWS and two_cpus else n
-    child = None
-    with contextlib.suppress(OSError):  # no pipe or no fork: format every row here
-        child = _fork_csv_rows(columns, half, n) if half < n else None
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(csv_header(traj.dim)) + "\n")
-            _write_csv_rows(fh, columns, 0, half if child else n)
-            if child:
-                fh.flush()  # the rows above, before raw bytes go to fh.buffer
-                offset = os.fstat(fh.fileno()).st_size  # no tell: a pipe may be the target
-                while chunk := os.read(child[1], 1 << 16):
-                    fh.buffer.write(chunk)
-    finally:
-        if child:
-            os.close(child[1])  # so a child blocked on a full pipe gets EPIPE and exits
-            failed = os.waitpid(child[0], 0)[1] != 0  # 0 only once it wrote all its rows
-    if child and failed:
-        os.truncate(path, offset)
-        with open(path, "a", newline="") as fh:
-            _write_csv_rows(fh, columns, half, n)
+    half = n // 2 if n >= _CSV_SPLIT_ROWS and two_cpus else 0
+    header = ",".join(csv_header(traj.dim)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        pid = None
+        if half:
+            fh.flush()  # the header, before the child writes after it
+            with contextlib.suppress(OSError):  # no fork: write every row here
+                pid = _fork_csv_rows(fh.fileno(), columns, half)
+        if pid is None:
+            _write_csv_rows(fh.write, columns, 0, n)
+            return
+        blocks = []
+        try:
+            _write_csv_rows(blocks.append, columns, half, n)
+        finally:
+            failed = os.waitpid(pid, 0)[1] != 0  # 0 only once it wrote all its rows
+        if failed:  # cut back to the header (on a pipe, ftruncate raises EINVAL)
+            os.ftruncate(fh.fileno(), len(header))
+            os.lseek(fh.fileno(), len(header), os.SEEK_SET)
+            _write_csv_rows(fh.write, columns, 0, half)
+        fh.writelines(blocks)
 
 
-def _write_csv_rows(fh, columns: list[np.ndarray], start: int, stop: int) -> None:
+def _write_csv_rows(write, columns: list[np.ndarray], start: int, stop: int) -> None:
     for lo in range(start, stop, _CSV_BLOCK_ROWS):
-        _write_csv_block(fh, [c[lo:min(lo + _CSV_BLOCK_ROWS, stop)] for c in columns])
+        _write_csv_block(write, [c[lo:min(lo + _CSV_BLOCK_ROWS, stop)] for c in columns])
 
 
-def _fork_csv_rows(columns: list[np.ndarray], start: int, stop: int) -> tuple[int, int]:
-    """Fork a child that writes the CSV rows ``[start, stop)`` to a pipe:
-    (its pid, the pipe's read end)."""
-    read_end, write_end = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns of a fork with threads, as numpy's OpenBLAS
-            # starts one. The child calls no BLAS routine and takes no lock
-            # another thread could hold; glibc's malloc resets its locks at fork.
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                                    r"use of fork\(\)", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
+def _fork_csv_rows(fd: int, columns: list[np.ndarray], stop: int) -> int:
+    """Fork a child that writes the CSV rows ``[0, stop)`` to ``fd``, at the
+    offset it shares with this process: the child's pid."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of a fork with threads, as numpy's OpenBLAS
+        # starts one. The child calls no BLAS routine and takes no lock
+        # another thread could hold; glibc's malloc resets its locks at fork.
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                r"use of fork\(\)", DeprecationWarning)
+        pid = os.fork()
     if pid == 0:
         # os._exit ends every path, so no atexit handler, inherited buffer or
-        # exception escapes. All rows are formatted before any is written, so
-        # the child does not wait on a full pipe while the parent formats.
+        # exception escapes
         status = 1
         try:
-            os.close(read_end)  # so that the parent's close alone ends the pipe
-            text = io.StringIO()
-            _write_csv_rows(text, columns, start, stop)
-            with open(write_end, "wb") as pipe:
-                pipe.write(text.getvalue().encode("ascii"))
+            with open(fd, "w", newline="", closefd=False) as fh:
+                _write_csv_rows(fh.write, columns, 0, stop)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_end)
-    return pid, read_end
+    return pid
 
 
-def _write_csv_block(fh, columns: list[np.ndarray]) -> None:
+def _write_csv_block(write, columns: list[np.ndarray]) -> None:
     block = np.array(columns, dtype=float)
     if block.size >= _CSV_ARRAY_CELLS:
         from . import floattext  # here, so that importing cli does not compile it
 
-        fh.write(floattext.csv_rows(block))
+        write(floattext.csv_rows(block))
         return
     # bits, not ==: 0.0 == -0.0, but their reprs differ
     same = (block.view(np.uint64) == block[:, :1].view(np.uint64)).all(axis=1)
     cells = [[repr(col[0])] * len(col) if s else list(map(repr, col))
              for col, s in zip(block.tolist(), same)]
-    fh.write("\n".join(map(",".join, zip(*cells))))
-    fh.write("\n")
+    write("\n".join(map(",".join, zip(*cells))))
+    write("\n")
 
 
 def _trajectory_meta(cfg: ScenarioConfig, traj: Trajectory) -> dict:

@@ -522,7 +522,7 @@ def model_discrepancy(
     interp = np.column_stack(
         [np.interp(grid, fine_t, fine_x[:, d]) for d in range(traj_full.dim)]
     )
-    gaps = np.linalg.norm(coarse_x - interp, axis=1)
+    gaps = _norms(coarse_x - interp)
     k = int(np.argmax(gaps))
     return _record(
         "model_discrepancy",

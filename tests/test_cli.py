@@ -16,6 +16,7 @@ import platform
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -797,23 +798,27 @@ def test_split_csv_falls_back_when_fork_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     write_trajectory_csv(traj, tmp_path / "split.csv")
-    assert os.listdir("/dev/fd") == fds  # the pipe is closed
+    assert os.listdir("/dev/fd") == fds  # no descriptor is left open
     _assert_no_child_left()
     monkeypatch.undo()
     assert (tmp_path / "split.csv").read_bytes() == _serial_csv(traj, tmp_path / "serial.csv")
 
 
+def _dying_child(monkeypatch: pytest.MonkeyPatch) -> None:
+    parent, write_block = os.getpid(), hbft.cli._write_csv_block
+
+    def dying_in_the_child(write, columns):
+        if os.getpid() != parent:
+            os._exit(3)
+        write_block(write, columns)
+
+    monkeypatch.setattr(hbft.cli, "_write_csv_block", dying_in_the_child)
+
+
 def test_split_csv_falls_back_when_the_child_fails(tmp_path, monkeypatch):
     traj = _split_traj(9 * _CSV_BLOCK_ROWS + 3, dim=2)
     forks = _allow_two_cpus(monkeypatch)
-    parent, write_block = os.getpid(), hbft.cli._write_csv_block
-
-    def dying_in_the_child(fh, columns):
-        if os.getpid() != parent:
-            os._exit(3)
-        write_block(fh, columns)
-
-    monkeypatch.setattr(hbft.cli, "_write_csv_block", dying_in_the_child)
+    _dying_child(monkeypatch)
     fds = os.listdir("/dev/fd")
     with _deadline(60):
         write_trajectory_csv(traj, tmp_path / "split.csv")
@@ -823,10 +828,47 @@ def test_split_csv_falls_back_when_the_child_fails(tmp_path, monkeypatch):
     assert (tmp_path / "split.csv").read_bytes() == _serial_csv(traj, tmp_path / "serial.csv")
 
 
+def test_split_csv_whose_child_fails_midway_is_rewritten_from_the_header(tmp_path,
+                                                                        monkeypatch):
+    # the child writes its first three blocks into the file, then dies: the
+    # parent cuts the file back to the header and writes every row itself
+    traj = _split_traj(9 * _CSV_BLOCK_ROWS + 3, dim=2)
+    forks = _allow_two_cpus(monkeypatch)
+    parent, write_block, child_blocks = os.getpid(), hbft.cli._write_csv_block, []
+
+    def dying_after_three_blocks(write, columns):
+        if os.getpid() != parent:
+            if len(child_blocks) == 3:
+                os._exit(3)
+            child_blocks.append(len(columns[0]))
+        write_block(write, columns)
+
+    cut_from, ftruncate = [], os.ftruncate
+
+    def recording_ftruncate(fd, length):
+        cut_from.append(os.fstat(fd).st_size)
+        ftruncate(fd, length)
+
+    monkeypatch.setattr(hbft.cli, "_write_csv_block", dying_after_three_blocks)
+    monkeypatch.setattr(os, "ftruncate", recording_ftruncate)
+    fds = os.listdir("/dev/fd")
+    with _deadline(60):
+        write_trajectory_csv(traj, tmp_path / "split.csv")
+    assert len(forks) == 1 and os.listdir("/dev/fd") == fds
+    _assert_no_child_left()
+    monkeypatch.undo()
+    serial = _serial_csv(traj, tmp_path / "serial.csv")
+    header = len(",".join(csv_header(2))) + 1
+    # the child's three blocks had reached the file when it was cut back
+    assert len(cut_from) == 1 and cut_from[0] == len(b"".join(
+        serial.splitlines(keepends=True)[:1 + 3 * _CSV_BLOCK_ROWS])) > header
+    assert (tmp_path / "split.csv").read_bytes() == serial
+
+
 def test_split_csv_whose_parent_write_fails_is_a_config_error(tmp_path, scenario_raw,
                                                               monkeypatch, capsys):
-    # 3,001 rows: the child's half outgrows a pipe's buffer, so it blocks
-    # until the parent closes its end
+    # 3,001 rows: the child writes its 1,500 into the file while the parent
+    # fails formatting its own, and the parent still waits for the child
     scenario_raw["integrator"]["t_max"] = 3.0
     path = write_yaml(tmp_path / "unit.yaml", scenario_raw)
     forks = _allow_two_cpus(monkeypatch)
@@ -849,7 +891,8 @@ def test_split_csv_whose_parent_write_fails_is_a_config_error(tmp_path, scenario
 
 
 def test_split_csv_streams_into_a_named_pipe(tmp_path, monkeypatch):
-    # a pipe has no position: the split writer must not ask it for one
+    # a pipe has no position: the child writes into it at the offset it
+    # shares with the parent, and neither asks the pipe where it stands
     traj = _split_traj(3 * _SPLIT_ROWS)
     forks = _allow_two_cpus(monkeypatch)
     fifo = tmp_path / "pipe.csv"
@@ -862,6 +905,27 @@ def test_split_csv_streams_into_a_named_pipe(tmp_path, monkeypatch):
     _assert_no_child_left()
     monkeypatch.undo()
     assert got == _serial_csv(traj, tmp_path / "serial.csv")
+
+
+def test_simulate_into_a_named_pipe_whose_child_fails_is_a_config_error(tmp_path, scenario_raw,
+                                                                        monkeypatch, capsys):
+    # a pipe cannot be cut back to the header: the OSError that says so must
+    # carry an errno, whose reason the run prints
+    path = write_yaml(tmp_path / "unit.yaml", scenario_raw)
+    forks = _allow_two_cpus(monkeypatch)
+    _dying_child(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    fifo = out / "unit.csv"
+    os.mkfifo(fifo)
+    with _deadline(60), concurrent.futures.ThreadPoolExecutor(1) as pool:
+        read = pool.submit(fifo.read_bytes)
+        assert main(["simulate", str(path), "--out-dir", str(out), "--quiet"]) == 2
+        read.result()
+    assert capsys.readouterr().err == f"config error: cannot write '{fifo}': " \
+        f"{os.strerror(errno.EINVAL)}\n"
+    assert len(forks) == 1
+    _assert_no_child_left()
 
 
 def test_csv_on_one_cpu_never_forks(tmp_path, monkeypatch):
@@ -882,6 +946,28 @@ def test_split_csv_lets_no_warning_escape(tmp_path, monkeypatch):
         warnings.simplefilter("always")
         write_trajectory_csv(traj, tmp_path / "split.csv")
     assert [str(w.message) for w in seen] == [] and len(forks) == 1
+    _assert_no_child_left()
+    monkeypatch.undo()
+    assert (tmp_path / "split.csv").read_bytes() == _serial_csv(traj, tmp_path / "serial.csv")
+
+
+def test_split_csv_while_a_second_thread_runs_lets_no_warning_out(tmp_path, monkeypatch):
+    # From Python 3.12 a fork while another Python thread runs warns that the
+    # child may deadlock, whatever threads numpy started; the writer filters
+    # that warning, so an "error" filter sees none.
+    traj = _split_traj(3 * _SPLIT_ROWS)
+    forks = _allow_two_cpus(monkeypatch)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_trajectory_csv(traj, tmp_path / "split.csv")
+    finally:
+        done.set()
+        thread.join()
+    assert len(forks) == 1
     _assert_no_child_left()
     monkeypatch.undo()
     assert (tmp_path / "split.csv").read_bytes() == _serial_csv(traj, tmp_path / "serial.csv")

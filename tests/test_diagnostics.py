@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,26 @@ def test_discrepancy_interpolates_between_grids(damped_run: Trajectory):
     rec = model_discrepancy(damped_run, coarse)
     # same dynamics on different grids: only integration error remains
     assert rec.residual <= 1e-8
+
+
+def _parted_run(gap: list[float]) -> Trajectory:
+    """Three samples of a dim-2 run from rest at the origin whose positions
+    at t = 1 and 2 are ``gap``."""
+    x = np.array([[0.0, 0.0], gap, gap])
+    return Trajectory(
+        t=np.array([0.0, 1.0, 2.0]), x=x, v=np.zeros((3, 2)), energy=np.zeros(3),
+        lam=np.ones(3), grad_norm=np.zeros(3), dissipation=np.zeros(3),
+        termination_reason="t_max", step_stats=StepStats(2, 0, 1.0, 1.0),
+    )
+
+
+def test_discrepancy_takes_a_finite_gap_whose_square_overflows():
+    # |gap| = 1e160: finite, though its square overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = model_discrepancy(_parted_run([0.0, 0.0]), _parted_run([1e160, 0.0]))
+    assert rec.residual == 1e160
+    assert rec.details["attained_at_t"] == 1.0
 
 
 # ------------------------------------------------- every check can fail
