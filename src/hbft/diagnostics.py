@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .friction import FrictionSchedule, lambda_values
+from .friction import FrictionSchedule
 from .integrate import Trajectory
 from .potentials import Potential, gradient_rows, row_dots
 
@@ -178,9 +178,9 @@ def _sqrt_lam_speed(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0)) * _norms(v)
 
 
-def _dissipated(traj: Trajectory, s: FrictionSchedule) -> float:
-    """Trapezoid quadrature of λ(t)|v(t)|² on the sample grid, λ from ``s``."""
-    return float(np.trapezoid(lambda_values(s, traj.t) * traj.speeds() ** 2, traj.t))
+def _dissipated(traj: Trajectory) -> float:
+    """Trapezoid quadrature of λ(t)|v(t)|² on the sample grid, λ from ``traj.lam``."""
+    return float(np.trapezoid(traj.lam * traj.speeds() ** 2, traj.t))
 
 
 def sqrt_friction_speed(traj: Trajectory) -> SampledFunction:
@@ -244,11 +244,13 @@ def energy_balance_residual(
     trapezoid quadrature on the sample grid; the residual is
     |E(0) − E(T) − Q| / max(1, |E(0)|). Quadrature error scales with the
     square of the sample spacing, so densely sampled runs are required for
-    tight thresholds, regardless of integrator accuracy.
+    tight thresholds, regardless of integrator accuracy. λ is ``traj.lam``, so
+    a trajectory is judged by its own λ column; ``s`` is kept for positional
+    callers and not read.
     """
     if traj.n_samples < 2:
         raise ValueError("energy balance needs at least 2 samples")
-    q = _dissipated(traj, s)
+    q = _dissipated(traj)
     drop = float(traj.energy[0] - traj.energy[-1])
     residual = abs(drop - q) / max(1.0, abs(float(traj.energy[0])))
     return _record(
@@ -329,7 +331,9 @@ def tail_asymptotics(
     schedule carries no derivative: the differentiability premise behind
     the vanishing-tail statement cannot be checked, so the number is
     reported without a premise pedigree. Always a partial certificate:
-    evidence on [0, t_max] only.
+    evidence on [0, t_max] only. λ is ``traj.lam`` and |∇Φ| ``traj.grad_norm``;
+    ``s`` is read for ``lam_dot`` only, and ``p``, kept for positional
+    callers, not at all.
 
     Raises:
         ValueError: if the run ended by divergence or contact loss, or the
@@ -344,7 +348,7 @@ def tail_asymptotics(
         raise ValueError("tail asymptotics need at least 2 samples")
     tail = _tail_slice(traj.n_samples, tail_fraction)
     residual = float(np.max(_sqrt_lam_speed(traj.lam, traj.v)[tail]))
-    partial_l2 = _dissipated(traj, s)
+    partial_l2 = _dissipated(traj)
     details = {
         "tail_start_t": float(traj.t[tail][0]),
         "tail_samples": int(traj.n_samples - tail.start),
@@ -458,19 +462,20 @@ def check_acceleration_bound(
     Passes iff the sup is finite and at most ``bound``. A non-finite
     acceleration sample certifies nothing: the residual is then NaN (so the
     check fails), and ``attained_at_t`` is the time of the first such sample.
+    λ is ``traj.lam``, so a trajectory is judged by its own λ column; ``s`` is
+    kept for positional callers and not read.
     """
     if traj.n_samples == 0:
         raise ValueError("trajectory has no samples")
-    lam = lambda_values(s, traj.t)
     grad = gradient_rows(p, traj.x)
-    acc = -lam[:, None] * traj.v - grad
+    acc = -traj.lam[:, None] * traj.v - grad
     # row_dots gives np.linalg.norm of each row bit for bit where |ẍ|² is finite
     with np.errstate(over="ignore"):
         norms = _hypot_where_overflowed(np.sqrt(row_dots(acc, acc)), acc)
     nonfinite = ~np.isfinite(norms)
     k = int(np.argmax(nonfinite) if nonfinite.any() else np.argmax(norms))
     sup_acc = float(norms[k])
-    triangle = float(np.max(lam) * np.max(_norms(traj.v)) + np.max(traj.grad_norm))
+    triangle = float(np.max(traj.lam) * np.max(_norms(traj.v)) + np.max(traj.grad_norm))
     residual = sup_acc if math.isfinite(sup_acc) else math.nan
     return _record(
         "acceleration_bound",

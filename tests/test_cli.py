@@ -249,6 +249,21 @@ def test_catalogue_params_are_not_coerced(tmp_path, capsys):
                           "'constant': ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value, code", [("1.0e+5", 0), ("1.0e5", 2)])
+def test_a_catalogue_exponent_needs_its_sign(tmp_path, capsys, value, code):
+    # YAML 1.1 reads a float's exponent only with its sign: 1.0e5 is a string
+    path = tmp_path / "exponent.yaml"
+    path.write_text(_scenario_text(schedule=f"{{name: constant, params: {{value: {value}}}}}"))
+    assert main(["validate", str(path)]) == code
+    stdout, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and "schedule constant(100000)" in stdout
+    else:
+        assert stdout == "" and err == (
+            f"config error: {path}:4: schedule: bad parameters for schedule 'constant': "
+            "'>=' not supported between instances of 'str' and 'int'\n")
+
+
 def test_potential_too_large_to_allocate_is_a_config_error(tmp_path, scenario_raw):
     # quadratic allocates its critical point, np.zeros(dim): 72.8 TiB here
     scenario_raw["potential"]["params"]["dim"] = 10_000_000_000_000
@@ -287,6 +302,19 @@ def test_unbounded_potential_allowed_without_checks(tmp_path, scenario_raw):
     scenario_raw["integrator"]["stop"] = {"divergence_radius": 5.0}
     path = write_yaml(tmp_path / "tilted_ok.yaml", scenario_raw)
     assert main(["validate", str(path)]) == 0
+
+
+def test_unbounded_potential_simulates_with_no_checks_key(tmp_path, capsys):
+    # the form the refusal asks for: the checks list removed
+    path = tmp_path / "tilted.yaml"
+    path.write_text(_scenario_text(potential="{name: tilted_plane, params: {slope: [1.0]}}",
+                                   checks=None))
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out-dir", str(out)]) == 0
+    stdout, err = capsys.readouterr()
+    assert err == "" and "\nchecks: none requested\noverall: PASS\n" in stdout
+    report = json.loads((out / "unit.report.json").read_text())
+    assert report["checks"] == [] and report["all_passed"] is True
 
 
 def test_velocity_bound_requires_floor(tmp_path, scenario_raw, capsys):
@@ -1681,6 +1709,14 @@ def test_sweep_cli_subcommand(tmp_path, scenario_raw):
     assert code == 0
     text = (out / "sweep_summary.txt").read_text()
     assert "point_000" in text and "point_001" in text
+
+
+def test_sweep_prints_its_text_summary(tmp_path, scenario_raw, capsys):
+    out = tmp_path / "out"
+    assert main(_sweep_argv(tmp_path, scenario_raw, out)) == 0
+    stdout, err = capsys.readouterr()
+    assert err == "" and stdout == (out / "sweep_summary.txt").read_text()
+    assert stdout.count("\n") == 3  # the header and two points
 
 
 def _recorded_reference() -> dict:

@@ -1,4 +1,4 @@
-"""The column forms of λ and ∇Φ against their per-sample forms, bit for bit.
+"""λ and ∇Φ columns against their per-sample forms, bit for bit.
 
 Each comparison is on int64 views, so a NaN payload, a signed zero or one
 ulp anywhere fails it. Every warning is an error here: ``lambda_values`` and
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hbft.errors import DimensionMismatchError, ScheduleConsistencyError
-from hbft.friction import FrictionSchedule, lambda_at, lambda_values, oscillating, power_decay
+from hbft.friction import lambda_at, lambda_values, oscillating, power_decay
 from hbft.potentials import anisotropic_quadratic, flat, gradient, gradient_rows, quadratic
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -36,10 +36,6 @@ def _random_times(seed: int, n: int = 20000, top: float = math.inf) -> np.ndarra
     return np.concatenate([[0.0], t, [math.inf]] if top == math.inf else [[0.0], t])
 
 
-def _per_sample(s: FrictionSchedule, ts: np.ndarray) -> np.ndarray:
-    return np.array([s.lam(t) for t in ts.tolist()])
-
-
 # (base, amplitude, angular_frequency)
 _OSCILLATING_PARAMS = [
     (2.0, 1.0, 1.0),
@@ -57,40 +53,19 @@ POWER_DECAY = [
     power_decay(1e308, 0.75),
     power_decay(5e-324, 0.25),
 ]
-COLUMNED = OSCILLATING + POWER_DECAY
-_ids = [s.name for s in COLUMNED]
+SCHEDULES = OSCILLATING + POWER_DECAY
+_ids = [s.name for s in SCHEDULES]
 # the largest time at which an oscillating schedule's ω t stays finite
 _PHASE_TOP = {s: np.nextafter(np.finfo(float).max / max(params[2], 1.0), 0.0)
               for s, params in zip(OSCILLATING, _OSCILLATING_PARAMS)}
 
 
-def _times_for(s: FrictionSchedule, seed: int) -> np.ndarray:
-    """Random times over the whole range the column form takes: up to the
-    float maximum, or for ``oscillating`` up to where ω t stays finite."""
-    return _random_times(seed, top=_PHASE_TOP.get(s, math.inf))
-
-
-def test_builtins_carry_the_column_forms_the_catalogue_promises():
-    assert all(s.lam_column is not None for s in COLUMNED)
-    assert power_decay(1.0, 1.5).lam_column is None  # its magnified split runs per sample
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("s", COLUMNED, ids=_ids)
-def test_lam_column_gives_lam_on_random_bit_patterns(s, seed):
-    ts = _times_for(s, seed)
-    assert np.array_equal(_bits(s.lam_column(ts)), _bits(_per_sample(s, ts)))
-
-
-@pytest.mark.parametrize("s", COLUMNED, ids=_ids)
-def test_lam_column_gives_lam_on_the_certify_grid(s):
-    assert np.array_equal(_bits(s.lam_column(CERTIFY_TIMES)), _bits(_per_sample(s, CERTIFY_TIMES)))
-
-
 @pytest.mark.parametrize("times", ["random", "certify"])
-@pytest.mark.parametrize("s", COLUMNED, ids=_ids)
+@pytest.mark.parametrize("s", SCHEDULES, ids=_ids)
 def test_lambda_values_gives_lambda_at_bit_for_bit(s, times):
-    ts = _times_for(s, 3) if times == "random" else CERTIFY_TIMES
+    # random times up to the float maximum, or for ``oscillating`` up to
+    # where ω t stays finite
+    ts = _random_times(3, top=_PHASE_TOP.get(s, math.inf)) if times == "random" else CERTIFY_TIMES
     want = np.array([lambda_at(s, t) for t in ts.tolist()])
     assert np.array_equal(_bits(lambda_values(s, ts)), _bits(want))
 
@@ -106,7 +81,7 @@ def _outcome(fn):
 @pytest.mark.parametrize(
     "s, ts",
     [
-        # ω t overflows from t = 2 on: the form declines
+        # ω t overflows from t = 2 on
         (oscillating(2.0, 1.0, 1e308), np.linspace(0.0, 3.0, 7)),
         (oscillating(2.0, 1.0, 2.0), np.array([0.0, 1.0, 1.7976931348623157e308, 2.0])),
         # base + amplitude · sin(t) overflows where sin(t) > 0.797
@@ -121,18 +96,8 @@ def test_lambda_values_raises_the_loops_error_where_the_form_cannot_serve(s, ts)
 
 
 def test_the_sum_overflow_case_really_overflows():
-    s = oscillating(1e308, 1e308, 1.0)
-    with np.errstate(over="ignore"):
-        assert np.isinf(s.lam_column(CERTIFY_TIMES)).any()
     with pytest.raises(ScheduleConsistencyError, match=r"produced inf at t=0\.92"):
-        lambda_values(s, CERTIFY_TIMES)
-
-
-def test_lam_column_declines_where_the_phase_is_not_finite():
-    s = oscillating(2.0, 1.0, 1e308)
-    with np.errstate(over="ignore"):
-        assert s.lam_column(np.array([0.0, 2.0])) is None
-        assert s.lam_column(np.array([math.inf])) is None
+        lambda_values(oscillating(1e308, 1e308, 1.0), CERTIFY_TIMES)
 
 
 def test_a_refused_time_comes_before_the_forms_fallback():
@@ -141,15 +106,6 @@ def test_a_refused_time_comes_before_the_forms_fallback():
     ts = np.array([0.0, 1.0, -1.0, 2.0])
     with pytest.raises(ValueError, match=r"evaluated at t=-1\.0 < 0"):
         lambda_values(s, ts)
-
-
-def test_a_custom_column_is_checked_against_the_claim():
-    # a form whose value breaks the claim hands the samples to the loop
-    s = FrictionSchedule(name="custom", lam=lambda t: 1.0 - t,
-                         lam_column=lambda t: 1.0 - t)
-    assert lambda_values(s, np.array([0.0, 0.5])).tolist() == [1.0, 0.5]
-    with pytest.raises(ScheduleConsistencyError, match=r"produced -1\.0 at t=2\.0"):
-        lambda_values(s, np.array([0.0, 2.0, 3.0]))
 
 
 # --- gradient columns ----------------------------------------------------------

@@ -120,6 +120,23 @@ def test_balance_residual_scales_with_step_not_verdict(damped_run: Trajectory):
     assert r_full.passed and r_half.passed and r_thin.passed
 
 
+def test_lambda_reading_checks_judge_the_trajectorys_own_column(damped_run: Trajectory):
+    # λ comes from traj.lam: the schedule passed is not read for it, and a
+    # changed λ column changes the record
+    p = quadratic(dim=1)
+    doubled = dataclasses.replace(damped_run, lam=2.0 * damped_run.lam)
+    checks = {
+        "energy_balance": energy_balance_residual,
+        "acceleration_bound": lambda traj, s: check_acceleration_bound(traj, p, s),
+        "tail_asymptotics": lambda traj, s: tail_asymptotics(traj, s, p, threshold=1.0),
+    }
+    for name, check in checks.items():
+        want = check(damped_run, constant(1.0))
+        assert check(damped_run, constant(2.0)) == want, name
+        assert check(damped_run, power_decay(3.0, 0.5)) == want, name
+        assert check(doubled, constant(1.0)) != want, name
+
+
 # ---------------------------------------------------------- velocity bound
 
 
@@ -492,8 +509,9 @@ FAILING_CASES = {
     # played backwards, the damped run gains energy
     "energy_monotone": lambda run: _run_check(
         {"name": "energy_monotone"}, dataclasses.replace(run, energy=run.energy[::-1]), P, S),
-    # judged against twice its λ, the run dissipates twice its energy drop
-    "energy_balance": lambda run: _run_check({"name": "energy_balance"}, run, P, constant(2.0)),
+    # with its λ column doubled, the run dissipates twice its energy drop
+    "energy_balance": lambda run: _run_check(
+        {"name": "energy_balance"}, dataclasses.replace(run, lam=2.0 * run.lam), P, S),
     "velocity_bound": lambda run: _run_check(
         {"name": "velocity_bound"}, dataclasses.replace(run, v=run.v * 10.0), P, S),
     # cut at t = 1, √λ|v| in the tail is far above 1e-5
