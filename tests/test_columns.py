@@ -12,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from hbft import IntegratorConfig, PhaseState, dissipation_rate, hbft_field, integrate
 from hbft.errors import DimensionMismatchError, ScheduleConsistencyError
-from hbft.friction import lambda_at, lambda_values, oscillating, power_decay
+from hbft.friction import lambda_at, lambda_values, linear_growth, oscillating, power_decay, step
 from hbft.potentials import anisotropic_quadratic, flat, gradient, gradient_rows, quadratic
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -106,6 +107,35 @@ def test_a_refused_time_comes_before_the_forms_fallback():
     ts = np.array([0.0, 1.0, -1.0, 2.0])
     with pytest.raises(ValueError, match=r"evaluated at t=-1\.0 < 0"):
         lambda_values(s, ts)
+
+
+# --- the recorded λ column ------------------------------------------------------
+
+# Schedules a damped run on the unit bowl survives over 40 time units, on both
+# readers of lambda_values: per declared piece (the steps) and per sample
+RECORDED = OSCILLATING[:3] + POWER_DECAY[:4] + [
+    power_decay(1.0, 1.5),
+    step(),
+    step(times=(0.25, 0.5, 0.75, 1.0), values=(1.0, 0.0, 2.0, 0.5, 1.0)),
+    linear_growth(0.25),
+]
+SAMPLINGS = {"every-step": {}, "sample-dt": {"sample_dt": 0.01}, "stride": {"sample_stride": 7}}
+
+
+@pytest.mark.parametrize("s", RECORDED, ids=[s.name for s in RECORDED])
+@pytest.mark.parametrize("sampling", list(SAMPLINGS))
+def test_a_run_records_lambda_at_at_every_sample(s, sampling):
+    # energy_balance, tail_asymptotics and acceleration_bound read λ from
+    # traj.lam, so the column must be λ(t) at each sample time, bit for bit
+    p = quadratic(dim=1)
+    init = PhaseState(t=0.0, x=np.array([1.0]), v=np.array([0.0]))
+    traj = integrate(lambda st: hbft_field(p, s, st), p, s, init,
+                     IntegratorConfig(t_max=40.0, **SAMPLINGS[sampling]))
+    assert traj.t[-1] > 20.0 and traj.n_samples > 50  # past the jumps of every step above
+    assert np.array_equal(_bits(traj.lam), _bits([lambda_at(s, t) for t in traj.t.tolist()]))
+    states = [PhaseState(t=t, x=x, v=v) for t, x, v in zip(traj.t.tolist(), traj.x, traj.v)]
+    rates = [dissipation_rate(s, st) for st in states]
+    assert np.array_equal(_bits(traj.dissipation), _bits(rates))
 
 
 # --- gradient columns ----------------------------------------------------------
